@@ -30,18 +30,14 @@ from .schedule import (
 from .transfer import (
     DPS,
     PIGDM,
+    IDEAL,
     WeightSchedule,
-    StepTransfer,
     TransferTriple,
     prior_optimal_denoise,
     posterior_optimal_denoise,
-    dps_step_transfer,
-    pigdm_step_transfer,
-    optimal_step_transfer,
-    compose_transfer,
+    step_multipliers,
+    batch_triples,
     output_distribution,
-    sampler_step_transfers,
-    ideal_step_transfers,
     transfer_triple,
     ideal_triple,
     pigdm_heuristic_weights,
@@ -51,11 +47,12 @@ from .objective import (
     LossContext,
     w2_diag,
     wiener_gain,
+    triples_loss,
+    batch_loss,
     realization_loss,
     averaged_loss_analytic,
     averaged_loss_empirical,
     triple_realization_loss,
-    triple_averaged_loss,
 )
 from .optimizer import (
     OptimizeOptions,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -104,21 +105,49 @@ class _Runtime:
         opts = self.opts()
         if opts.ladder:
             ladder = tuple(r for r in opts.ladder if r < ctx.schedule.S) + (ctx.schedule.S,)
-            return iterative_ladder(
-                ctx, OptimizeOptions(**{**opts.__dict__, "ladder": ladder})
-            )
+            return iterative_ladder(ctx, replace(opts, ladder=ladder))
         return optimize_weights(ctx, default_init(ctx), opts)
 
-    def heuristic_profile(self, zeta_prime: float, S: int, obs: Observation, tag: int):
-        sim = SimConfig(
+    def sim_seed(self, tag: int) -> int:
+        """Monte-Carlo seed of the batch with the given tag."""
+        return int(np.random.SeedSequence([self.seed, _SIM_TAG, tag]).generate_state(1)[0])
+
+    def sim_config(self, S: int, guidance: Guidance, tag: int) -> SimConfig:
+        return SimConfig(
             prior=self.prior,
             spec=self.spec,
             schedule=self.schedule(S),
-            guidance=Guidance.dps_heuristic(zeta_prime, cap=max(abs(b) for b in self.cfg.bounds)),
+            guidance=guidance,
             n_runs=self.cfg.n_runs,
-            seed=int(np.random.SeedSequence([self.seed, _SIM_TAG, tag]).generate_state(1)[0]),
+            seed=self.sim_seed(tag),
         )
-        return heuristic_weight_profile(zeta_prime, sim, obs)
+
+    def heuristic_guidance(self, zeta_prime: float) -> Guidance:
+        return Guidance.dps_heuristic(zeta_prime, cap=max(abs(b) for b in self.cfg.bounds))
+
+    def weights_loss(self, weights: WeightSchedule, sched, obs: Observation) -> float:
+        """Squared W2 of a fixed weight schedule on one observation."""
+        triple = transfer_triple(weights, self.prior, self.spec, sched)
+        return triple_realization_loss(triple, self.prior, self.spec, obs)
+
+    def heuristic_losses(self, S: int, r: int, obs: Observation) -> list[tuple[str, float]]:
+        """(method, squared W2) of each zeta' heuristic on observation r.
+
+        The realized weights of a Monte-Carlo batch, averaged per step, give
+        the DPS schedule that is then scored in closed form.
+        """
+        out = []
+        for zi, zp in enumerate(self.cfg.zeta_primes):
+            sim = self.sim_config(S, self.heuristic_guidance(zp), (S * 1000 + r) * 10 + zi)
+            profile = heuristic_weight_profile(zp, sim, obs)
+            loss = self.weights_loss(WeightSchedule.dps(profile.mean), sim.schedule, obs)
+            out.append((f"dps-heuristic-{zp:g}", loss))
+        return out
+
+    def ideal_loss(self, sched, obs: Observation) -> float:
+        """Squared W2 of the MAP-denoiser sampler on one observation."""
+        triple = ideal_triple(self.prior, self.spec, sched)
+        return triple_realization_loss(triple, self.prior, self.spec, obs)
 
 
 def _run_tasks(tasks, threads: int):
@@ -173,6 +202,11 @@ def _cli_command(fn):
 def cmd_optimize(rt: _Runtime, threads: int):
     """Optimize weight schedules for each configured step count."""
     cfg = rt.cfg
+    if cfg.weight_source not in ("optimize-k1", "optimize-averaged"):
+        raise ConfigError(
+            f"optimize needs sampler.weight_source = optimize-k1 or optimize-averaged, "
+            f"not {cfg.weight_source}"
+        )
     averaged = cfg.weight_source == "optimize-averaged"
     observations = None if averaged else rt.observations()
     loss_rows = []
@@ -190,26 +224,15 @@ def cmd_optimize(rt: _Runtime, threads: int):
 
     results = _run_tasks([lambda S=S: solve_for(S) for S in cfg.S_list], threads)
     for S, sols in sorted(results):
-        stacks = []
-        if cfg.sampler_kind == PIGDM:
-            for k, sol in enumerate(sols):
-                stacks.append((f"g_r{k}", sol.weights.g))
-                stacks.append((f"r_r{k}", sol.weights.r))
-            if len(sols) > 1:
-                gs = np.stack([s.weights.g for s in sols])
-                rs = np.stack([s.weights.r for s in sols])
-                stacks += [
-                    ("g_mean", gs.mean(0)),
-                    ("g_std", gs.std(0)),
-                    ("r_mean", rs.mean(0)),
-                    ("r_std", rs.std(0)),
-                ]
-        else:
-            for k, sol in enumerate(sols):
-                stacks.append((f"zeta_r{k}", sol.weights.zeta))
-            if len(sols) > 1:
-                zs = np.stack([s.weights.zeta for s in sols])
-                stacks += [("mean", zs.mean(0)), ("std", zs.std(0))]
+        fields = ("g", "r") if cfg.sampler_kind == PIGDM else ("zeta",)
+        stacks = [
+            (f"{f}_r{k}", getattr(sol.weights, f)) for k, sol in enumerate(sols) for f in fields
+        ]
+        if len(sols) > 1:
+            for f in fields:
+                vecs = np.stack([getattr(sol.weights, f) for sol in sols])
+                prefix = "" if f == "zeta" else f"{f}_"
+                stacks += [(f"{prefix}mean", vecs.mean(0)), (f"{prefix}std", vecs.std(0))]
         cols = ["s"] + [name for name, _ in stacks]
         rows = [
             tuple([s + 1] + [float(vec[s]) for _, vec in stacks])
@@ -235,14 +258,9 @@ def cmd_sweep_wasserstein(rt: _Runtime, threads: int):
     def rows_for(S: int, r: int):
         sched = rt.schedule(S)
         obs = observations[r]
-        rows = []
-        for zi, zp in enumerate(cfg.zeta_primes):
-            profile = rt.heuristic_profile(zp, S, obs, tag=(S * 1000 + r) * 10 + zi)
-            triple = transfer_triple(
-                WeightSchedule.dps(profile.mean), rt.prior, rt.spec, sched
-            )
-            w2 = float(np.sqrt(triple_realization_loss(triple, rt.prior, rt.spec, obs)))
-            rows.append((f"dps-heuristic-{zp:g}", S, r, w2))
+        rows = [
+            (method, S, r, float(np.sqrt(loss))) for method, loss in rt.heuristic_losses(S, r, obs)
+        ]
         dps_ctx = LossContext(rt.prior, rt.spec, sched, "dps", (obs,))
         dps_sol = rt.solve(dps_ctx)
         rows.append(("dps-optimized", S, r, float(np.sqrt(dps_sol.final_loss))))
@@ -258,14 +276,7 @@ def cmd_sweep_wasserstein(rt: _Runtime, threads: int):
             key=lambda sol: sol.final_loss,
         )
         rows.append(("pigdm-optimized", S, r, float(np.sqrt(pig_sol.final_loss))))
-        w2_ideal = float(
-            np.sqrt(
-                triple_realization_loss(
-                    ideal_triple(rt.prior, rt.spec, sched), rt.prior, rt.spec, obs
-                )
-            )
-        )
-        rows.append(("ideal", S, r, w2_ideal))
+        rows.append(("ideal", S, r, float(np.sqrt(rt.ideal_loss(sched, obs)))))
         return rows
 
     tasks = [
@@ -289,36 +300,17 @@ def cmd_simulate(rt: _Runtime, threads: int):
     observations = rt.observations()
     obs = observations[0]
     for S in cfg.S_list:
-        sched = rt.schedule(S)
         if cfg.guidance == "heuristic":
+            # One batch gives both outputs: the realized weights for the
+            # profile and the output moments for the statistics.
             for zi, zp in enumerate(cfg.zeta_primes):
-                profile = rt.heuristic_profile(zp, S, obs, tag=S * 10 + zi)
-                profile_to_csv(
-                    profile, rt.out / f"profile_S{S}_zp{zp:g}.csv", rt.header()
-                )
-                sim = SimConfig(
-                    prior=rt.prior,
-                    spec=rt.spec,
-                    schedule=sched,
-                    guidance=Guidance.dps_heuristic(zp),
-                    n_runs=cfg.n_runs,
-                    seed=int(
-                        np.random.SeedSequence([rt.seed, _SIM_TAG, S * 10 + zi]).generate_state(1)[0]
-                    ),
-                )
-                stats = monte_carlo(sim, obs)
+                stats = monte_carlo(rt.sim_config(S, rt.heuristic_guidance(zp), S * 10 + zi), obs)
+                profile_path = rt.out / f"profile_S{S}_zp{zp:g}.csv"
+                profile_to_csv(stats.per_step_zeta, profile_path, rt.header())
                 runstats_to_csv(stats, rt.out / f"stats_S{S}_zp{zp:g}.csv", rt.header())
         else:
             guide = Guidance.optimal() if cfg.guidance == "optimal" else Guidance.none()
-            sim = SimConfig(
-                prior=rt.prior,
-                spec=rt.spec,
-                schedule=sched,
-                guidance=guide,
-                n_runs=cfg.n_runs,
-                seed=int(np.random.SeedSequence([rt.seed, _SIM_TAG, S]).generate_state(1)[0]),
-            )
-            stats = monte_carlo(sim, obs)
+            stats = monte_carlo(rt.sim_config(S, guide, S), obs)
             runstats_to_csv(stats, rt.out / f"stats_S{S}.csv", rt.header())
     click.echo(f"wrote simulation outputs to {rt.out}")
 
@@ -349,31 +341,13 @@ def cmd_eval_loss(rt: _Runtime, threads: int):
         sched = rt.schedule(S)
         for r, obs in enumerate(observations):
             if cfg.weight_source == "ideal":
-                triple = ideal_triple(rt.prior, rt.spec, sched)
-                label = "ideal"
-                rows.append(
-                    (label, S, 1, triple_realization_loss(triple, rt.prior, rt.spec, obs), rt.seed)
-                )
+                rows.append(("ideal", S, 1, rt.ideal_loss(sched, obs), rt.seed))
             elif cfg.weight_source == "pigdm-heuristic":
-                triple = transfer_triple(pigdm_heuristic_weights(sched), rt.prior, rt.spec, sched)
-                rows.append(
-                    ("pigdm-heuristic", S, 1, triple_realization_loss(triple, rt.prior, rt.spec, obs), rt.seed)
-                )
+                loss = rt.weights_loss(pigdm_heuristic_weights(sched), sched, obs)
+                rows.append(("pigdm-heuristic", S, 1, loss, rt.seed))
             elif cfg.weight_source == "heuristic":
-                for zi, zp in enumerate(cfg.zeta_primes):
-                    profile = rt.heuristic_profile(zp, S, obs, tag=(S * 1000 + r) * 10 + zi)
-                    triple = transfer_triple(
-                        WeightSchedule.dps(profile.mean), rt.prior, rt.spec, sched
-                    )
-                    rows.append(
-                        (
-                            f"dps-heuristic-{zp:g}",
-                            S,
-                            1,
-                            triple_realization_loss(triple, rt.prior, rt.spec, obs),
-                            rt.seed,
-                        )
-                    )
+                losses = rt.heuristic_losses(S, r, obs)
+                rows += [(method, S, 1, loss, rt.seed) for method, loss in losses]
             else:
                 ctx = LossContext(rt.prior, rt.spec, sched, cfg.sampler_kind, (obs,))
                 sol = rt.solve(ctx)

@@ -4,37 +4,34 @@ The squared distance splits into a variance term over |D1| and a mean term
 over the Wiener-filtered measurement.  Everything here is expressed per
 frequency bin, in the package's DFT units (means in forward-transform units,
 variances as covariance eigenvalues), so the measurement-power term of the
-analytic average carries the factor d that relates the two.
+analytic average carries the factor d that relates the two.  ``triples_loss``
+holds the one formula; every other loss here is a wrapper of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .schedule import Schedule, step_coeffs_scalar, denoiser_coeffs
+# The step table in transfer.py takes every coefficient from step_coeffs, so
+# these two are no longer called here; perfbench/hooks.py still wraps them
+# under this module's name.
+from .schedule import Schedule, denoiser_coeffs, step_coeffs_scalar  # noqa: F401
 from .spectral import DegradationSpec, DiagGaussian, Observation, SpectralPrior
-from .transfer import (
-    DPS,
-    PIGDM,
-    TransferTriple,
-    WeightSchedule,
-    transfer_triple,
-)
+from .transfer import DPS, PIGDM, TransferTriple, WeightSchedule, batch_triples
 
 __all__ = [
     "WienerGain",
     "LossContext",
     "w2_diag",
     "wiener_gain",
+    "triples_loss",
+    "batch_loss",
     "realization_loss",
     "averaged_loss_analytic",
     "averaged_loss_empirical",
     "triple_realization_loss",
-    "triple_averaged_loss",
-    "batch_triples",
-    "batch_loss",
 ]
 
 
@@ -110,156 +107,39 @@ def _target_std(
     return np.sqrt(np.maximum(lam_post, 0.0))
 
 
-def triple_realization_loss(
-    triple: TransferTriple,
+def triples_loss(
+    D1: np.ndarray,
+    D2: np.ndarray,
+    D3: np.ndarray,
     prior: SpectralPrior,
     spec: DegradationSpec,
-    obs: Observation,
-    variance_spectrum: str = "posterior",
-) -> float:
-    """Squared W2 between a sampler triple's output law and the true posterior."""
+    ys: np.ndarray | None,
+    variance_spectrum: str,
+) -> np.ndarray:
+    """Squared W2 to the true posterior, shape (B,), of (B, d) sampler triples.
+
+    ``ys`` stacks the (K, d) measurements to average over.  ``None`` takes the
+    closed-form average over the measurement law instead, the K -> infinity
+    limit: the mean term then splits into the measurement covariance picked
+    up by M = D2 - A (the per-bin power d * (lambda |h|^2 + sigma^2)) plus the
+    deterministic offset.
+    """
     A = wiener_gain(prior, spec).A
     target_std = _target_std(prior, spec, variance_spectrum)
-    var_term = np.sum((target_std - np.abs(triple.D1)) ** 2)
-    mean_diff = (triple.D2 - A) * obs.y_f + (
-        triple.D3 - 1.0 + A * spec.lambda_h
-    ) * prior.mu_f
-    return float(var_term + np.sum(np.abs(mean_diff) ** 2))
-
-
-def triple_averaged_loss(
-    triple: TransferTriple,
-    prior: SpectralPrior,
-    spec: DegradationSpec,
-    variance_spectrum: str = "posterior",
-) -> float:
-    """Closed-form average of the squared W2 over the measurement law.
-
-    Equals the K -> infinity limit of the empirical average: the mean term
-    decomposes into the measurement covariance picked up by M = D2 - A (the
-    per-bin power d * (lambda |h|^2 + sigma^2)) plus the deterministic offset.
-    """
-    d = prior.dim
-    A = wiener_gain(prior, spec).A
-    target_std = _target_std(prior, spec, variance_spectrum)
-    M = triple.D2 - A
-    b_vec = (triple.D3 - 1.0 + A * spec.lambda_h) * prior.mu_f
-    y_power = prior.lambda0 * np.abs(spec.lambda_h) ** 2 + spec.sigma_y**2
-    var_term = np.sum((target_std - np.abs(triple.D1)) ** 2)
-    trace_term = d * np.sum(np.abs(M) ** 2 * y_power)
-    offset_term = np.sum(np.abs(M * spec.lambda_h * prior.mu_f + b_vec) ** 2)
-    return float(var_term + trace_term + offset_term)
-
-
-def realization_loss(weights: WeightSchedule, ctx: LossContext) -> float:
-    """Squared W2 for a single observation context."""
-    if ctx.K != 1:
-        raise ValueError("realization_loss needs a context with exactly one observation")
-    triple = transfer_triple(weights, ctx.prior, ctx.spec, ctx.schedule)
-    return triple_realization_loss(
-        triple, ctx.prior, ctx.spec, ctx.observations[0], ctx.variance_spectrum
-    )
-
-
-def averaged_loss_analytic(weights: WeightSchedule, ctx: LossContext) -> float:
-    """Closed-form measurement-averaged squared W2."""
-    triple = transfer_triple(weights, ctx.prior, ctx.spec, ctx.schedule)
-    return triple_averaged_loss(triple, ctx.prior, ctx.spec, ctx.variance_spectrum)
-
-
-def averaged_loss_empirical(weights: WeightSchedule, ctx: LossContext) -> float:
-    """Mean squared W2 over the context's observation list."""
-    if ctx.K < 1:
-        raise ValueError("empirical average needs observations")
-    triple = transfer_triple(weights, ctx.prior, ctx.spec, ctx.schedule)
-    A = wiener_gain(ctx.prior, ctx.spec).A
-    target_std = _target_std(ctx.prior, ctx.spec, ctx.variance_spectrum)
-    var_term = np.sum((target_std - np.abs(triple.D1)) ** 2)
-    M = triple.D2 - A
-    b_vec = (triple.D3 - 1.0 + A * ctx.spec.lambda_h) * ctx.prior.mu_f
-    ys = np.stack([o.y_f for o in ctx.observations])
-    mean_terms = np.sum(np.abs(M * ys + b_vec) ** 2, axis=1)
-    return float(var_term + np.mean(mean_terms))
-
-
-# -- Vectorized evaluation over batches of weight vectors ---------------------
-#
-# The optimizer's finite-difference gradients evaluate the loss at hundreds of
-# perturbed weight vectors; composing each perturbation separately would
-# dominate the runtime, so the recursion below carries a whole (B, d) batch.
-
-
-@dataclass
-class _CtxArrays:
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    dd: np.ndarray
-    habs2: np.ndarray
-    hbar: np.ndarray
-    sig2: float
-
-
-def _context_arrays(prior: SpectralPrior, spec: DegradationSpec, sched: Schedule) -> _CtxArrays:
-    S = sched.S
-    a = np.empty(S)
-    b = np.empty(S)
-    c = np.empty((S, prior.dim))
-    dd = np.empty((S, prior.dim))
-    for s in range(1, S + 1):
-        a[s - 1], b[s - 1] = step_coeffs_scalar(sched, s)
-        c[s - 1], dd[s - 1] = denoiser_coeffs(sched, s, prior)
-    return _CtxArrays(
-        a=a,
-        b=b,
-        c=c,
-        dd=dd,
-        habs2=np.abs(spec.lambda_h) ** 2,
-        hbar=np.conj(spec.lambda_h),
-        sig2=spec.sigma_y**2,
-    )
-
-
-def batch_triples(
-    kind: str,
-    thetas: np.ndarray,
-    prior: SpectralPrior,
-    spec: DegradationSpec,
-    sched: Schedule,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Composed (D1, D2, D3), each (B, d), for a (B, P) batch of weight vectors.
-
-    DPS packs theta = zeta (P = S); PiGDM packs theta = [g, r] (P = 2S).
-    """
-    arr = _context_arrays(prior, spec, sched)
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    B = thetas.shape[0]
-    S = sched.S
-    d = prior.dim
-    p = np.ones((B, d), dtype=complex)
-    q = np.zeros((B, d), dtype=complex)
-    m = np.zeros((B, d), dtype=complex)
-    for s in range(S, 0, -1):
-        i = s - 1
-        c, dd = arr.c[i], arr.dd[i]
-        if kind == DPS:
-            zeta = thetas[:, i : i + 1]
-            G = arr.a[i] + arr.b[i] * c - 2.0 * zeta * (c**2 * arr.habs2)
-            Q = 2.0 * zeta * (c * arr.hbar)
-            M = arr.b[i] * dd - 2.0 * zeta * (c * arr.habs2 * dd)
-        elif kind == PIGDM:
-            g = thetas[:, i : i + 1]
-            r = thetas[:, S + i : S + i + 1]
-            e = 1.0 / (r**2 * arr.habs2 + arr.sig2)
-            G = arr.a[i] + arr.b[i] * c - g * (c**2 * arr.habs2) * e
-            Q = g * (c * arr.hbar) * e
-            M = arr.b[i] * dd - g * (c * arr.habs2 * dd) * e
-        else:
-            raise ValueError(f"unknown sampler kind: {kind}")
-        p = G * p
-        q = G * q + Q
-        m = G * m + M
-    return p, q, m
+    var_term = np.sum((target_std - np.abs(D1)) ** 2, axis=1)
+    M = D2 - A
+    bcoef = D3 - 1.0 + A * spec.lambda_h
+    if ys is None:
+        y_power = prior.lambda0 * np.abs(spec.lambda_h) ** 2 + spec.sigma_y**2
+        trace_term = prior.dim * np.sum(np.abs(M) ** 2 * y_power, axis=1)
+        offset = np.sum(
+            np.abs(M * (spec.lambda_h * prior.mu_f) + bcoef * prior.mu_f) ** 2,
+            axis=1,
+        )
+        return var_term + trace_term + offset
+    # (B, K, d) mean discrepancies, averaged over K.
+    diff = M[:, None, :] * ys[None, :, :] + (bcoef * prior.mu_f)[:, None, :]
+    return var_term + np.mean(np.sum(np.abs(diff) ** 2, axis=2), axis=1)
 
 
 def batch_loss(
@@ -269,20 +149,40 @@ def batch_loss(
 ) -> np.ndarray:
     """Loss values, shape (B,), for a batch of packed weight vectors."""
     D1, D2, D3 = batch_triples(kind, thetas, ctx.prior, ctx.spec, ctx.schedule)
-    A = wiener_gain(ctx.prior, ctx.spec).A
-    target_std = _target_std(ctx.prior, ctx.spec, ctx.variance_spectrum)
-    var_term = np.sum((target_std - np.abs(D1)) ** 2, axis=1)
-    M = D2 - A
-    bcoef = D3 - 1.0 + A * ctx.spec.lambda_h
-    if ctx.observations is None:
-        y_power = ctx.prior.lambda0 * np.abs(ctx.spec.lambda_h) ** 2 + ctx.spec.sigma_y**2
-        trace_term = ctx.prior.dim * np.sum(np.abs(M) ** 2 * y_power, axis=1)
-        offset = np.sum(
-            np.abs(M * (ctx.spec.lambda_h * ctx.prior.mu_f) + bcoef * ctx.prior.mu_f) ** 2,
-            axis=1,
-        )
-        return var_term + trace_term + offset
-    ys = np.stack([o.y_f for o in ctx.observations])
-    # (B, K, d) mean discrepancies, averaged over K.
-    diff = M[:, None, :] * ys[None, :, :] + (bcoef * ctx.prior.mu_f)[:, None, :]
-    return var_term + np.mean(np.sum(np.abs(diff) ** 2, axis=2), axis=1)
+    ys = None if ctx.observations is None else np.stack([o.y_f for o in ctx.observations])
+    return triples_loss(D1, D2, D3, ctx.prior, ctx.spec, ys, ctx.variance_spectrum)
+
+
+def triple_realization_loss(
+    triple: TransferTriple,
+    prior: SpectralPrior,
+    spec: DegradationSpec,
+    obs: Observation,
+    variance_spectrum: str = "posterior",
+) -> float:
+    """Squared W2 between a sampler triple's output law and the true posterior."""
+    D1, D2, D3 = (D[None] for D in (triple.D1, triple.D2, triple.D3))
+    return float(triples_loss(D1, D2, D3, prior, spec, obs.y_f[None], variance_spectrum)[0])
+
+
+def _weights_loss(weights: WeightSchedule, ctx: LossContext) -> float:
+    return float(batch_loss(weights.kind, weights.theta, ctx)[0])
+
+
+def realization_loss(weights: WeightSchedule, ctx: LossContext) -> float:
+    """Squared W2 for a single observation context."""
+    if ctx.K != 1:
+        raise ValueError("realization_loss needs a context with exactly one observation")
+    return _weights_loss(weights, ctx)
+
+
+def averaged_loss_analytic(weights: WeightSchedule, ctx: LossContext) -> float:
+    """Closed-form measurement-averaged squared W2; ignores ctx's observations."""
+    return _weights_loss(weights, replace(ctx, observations=None))
+
+
+def averaged_loss_empirical(weights: WeightSchedule, ctx: LossContext) -> float:
+    """Mean squared W2 over the context's observation list."""
+    if ctx.K < 1:
+        raise ValueError("empirical average needs observations")
+    return _weights_loss(weights, ctx)

@@ -8,7 +8,7 @@ counts (the ladder) and eigen-truncation keep large problems tractable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -16,7 +16,7 @@ from scipy.optimize import minimize
 from .objective import LossContext, batch_loss
 from .schedule import ddim_subsequence, linear_ddpm_schedule
 from .spectral import DegradationSpec, Observation, SpectralPrior
-from .transfer import DPS, PIGDM, WeightSchedule
+from .transfer import DPS, PIGDM, WeightSchedule, pigdm_heuristic_weights
 
 __all__ = [
     "OptimizeOptions",
@@ -26,8 +26,8 @@ __all__ = [
     "iterative_ladder",
     "reduce_dimensions",
     "default_init",
-    "dropped_bin_constant",
     "interpolate_weights",
+    "pigdm_from_dps",
 ]
 
 DEFAULT_BOUNDS = (-5.0, 5.0)
@@ -84,7 +84,7 @@ def default_init(ctx: LossContext) -> WeightSchedule:
     S = ctx.schedule.S
     if ctx.sampler_kind == DPS:
         return WeightSchedule.dps(np.full(S, 0.1))
-    return WeightSchedule.pigdm(np.ones(S), np.sqrt(1.0 - ctx.schedule.alpha_bar))
+    return pigdm_heuristic_weights(ctx.schedule)
 
 
 def pigdm_from_dps(zeta: np.ndarray, sigma_y: float) -> WeightSchedule:
@@ -98,12 +98,6 @@ def pigdm_from_dps(zeta: np.ndarray, sigma_y: float) -> WeightSchedule:
         raise ValueError("mapping requires sigma_y > 0")
     zeta = np.asarray(zeta, dtype=float)
     return WeightSchedule.pigdm(2.0 * sigma_y**2 * zeta, np.zeros(len(zeta)))
-
-
-def _pack(weights: WeightSchedule) -> np.ndarray:
-    if weights.kind == DPS:
-        return np.array(weights.zeta, dtype=float)
-    return np.concatenate([weights.g, weights.r])
 
 
 def _unpack(kind: str, theta: np.ndarray, S: int) -> WeightSchedule:
@@ -120,24 +114,21 @@ def _bounds_list(kind: str, S: int, bounds: tuple[float, float]) -> list[tuple[f
     return [(lo, hi)] * S + [(max(lo, 0.0), hi)] * S
 
 
-def _reduced_context(ctx: LossContext, keep: np.ndarray) -> LossContext:
-    rprior = SpectralPrior(
-        dim=len(keep), mu_f=ctx.prior.mu_f[keep], lambda0=ctx.prior.lambda0[keep]
-    )
-    rspec = DegradationSpec(
-        dim=len(keep), lambda_h=ctx.spec.lambda_h[keep], sigma_y=ctx.spec.sigma_y
-    )
+def _take_bins(
+    prior: SpectralPrior, spec: DegradationSpec, idx: np.ndarray
+) -> tuple[SpectralPrior, DegradationSpec]:
+    """Prior and degradation restricted to the bins idx."""
+    rprior = SpectralPrior(dim=len(idx), mu_f=prior.mu_f[idx], lambda0=prior.lambda0[idx])
+    rspec = DegradationSpec(dim=len(idx), lambda_h=spec.lambda_h[idx], sigma_y=spec.sigma_y)
+    return rprior, rspec
+
+
+def _reduced_context(ctx: LossContext, idx: np.ndarray) -> LossContext:
+    rprior, rspec = _take_bins(ctx.prior, ctx.spec, idx)
     robs = None
     if ctx.observations is not None:
-        robs = tuple(Observation(y_f=o.y_f[keep]) for o in ctx.observations)
-    return LossContext(
-        prior=rprior,
-        spec=rspec,
-        schedule=ctx.schedule,
-        sampler_kind=ctx.sampler_kind,
-        observations=robs,
-        variance_spectrum=ctx.variance_spectrum,
-    )
+        robs = tuple(Observation(y_f=o.y_f[idx]) for o in ctx.observations)
+    return replace(ctx, prior=rprior, spec=rspec, observations=robs)
 
 
 def reduce_dimensions(
@@ -152,9 +143,7 @@ def reduce_dimensions(
         raise ValueError("keep_dims out of range")
     order = np.argsort(-prior.lambda0, kind="stable")
     keep = np.sort(order[:keep_dims])
-    rprior = SpectralPrior(dim=keep_dims, mu_f=prior.mu_f[keep], lambda0=prior.lambda0[keep])
-    rspec = DegradationSpec(dim=keep_dims, lambda_h=spec.lambda_h[keep], sigma_y=spec.sigma_y)
-    return rprior, rspec, keep
+    return (*_take_bins(prior, spec, keep), keep)
 
 
 def dropped_bin_constant(ctx: LossContext, keep: np.ndarray) -> float:
@@ -216,7 +205,7 @@ def optimize_weights(
 
     kind = ctx.sampler_kind
     S = ctx.schedule.S
-    theta0 = np.clip(_pack(init), *opts.bounds)
+    theta0 = np.clip(init.theta, *opts.bounds)
     if kind == PIGDM:
         theta0[S:] = np.maximum(theta0[S:], 0.0)
 
@@ -305,14 +294,7 @@ def iterative_ladder(ctx: LossContext, opts: OptimizeOptions) -> WeightSolution:
         # The final rung must use the caller's schedule verbatim so losses stay
         # comparable even when it was not built by the default subsequencing.
         sched_r = ctx.schedule if rung == len(ladder) - 1 else ddim_subsequence(full, S_r)
-        rung_ctx = LossContext(
-            prior=ctx.prior,
-            spec=ctx.spec,
-            schedule=sched_r,
-            sampler_kind=ctx.sampler_kind,
-            observations=ctx.observations,
-            variance_spectrum=ctx.variance_spectrum,
-        )
+        rung_ctx = replace(ctx, schedule=sched_r)
         inits = [default_init(rung_ctx)]
         if weights is not None:
             inits.append(interpolate_weights(weights, sched_r.S, rescale_gain=True))

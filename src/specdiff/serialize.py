@@ -15,8 +15,8 @@ import numpy as np
 
 from .schedule import Schedule
 from .spectral import SpectralPrior
-from .simulator import HeuristicProfile, RunStats
-from .transfer import DPS, TransferTriple, WeightSchedule
+from .simulator import RunStats
+from .transfer import TransferTriple
 
 __all__ = [
     "write_csv",
@@ -28,7 +28,6 @@ __all__ = [
     "triple_to_csv",
     "prior_to_file",
     "prior_from_file",
-    "solution_rows",
     "runstats_to_csv",
     "profile_to_csv",
 ]
@@ -150,15 +149,6 @@ def prior_from_file(path) -> SpectralPrior:
     return SpectralPrior(dim=d, mu_f=mu_f, lambda0=lam)
 
 
-def solution_rows(weights: WeightSchedule) -> tuple[list[str], list[tuple]]:
-    """Column names and rows for one optimized weight schedule."""
-    if weights.kind == DPS:
-        return ["s", "zeta"], [(s + 1, float(weights.zeta[s])) for s in range(weights.steps)]
-    return ["s", "g", "r"], [
-        (s + 1, float(weights.g[s]), float(weights.r[s])) for s in range(weights.steps)
-    ]
-
-
 def runstats_to_csv(stats: RunStats, path, header: dict | None = None) -> None:
     rows = [
         (i, stats.emp_mean[i].real, stats.emp_mean[i].imag, float(stats.emp_var[i]))
@@ -167,9 +157,8 @@ def runstats_to_csv(stats: RunStats, path, header: dict | None = None) -> None:
     write_csv(path, ["bin", "emp_mean_re", "emp_mean_im", "emp_var"], rows, header)
 
 
-def profile_to_csv(profile: HeuristicProfile, path, header: dict | None = None) -> None:
-    rows = [
-        (s + 1, float(profile.mean[s]), float(profile.std[s]))
-        for s in range(len(profile.mean))
-    ]
+def profile_to_csv(zetas: np.ndarray, path, header: dict | None = None) -> None:
+    """Per-step mean and spread of realized heuristic weights, (S, n_runs)."""
+    mean, std = zetas.mean(axis=1), zetas.std(axis=1)
+    rows = [(s + 1, float(mean[s]), float(std[s])) for s in range(len(mean))]
     write_csv(path, ["step", "mean_zeta", "std_zeta"], rows, header)

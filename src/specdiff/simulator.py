@@ -9,7 +9,7 @@ the composed spectral transfer functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,11 +17,6 @@ from .schedule import Schedule, step_coeffs_scalar
 from .spectral import DegradationSpec, Observation, SpectralPrior
 
 __all__ = [
-    "GUIDANCE_NONE",
-    "GUIDANCE_DPS_FIXED",
-    "GUIDANCE_DPS_HEURISTIC",
-    "GUIDANCE_PIGDM",
-    "GUIDANCE_OPTIMAL",
     "Guidance",
     "SimConfig",
     "RunStats",
@@ -208,13 +203,17 @@ def simulate_one(
     return X[0], realized[:, 0]
 
 
+def _start_states(cfg: SimConfig) -> np.ndarray:
+    """The (n_runs, d) i.i.d. standard-normal starting states of cfg's seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    return rng.standard_normal((cfg.n_runs, cfg.prior.dim))
+
+
 def monte_carlo(cfg: SimConfig, obs: Observation) -> RunStats:
     """Empirical output moments over i.i.d. standard-normal starting states."""
     if cfg.n_runs < 2:
         raise ValueError("n_runs must be at least 2")
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    x_start = rng.standard_normal((cfg.n_runs, cfg.prior.dim))
-    X0, realized, _ = _run_batch(cfg, obs, x_start)
+    X0, realized, _ = _run_batch(cfg, obs, _start_states(cfg))
     spectra = np.fft.fft(X0, axis=-1)
     emp_mean = spectra.mean(axis=0)
     emp_var = np.mean(np.abs(spectra - emp_mean) ** 2, axis=0) / cfg.prior.dim
@@ -230,18 +229,8 @@ def heuristic_weight_profile(
     """Realized DPS weights zeta' / ||y - H x0hat|| recorded at every step."""
     if zeta_prime <= 0:
         raise ValueError("zeta_prime must be positive")
-    guide = Guidance.dps_heuristic(zeta_prime, cap=cfg.guidance.cap)
-    run_cfg = SimConfig(
-        prior=cfg.prior,
-        spec=cfg.spec,
-        schedule=cfg.schedule,
-        guidance=guide,
-        n_runs=cfg.n_runs,
-        seed=cfg.seed,
-    )
-    rng = np.random.default_rng(np.random.SeedSequence(run_cfg.seed))
-    x_start = rng.standard_normal((run_cfg.n_runs, run_cfg.prior.dim))
-    _, realized, norms = _run_batch(run_cfg, obs, x_start)
+    run_cfg = replace(cfg, guidance=Guidance.dps_heuristic(zeta_prime, cap=cfg.guidance.cap))
+    _, realized, norms = _run_batch(run_cfg, obs, _start_states(run_cfg))
     return HeuristicProfile(
         mean=realized.mean(axis=1),
         std=realized.std(axis=1),

@@ -1,10 +1,25 @@
-"""One-step and composed transfer functions of guided DDIM samplers.
+"""Per-step multipliers and composed transfer functions of guided DDIM samplers.
 
-Each guided sampler's spectral update has the per-frequency form
+Each sampler's spectral update has the per-frequency form
 ``x[s-1] = G(s) x[s] + Q(s) y + M(s) mu``; composing the S steps yields a
 triple (D1, D2, D3) mapping the starting noise, the measurement, and the
 prior mean straight to the output, whose distribution is then Gaussian with
 mean D2 y + D3 mu and per-bin variance |D1|^2.
+
+This module is the only place the step formulas live.  DPS and PiGDM share
+one form.  With the unguided DDIM step G0 = a + b c, M0 = b dd (c and dd are
+the prior denoiser's per-bin gains) and the guidance directions c^2 |h|^2,
+c conj(h) and c |h|^2 dd, a guided step is
+
+    G = G0 - (w c^2 |h|^2) e,   Q = (w c conj(h)) e,   M = M0 - (w c |h|^2 dd) e
+
+with a per-step gain w and likelihood weight e.  DPS takes w = 2 zeta and no
+likelihood weight; PiGDM takes w = g and e = 1 / (r^2 |h|^2 + sigma^2), the
+inverse of its likelihood covariance r^2 H H^T + sigma^2 I.  The ideal
+sampler drives the same DDIM step with the MAP denoiser: its (G, Q, M) are
+one fixed multiplier set per step, with no guidance.  ``step_multipliers``
+yields the multipliers of every step and ``batch_triples`` composes them for
+a whole batch of weight vectors at once.
 """
 
 from __future__ import annotations
@@ -13,24 +28,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import Schedule, StepCoeffs, step_coeffs
+from .schedule import Schedule, step_coeffs
 from .spectral import DegradationSpec, DiagGaussian, Observation, SpectralPrior
 
 __all__ = [
     "DPS",
     "PIGDM",
+    "IDEAL",
     "WeightSchedule",
-    "StepTransfer",
     "TransferTriple",
     "prior_optimal_denoise",
     "posterior_optimal_denoise",
-    "dps_step_transfer",
-    "pigdm_step_transfer",
-    "optimal_step_transfer",
-    "compose_transfer",
+    "step_multipliers",
+    "batch_triples",
     "output_distribution",
-    "sampler_step_transfers",
-    "ideal_step_transfers",
     "transfer_triple",
     "ideal_triple",
     "pigdm_heuristic_weights",
@@ -38,6 +49,7 @@ __all__ = [
 
 DPS = "dps"
 PIGDM = "pigdm"
+IDEAL = "ideal"
 
 
 @dataclass(frozen=True)
@@ -80,14 +92,12 @@ class WeightSchedule:
     def steps(self) -> int:
         return len(self.zeta) if self.kind == DPS else len(self.g)
 
-
-@dataclass(frozen=True)
-class StepTransfer:
-    """Per-frequency multipliers of one sampler update."""
-
-    G: np.ndarray
-    Q: np.ndarray
-    M: np.ndarray
+    @property
+    def theta(self) -> np.ndarray:
+        """Packed weight vector: zeta for DPS, [g, r] for PiGDM."""
+        if self.kind == DPS:
+            return np.array(self.zeta, dtype=float)
+        return np.concatenate([self.g, self.r])
 
 
 @dataclass(frozen=True)
@@ -142,82 +152,6 @@ def posterior_optimal_denoise(
     return num / den
 
 
-def dps_step_transfer(
-    coeffs: StepCoeffs, spec: DegradationSpec, zeta_s: float
-) -> StepTransfer:
-    """One DPS update in the spectral domain."""
-    c, d = coeffs.c_s, coeffs.d_s
-    hbar = np.conj(spec.lambda_h)
-    habs2 = np.abs(spec.lambda_h) ** 2
-    G = coeffs.a_s + coeffs.b_s * c - 2.0 * zeta_s * c**2 * habs2
-    Q = 2.0 * zeta_s * c * hbar
-    M = coeffs.b_s * d - 2.0 * zeta_s * c * habs2 * d
-    return StepTransfer(G=G.astype(complex), Q=Q.astype(complex), M=M.astype(complex))
-
-
-def pigdm_step_transfer(
-    coeffs: StepCoeffs, spec: DegradationSpec, g_s: float, r_s: float
-) -> StepTransfer:
-    """One PiGDM update in the spectral domain.
-
-    The likelihood covariance r^2 H H^T + sigma^2 I enters as the per-bin
-    factor e = 1 / (r^2 |h|^2 + sigma^2).
-    """
-    habs2 = np.abs(spec.lambda_h) ** 2
-    eden = r_s**2 * habs2 + spec.sigma_y**2
-    if np.any(eden == 0):
-        raise ValueError("zero likelihood-covariance bin")
-    e = 1.0 / eden
-    c, d = coeffs.c_s, coeffs.d_s
-    hbar = np.conj(spec.lambda_h)
-    G = coeffs.a_s + coeffs.b_s * c - g_s * c**2 * habs2 * e
-    Q = g_s * c * hbar * e
-    M = coeffs.b_s * d - g_s * c * habs2 * e * d
-    return StepTransfer(G=G.astype(complex), Q=Q.astype(complex), M=M.astype(complex))
-
-
-def optimal_step_transfer(
-    coeffs: StepCoeffs,
-    spec: DegradationSpec,
-    prior: SpectralPrior,
-    alpha_bar_s: float,
-) -> StepTransfer:
-    """One DDIM update driven by the MAP denoiser, in the spectral domain."""
-    lam = prior.lambda0
-    habs2 = np.abs(spec.lambda_h) ** 2
-    sig2 = spec.sigma_y**2
-    ab = alpha_bar_s
-    lam_sum = (1.0 - ab) * lam * habs2 + sig2 * ab * lam + sig2 * (1.0 - ab)
-    if np.any(lam_sum == 0):
-        raise ValueError("zero denominator bin")
-    a, b = coeffs.a_s, coeffs.b_s
-    G = a + b * sig2 * np.sqrt(ab) * lam / lam_sum
-    Q = b * (1.0 - ab) * lam * np.conj(spec.lambda_h) / lam_sum
-    M = b * sig2 * (1.0 - ab) / lam_sum
-    return StepTransfer(G=G.astype(complex), Q=Q.astype(complex), M=M.astype(complex))
-
-
-def compose_transfer(steps: list[StepTransfer]) -> TransferTriple:
-    """Compose per-step transfers into a single triple.
-
-    ``steps`` must be ordered as they are applied, s = S first down to s = 1.
-    The running state follows (p, q, m) <- (G p, G q + Q, G m + M) from
-    (1, 0, 0), which reproduces the product-sum closed form because the
-    per-bin factors commute.
-    """
-    if not steps:
-        raise ValueError("empty step list")
-    d = len(steps[0].G)
-    p = np.ones(d, dtype=complex)
-    q = np.zeros(d, dtype=complex)
-    m = np.zeros(d, dtype=complex)
-    for st in steps:
-        p = st.G * p
-        q = st.G * q + st.Q
-        m = st.G * m + st.M
-    return TransferTriple(D1=p, D2=q, D3=m)
-
-
 def output_distribution(
     triple: TransferTriple, obs: Observation, prior: SpectralPrior
 ) -> DiagGaussian:
@@ -227,37 +161,101 @@ def output_distribution(
     return DiagGaussian(mean=mean, var=var)
 
 
-def sampler_step_transfers(
-    weights: WeightSchedule,
+def _step_table(kind: str, prior: SpectralPrior, spec: DegradationSpec, sched: Schedule):
+    """Per-step arrays, each (S, d), in sampling order s = S..1.
+
+    The ideal sampler gets its multipliers (G, Q, M); the guided samplers get
+    the unguided step (G0, M0) and the guidance directions (dG, dQ, dM).
+    """
+    coeffs = [step_coeffs(sched, s, prior) for s in range(sched.S, 0, -1)]
+    a = np.array([k.a_s for k in coeffs])[:, None]
+    b = np.array([k.b_s for k in coeffs])[:, None]
+    habs2 = np.abs(spec.lambda_h) ** 2
+    hbar = np.conj(spec.lambda_h)
+    if kind == IDEAL:
+        lam = prior.lambda0
+        sig2 = spec.sigma_y**2
+        ab = sched.alpha_bar[::-1, None]
+        lam_sum = (1.0 - ab) * lam * habs2 + sig2 * ab * lam + sig2 * (1.0 - ab)
+        if np.any(lam_sum == 0):
+            raise ValueError("zero denominator bin")
+        G = a + b * sig2 * np.sqrt(ab) * lam / lam_sum
+        Q = b * (1.0 - ab) * lam * hbar / lam_sum
+        M = b * sig2 * (1.0 - ab) / lam_sum
+        return G, Q, M
+    c = np.stack([k.c_s for k in coeffs])
+    dd = np.stack([k.d_s for k in coeffs])
+    return a + b * c, b * dd, c**2 * habs2, c * hbar, c * habs2 * dd
+
+
+def step_multipliers(
+    kind: str,
+    thetas: np.ndarray,
     prior: SpectralPrior,
     spec: DegradationSpec,
     sched: Schedule,
-) -> list[StepTransfer]:
-    """Per-step transfers for a weighted sampler, in sampling order s = S..1."""
-    if weights.steps != sched.S:
+):
+    """Yield each step's (G, Q, M), in sampling order s = S..1.
+
+    ``thetas`` is a (B, P) batch of packed weight vectors: zeta for DPS
+    (P = S), [g, r] for PiGDM (P = 2S), no columns for the ideal sampler.
+    The multipliers broadcast against (B, d).
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    S = sched.S
+    widths = {DPS: S, PIGDM: 2 * S, IDEAL: 0}
+    if kind not in widths:
+        raise ValueError(f"unknown sampler kind: {kind}")
+    if thetas.shape[1] != widths[kind]:
         raise ValueError("weight vector length must match the schedule")
-    steps = []
-    for s in range(sched.S, 0, -1):
-        coeffs = step_coeffs(sched, s, prior)
-        if weights.kind == DPS:
-            steps.append(dps_step_transfer(coeffs, spec, float(weights.zeta[s - 1])))
-        else:
-            steps.append(
-                pigdm_step_transfer(
-                    coeffs, spec, float(weights.g[s - 1]), float(weights.r[s - 1])
-                )
-            )
-    return steps
+    table = _step_table(kind, prior, spec, sched)
+    if kind == IDEAL:
+        yield from zip(*table)
+        return
+    G0, M0, dG, dQ, dM = table
+    habs2 = np.abs(spec.lambda_h) ** 2
+    sig2 = spec.sigma_y**2
+    # Step j of the sampling order is s = S - j, whose weights sit in column
+    # S - 1 - j (and, for PiGDM's r, S columns further on).
+    for j, i in enumerate(range(S - 1, -1, -1)):
+        if kind == DPS:
+            w = 2.0 * thetas[:, i : i + 1]
+            yield G0[j] - w * dG[j], w * dQ[j], M0[j] - w * dM[j]
+            continue
+        w, r = thetas[:, i : i + 1], thetas[:, S + i : S + i + 1]
+        # r^2 |h|^2 + sigma^2 can only vanish without measurement noise.
+        if sig2 == 0 and np.any(r**2 * habs2 == 0):
+            raise ValueError("zero likelihood-covariance bin")
+        e = 1.0 / (r**2 * habs2 + sig2)
+        yield G0[j] - w * dG[j] * e, w * dQ[j] * e, M0[j] - w * dM[j] * e
 
 
-def ideal_step_transfers(
-    prior: SpectralPrior, spec: DegradationSpec, sched: Schedule
-) -> list[StepTransfer]:
-    """Per-step transfers of the MAP-denoiser sampler, s = S..1."""
-    return [
-        optimal_step_transfer(step_coeffs(sched, s, prior), spec, prior, sched.at(s))
-        for s in range(sched.S, 0, -1)
-    ]
+def batch_triples(
+    kind: str,
+    thetas: np.ndarray,
+    prior: SpectralPrior,
+    spec: DegradationSpec,
+    sched: Schedule,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composed (D1, D2, D3), each (B, d), for a (B, P) batch of weight vectors.
+
+    The running state follows (p, q, m) <- (G p, G q + Q, G m + M) from
+    (1, 0, 0) over the steps in sampling order, which reproduces the
+    product-sum closed form because the per-bin factors commute.
+    """
+    B = len(np.atleast_2d(thetas))
+    p = np.ones((B, prior.dim), dtype=complex)
+    q = np.zeros((B, prior.dim), dtype=complex)
+    m = np.zeros((B, prior.dim), dtype=complex)
+    for G, Q, M in step_multipliers(kind, thetas, prior, spec, sched):
+        p = G * p
+        q = G * q + Q
+        m = G * m + M
+        # Release this step's (B, d) multipliers before the next step
+        # allocates its own; the freed blocks are then reused while still
+        # in cache, which is measurably faster at large batches.
+        del G, Q, M
+    return p, q, m
 
 
 def transfer_triple(
@@ -267,14 +265,16 @@ def transfer_triple(
     sched: Schedule,
 ) -> TransferTriple:
     """Composed triple of a weighted sampler."""
-    return compose_transfer(sampler_step_transfers(weights, prior, spec, sched))
+    D1, D2, D3 = batch_triples(weights.kind, weights.theta, prior, spec, sched)
+    return TransferTriple(D1[0], D2[0], D3[0])
 
 
 def ideal_triple(
     prior: SpectralPrior, spec: DegradationSpec, sched: Schedule
 ) -> TransferTriple:
     """Composed triple of the MAP-denoiser sampler."""
-    return compose_transfer(ideal_step_transfers(prior, spec, sched))
+    D1, D2, D3 = batch_triples(IDEAL, np.empty((1, 0)), prior, spec, sched)
+    return TransferTriple(D1[0], D2[0], D3[0])
 
 
 def pigdm_heuristic_weights(sched: Schedule) -> WeightSchedule:

@@ -220,6 +220,47 @@ class TestCliCommands:
             assert prof[3] == "step,mean_zeta,std_zeta"
             assert (out / f"stats_S5_zp{zp}.csv").exists()
 
+    def test_simulate_profile_matches_heuristic_weight_profile(self, tmp_path, runner):
+        # The profile and the statistics come from one Monte-Carlo batch; the
+        # profile must equal a separate heuristic_weight_profile run on the
+        # same seed, cap and observation.
+        from specdiff import Guidance, SimConfig, heuristic_weight_profile
+        from specdiff.cli import _Runtime
+
+        text = BASE_CONFIG.format(out=tmp_path / "sim").replace(
+            "n_runs = 16", "n_runs = 16\nguidance = heuristic"
+        ).replace("max_iters = 60", "max_iters = 60\nbounds = -3, 2")
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(text)
+        result = runner.invoke(main, ["simulate", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        rt = _Runtime(load_config(cfg), None, None)
+        obs = rt.observations()[0]
+        for zi, zp in enumerate((0.1, 0.3)):
+            sim = SimConfig(
+                prior=rt.prior,
+                spec=rt.spec,
+                schedule=rt.schedule(5),
+                guidance=Guidance.dps_heuristic(zp, cap=3.0),
+                n_runs=16,
+                seed=int(np.random.SeedSequence([7, 202, 5 * 10 + zi]).generate_state(1)[0]),
+            )
+            profile = heuristic_weight_profile(zp, sim, obs)
+            rows = (tmp_path / "sim" / f"profile_S5_zp{zp:g}.csv").read_text().splitlines()[4:]
+            got = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+            np.testing.assert_array_equal(got[:, 0], profile.mean)
+            np.testing.assert_array_equal(got[:, 1], profile.std)
+
+    def test_optimize_rejects_weight_sources_it_does_not_optimize(self, tmp_path, runner):
+        for source in ("heuristic", "pigdm-heuristic", "ideal"):
+            text = BASE_CONFIG.format(out=tmp_path / source).replace("optimize-k1", source)
+            cfg = tmp_path / f"{source}.cfg"
+            cfg.write_text(text)
+            result = runner.invoke(main, ["optimize", "--config", str(cfg)])
+            assert result.exit_code == 2, (source, result.output)
+            assert "sampler.weight_source" in result.output
+            assert not (tmp_path / source / "losses.csv").exists()
+
     def test_estimate_prior_roundtrip(self, tmp_path, runner):
         rng = np.random.default_rng(0)
         prior = make_synthetic_prior(8, 0.3)

@@ -197,14 +197,12 @@ class TestAveragedLoss:
         post_var = true_posterior(
             ctx.prior, ctx.spec, ctx.observations[0]
         ).var
-        from specdiff import TransferTriple, triple_averaged_loss
+        from specdiff import triples_loss
 
-        triple = TransferTriple(
-            D1=np.sqrt(post_var).astype(complex),
-            D2=A,
-            D3=1.0 - A * ctx.spec.lambda_h,
-        )
-        assert triple_averaged_loss(triple, ctx.prior, ctx.spec) < 1e-20
+        D1 = np.sqrt(post_var).astype(complex)
+        D3 = 1.0 - A * ctx.spec.lambda_h
+        loss = triples_loss(D1[None], A[None], D3[None], ctx.prior, ctx.spec, None, "posterior")
+        assert loss[0] < 1e-20
 
     def test_analytic_matches_monte_carlo_average(self):
         rng = np.random.default_rng(8)
@@ -317,3 +315,21 @@ class TestBatchLoss:
                     else:
                         ref = averaged_loss_empirical(w, ctx)
                     assert np.isclose(batched[i], ref, rtol=1e-12, atol=1e-12)
+
+    def test_pigdm_zero_covariance_bin_rejected(self):
+        # Without measurement noise, r = 0 makes r^2 |h|^2 + sigma^2 vanish;
+        # the batched path must reject that like the single-schedule losses.
+        rng = np.random.default_rng(14)
+        mu_f, lam = random_prior_arrays(8, rng, lam_floor=0.05)
+        prior = SpectralPrior(dim=8, mu_f=mu_f, lambda0=lam)
+        spec = DegradationSpec(dim=8, lambda_h=np.ones(8, complex), sigma_y=0.0)
+        sched = ddim_subsequence(linear_ddpm_schedule(200), 6)
+        obs = degrade(sample_prior(prior, rng), spec, rng)
+        ctx = LossContext(prior, spec, sched, "pigdm", (obs,))
+        zero_r = np.concatenate([np.ones(6), np.zeros(6)])[None, :]
+        with pytest.raises(ValueError, match="zero likelihood-covariance"):
+            batch_loss("pigdm", zero_r, ctx)
+        with pytest.raises(ValueError, match="zero likelihood-covariance"):
+            realization_loss(WeightSchedule.pigdm(np.ones(6), np.zeros(6)), ctx)
+        some_r = np.concatenate([np.ones(6), np.full(6, 0.1)])[None, :]
+        assert np.all(np.isfinite(batch_loss("pigdm", some_r, ctx)))

@@ -8,26 +8,23 @@ from specdiff import (
     Schedule,
     SimConfig,
     SpectralPrior,
-    StepTransfer,
+    TransferTriple,
     WeightSchedule,
-    compose_transfer,
+    batch_triples,
     ddim_subsequence,
     degrade,
-    dps_step_transfer,
-    ideal_step_transfers,
     ideal_triple,
     linear_ddpm_schedule,
     make_lpf,
     make_synthetic_prior,
-    optimal_step_transfer,
     output_distribution,
-    pigdm_step_transfer,
     posterior_optimal_denoise,
     prior_optimal_denoise,
     sample_prior,
-    sampler_step_transfers,
     simulate_one,
     step_coeffs,
+    step_multipliers,
+    transfer_triple,
     true_posterior,
     w2_diag,
 )
@@ -53,11 +50,31 @@ def _random_setup(rng, d=8, sigma=None, lam_floor=0.0):
     return prior, spec, obs
 
 
+def all_steps(kind, theta, prior, spec, sched):
+    """Every step's (G, Q, M) for one packed weight vector, each (d,), s = S..1."""
+    return [
+        tuple(np.broadcast_to(X, (1, prior.dim))[0] for X in step)
+        for step in step_multipliers(kind, np.atleast_2d(theta), prior, spec, sched)
+    ]
+
+
+def one_step(kind, theta, prior, spec, sched, s):
+    """(G, Q, M) of step s alone."""
+    return all_steps(kind, theta, prior, spec, sched)[sched.S - s]
+
+
+def at_step(S, s, value, fill=0.0):
+    """Per-step weight vector holding value at step s and fill elsewhere."""
+    vec = np.full(S, fill)
+    vec[s - 1] = value
+    return vec
+
+
 def unroll(steps, x_f, y_f, mu_f):
-    """Concrete step-by-step recursion, the reference for compose_transfer."""
+    """Concrete step-by-step recursion, the reference for the composition."""
     x = x_f.copy()
-    for st in steps:
-        x = st.G * x + st.Q * y_f + st.M * mu_f
+    for G, Q, M in steps:
+        x = G * x + Q * y_f + M * mu_f
     return x
 
 
@@ -143,62 +160,52 @@ class TestStepTransfers:
         prior, spec, _ = _random_setup(rng)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
         coeffs = step_coeffs(sched, 3, prior)
-        st = dps_step_transfer(coeffs, spec, 0.0)
-        np.testing.assert_allclose(st.G, coeffs.a_s + coeffs.b_s * coeffs.c_s)
-        np.testing.assert_array_equal(st.Q, np.zeros(8))
-        np.testing.assert_allclose(st.M, coeffs.b_s * coeffs.d_s)
+        G, Q, M = one_step("dps", np.zeros(4), prior, spec, sched, 3)
+        np.testing.assert_allclose(G, coeffs.a_s + coeffs.b_s * coeffs.c_s)
+        np.testing.assert_array_equal(Q, np.zeros(8))
+        np.testing.assert_allclose(M, coeffs.b_s * coeffs.d_s)
 
     def test_guidance_dead_on_unobserved_bins(self):
         prior = make_synthetic_prior(8, 0.2)
         spec = make_lpf(8, 0.5, sigma_y=0.1)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
         coeffs = step_coeffs(sched, 2, prior)
-        st = dps_step_transfer(coeffs, spec, 0.8)
+        G, Q, M = one_step("dps", at_step(4, 2, 0.8), prior, spec, sched, 2)
         blocked = spec.lambda_h == 0
         np.testing.assert_allclose(
-            st.G[blocked], (coeffs.a_s + coeffs.b_s * coeffs.c_s)[blocked]
+            G[blocked], (coeffs.a_s + coeffs.b_s * coeffs.c_s)[blocked]
         )
-        np.testing.assert_array_equal(st.Q[blocked], 0)
-        np.testing.assert_allclose(st.M[blocked], (coeffs.b_s * coeffs.d_s)[blocked])
+        np.testing.assert_array_equal(Q[blocked], 0)
+        np.testing.assert_allclose(M[blocked], (coeffs.b_s * coeffs.d_s)[blocked])
 
     def test_pigdm_zero_gain_is_prior_step(self):
         rng = np.random.default_rng(8)
         prior, spec, _ = _random_setup(rng)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
         coeffs = step_coeffs(sched, 2, prior)
-        st = pigdm_step_transfer(coeffs, spec, 0.0, 0.5)
-        np.testing.assert_array_equal(st.Q, np.zeros(8))
-        np.testing.assert_allclose(st.G, coeffs.a_s + coeffs.b_s * coeffs.c_s)
+        theta = np.concatenate([np.zeros(4), np.full(4, 0.5)])
+        G, Q, M = one_step("pigdm", theta, prior, spec, sched, 2)
+        np.testing.assert_array_equal(Q, np.zeros(8))
+        np.testing.assert_allclose(G, coeffs.a_s + coeffs.b_s * coeffs.c_s)
 
     def test_pigdm_guidance_suppressed_by_huge_noise(self):
         rng = np.random.default_rng(9)
         prior, spec, _ = _random_setup(rng, sigma=1e6)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
-        coeffs = step_coeffs(sched, 2, prior)
-        st = pigdm_step_transfer(coeffs, spec, 1.0, 0.5)
-        assert np.max(np.abs(st.Q)) < 1e-6
+        theta = np.concatenate([at_step(4, 2, 1.0), np.full(4, 0.5)])
+        G, Q, M = one_step("pigdm", theta, prior, spec, sched, 2)
+        assert np.max(np.abs(Q)) < 1e-6
 
     def test_optimal_reduces_to_prior_step_at_huge_noise(self):
         rng = np.random.default_rng(10)
         prior, spec, _ = _random_setup(rng, sigma=1e8)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
         s = 2
-        coeffs = step_coeffs(sched, s, prior)
-        st = optimal_step_transfer(coeffs, spec, prior, sched.at(s))
-        base = dps_step_transfer(coeffs, spec, 0.0)
-        np.testing.assert_allclose(st.G, base.G, rtol=1e-6)
-        np.testing.assert_allclose(st.M, base.M, rtol=1e-6)
-        assert np.max(np.abs(st.Q)) < 1e-6
-
-    def test_optimal_at_full_signal(self):
-        rng = np.random.default_rng(11)
-        prior, spec, _ = _random_setup(rng, lam_floor=0.05)
-        sched = Schedule(alpha_bar=np.array([1.0, 0.5]), T_full=2)
-        coeffs = step_coeffs(sched, 2, prior)
-        st = optimal_step_transfer(coeffs, spec, prior, 1.0)
-        np.testing.assert_allclose(st.G, np.full(8, coeffs.a_s + coeffs.b_s), atol=1e-12)
-        np.testing.assert_array_equal(st.Q, np.zeros(8))
-        np.testing.assert_array_equal(st.M, np.zeros(8))
+        G, Q, M = one_step("ideal", np.empty(0), prior, spec, sched, s)
+        base_G, _, base_M = one_step("dps", np.zeros(4), prior, spec, sched, s)
+        np.testing.assert_allclose(G, base_G, rtol=1e-6)
+        np.testing.assert_allclose(M, base_M, rtol=1e-6)
+        assert np.max(np.abs(Q)) < 1e-6
 
     def test_optimal_matches_dense_update(self):
         rng = np.random.default_rng(12)
@@ -208,7 +215,7 @@ class TestStepTransfers:
             s = int(rng.integers(1, 7))
             ab = sched.at(s)
             coeffs = step_coeffs(sched, s, prior)
-            st = optimal_step_transfer(coeffs, spec, prior, ab)
+            G, Q, M = one_step("ideal", np.empty(0), prior, spec, sched, s)
             x_s = rng.standard_normal(8)
 
             Sigma0 = dense_operator_from_multiplier(prior.lambda0).real
@@ -226,10 +233,31 @@ class TestStepTransfers:
                 + coeffs.b_s * inv @ ((1 - ab) * Sigma0 @ H.T @ obs.y_time())
                 + coeffs.b_s * inv @ (s2 * (1 - ab) * prior.mu_time())
             )
-            spectral_next = (
-                st.G * np.fft.fft(x_s) + st.Q * obs.y_f + st.M * prior.mu_f
-            )
+            spectral_next = G * np.fft.fft(x_s) + Q * obs.y_f + M * prior.mu_f
             np.testing.assert_allclose(spectral_next, np.fft.fft(dense_next), atol=1e-10)
+
+    def test_optimal_terminal_step_is_map_denoiser(self):
+        # The last step (s = 1, next level 1) outputs the MAP estimate itself.
+        rng = np.random.default_rng(11)
+        prior, spec, obs = _random_setup(rng, lam_floor=0.05)
+        sched = ddim_subsequence(linear_ddpm_schedule(200), 6)
+        G, Q, M = one_step("ideal", np.empty(0), prior, spec, sched, 1)
+        x_f = np.fft.fft(rng.standard_normal(8))
+        want = posterior_optimal_denoise(prior, spec, obs.y_f, x_f, sched.at(1))
+        np.testing.assert_allclose(G * x_f + Q * obs.y_f + M * prior.mu_f, want, atol=1e-12)
+
+    def test_pigdm_zero_covariance_bin_rejected(self):
+        prior = make_synthetic_prior(8, 0.2)
+        spec = make_lpf(8, 0.5, sigma_y=0.0)
+        sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
+        with pytest.raises(ValueError, match="zero likelihood-covariance"):
+            all_steps("pigdm", np.concatenate([np.ones(4), np.zeros(4)]), prior, spec, sched)
+
+    def test_unknown_kind_rejected(self):
+        prior = make_synthetic_prior(8, 0.2)
+        sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
+        with pytest.raises(ValueError, match="unknown sampler kind"):
+            batch_triples("ddpm", np.zeros(4), prior, make_lpf(8, 0.5, 0.1), sched)
 
 
 class TestTimeDomainOracle:
@@ -249,23 +277,22 @@ class TestTimeDomainOracle:
                 ab_prev = float(rng.uniform(0.05, 0.999))
                 ab_s = float(rng.uniform(0.01, ab_prev - 1e-3))
                 two = Schedule(alpha_bar=np.array([ab_prev, ab_s]), T_full=2)
-                coeffs = step_coeffs(two, 2, prior)
                 x_s = rng.standard_normal(d)
                 if kind == "dps":
                     zeta = float(rng.uniform(-2, 2))
-                    st = dps_step_transfer(coeffs, spec, zeta)
+                    G, Q, M = one_step("dps", [0.0, zeta], prior, spec, two, 2)
                     guide = Guidance.dps_fixed([0.0, zeta])
                 elif kind == "pigdm":
                     g = float(rng.uniform(-2, 2))
                     r = float(rng.uniform(0, 2))
-                    st = pigdm_step_transfer(coeffs, spec, g, r)
+                    G, Q, M = one_step("pigdm", [0.0, g, 1.0, r], prior, spec, two, 2)
                     guide = Guidance.pigdm([0.0, g], [1.0, r])
                 else:
-                    st = optimal_step_transfer(coeffs, spec, prior, ab_s)
+                    G, Q, M = one_step("ideal", np.empty(0), prior, spec, two, 2)
                     guide = Guidance.optimal()
                 cfg = SimConfig(prior=prior, spec=spec, schedule=two, guidance=guide)
                 X, _, _ = _run_batch(cfg, obs, x_s[None, :], stop_at_s=1)
-                want = st.G * np.fft.fft(x_s) + st.Q * obs.y_f + st.M * prior.mu_f
+                want = G * np.fft.fft(x_s) + Q * obs.y_f + M * prior.mu_f
                 np.testing.assert_allclose(
                     np.fft.fft(X[0]), want, atol=1e-10 * max(1.0, np.max(np.abs(want)))
                 )
@@ -274,40 +301,47 @@ class TestTimeDomainOracle:
 class TestCompose:
     def test_single_step_passthrough(self):
         rng = np.random.default_rng(15)
-        st = StepTransfer(
-            G=rng.standard_normal(4) + 0j,
-            Q=rng.standard_normal(4) + 0j,
-            M=rng.standard_normal(4) + 0j,
-        )
-        triple = compose_transfer([st])
-        np.testing.assert_array_equal(triple.D1, st.G)
-        np.testing.assert_array_equal(triple.D2, st.Q)
-        np.testing.assert_array_equal(triple.D3, st.M)
+        prior, spec, _ = _random_setup(rng, d=4)
+        one = ddim_subsequence(linear_ddpm_schedule(100), 1)
+        theta = rng.standard_normal(1)
+        G, Q, M = one_step("dps", theta, prior, spec, one, 1)
+        triple = transfer_triple(WeightSchedule.dps(theta), prior, spec, one)
+        np.testing.assert_array_equal(triple.D1, G)
+        np.testing.assert_array_equal(triple.D2, Q)
+        np.testing.assert_array_equal(triple.D3, M)
 
     def test_two_step_hand_example_pins_ordering(self):
-        # Steps applied s=2 then s=1 with G(1)=2, G(2)=3, Q=1 each:
-        # D1 = 2*3 = 6 and D2 = Q(1) + G(1) Q(2) = 1 + 2 = 3.
-        step2 = StepTransfer(G=np.array([3.0 + 0j]), Q=np.array([1.0 + 0j]), M=np.array([0j]))
-        step1 = StepTransfer(G=np.array([2.0 + 0j]), Q=np.array([1.0 + 0j]), M=np.array([0j]))
-        triple = compose_transfer([step2, step1])
-        assert triple.D1[0] == 6.0
-        assert triple.D2[0] == 3.0
-        assert triple.D3[0] == 0.0
+        # Steps are applied s=2 then s=1, so D1 = G(1) G(2) and
+        # D2 = Q(1) + G(1) Q(2), not Q(2) + G(2) Q(1).
+        rng = np.random.default_rng(15)
+        prior, spec, _ = _random_setup(rng)
+        two = ddim_subsequence(linear_ddpm_schedule(100), 2)
+        theta = np.array([0.7, 0.3])
+        (G2, Q2, M2), (G1, Q1, M1) = all_steps("dps", theta, prior, spec, two)
+        triple = transfer_triple(WeightSchedule.dps(theta), prior, spec, two)
+        np.testing.assert_array_equal(triple.D1, G1 * G2)
+        np.testing.assert_array_equal(triple.D2, G1 * Q2 + Q1)
+        np.testing.assert_array_equal(triple.D3, G1 * M2 + M1)
+        assert not np.allclose(triple.D2, G2 * Q1 + Q2)
 
     def test_pure_product_when_no_sources(self):
         rng = np.random.default_rng(16)
-        steps = [
-            StepTransfer(G=rng.standard_normal(5) + 0j, Q=np.zeros(5, complex), M=np.zeros(5, complex))
-            for _ in range(4)
-        ]
-        triple = compose_transfer(steps)
-        np.testing.assert_allclose(triple.D1, np.prod([s.G for s in steps], axis=0))
+        prior, spec, _ = _random_setup(rng, d=5)
+        sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
+        steps = all_steps("dps", np.zeros(4), prior, spec, sched)
+        triple = transfer_triple(WeightSchedule.dps(np.zeros(4)), prior, spec, sched)
+        Gs = [G for G, _, _ in steps]
+        np.testing.assert_allclose(triple.D1, np.prod(Gs, axis=0))
         np.testing.assert_array_equal(triple.D2, np.zeros(5))
-        np.testing.assert_array_equal(triple.D3, np.zeros(5))
+        # With no measurement source, D3 is the product-sum over the M terms.
+        D3 = sum(np.prod(Gs[j + 1 :], axis=0) * M for j, (_, _, M) in enumerate(steps))
+        np.testing.assert_allclose(triple.D3, D3)
 
     def test_empty_list_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            compose_transfer([])
+        prior = make_synthetic_prior(8, 0.2)
+        sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
+        with pytest.raises(ValueError, match="must match the schedule"):
+            batch_triples("dps", np.empty((1, 0)), prior, make_lpf(8, 0.5, 0.1), sched)
 
     def test_recursion_equals_closed_form_all_samplers(self):
         rng = np.random.default_rng(17)
@@ -322,15 +356,15 @@ class TestCompose:
             ]
             x_f = np.fft.fft(rng.standard_normal(d))
             for weights in weight_sets:
-                steps = sampler_step_transfers(weights, prior, spec, sched)
-                triple = compose_transfer(steps)
+                steps = all_steps(weights.kind, weights.theta, prior, spec, sched)
+                triple = transfer_triple(weights, prior, spec, sched)
                 direct = unroll(steps, x_f, obs.y_f, prior.mu_f)
                 closed = triple.D1 * x_f + triple.D2 * obs.y_f + triple.D3 * prior.mu_f
                 np.testing.assert_allclose(
                     closed, direct, atol=1e-12 * max(1.0, np.max(np.abs(direct)))
                 )
-            steps = ideal_step_transfers(prior, spec, sched)
-            triple = compose_transfer(steps)
+            steps = all_steps("ideal", np.empty(0), prior, spec, sched)
+            triple = ideal_triple(prior, spec, sched)
             direct = unroll(steps, x_f, obs.y_f, prior.mu_f)
             closed = triple.D1 * x_f + triple.D2 * obs.y_f + triple.D3 * prior.mu_f
             np.testing.assert_allclose(
@@ -341,25 +375,31 @@ class TestCompose:
         rng = np.random.default_rng(18)
         prior, spec, obs = _random_setup(rng)
         sched = ddim_subsequence(linear_ddpm_schedule(200), 9)
-        dps0 = compose_transfer(
-            sampler_step_transfers(WeightSchedule.dps(np.zeros(9)), prior, spec, sched)
-        )
-        pigdm0 = compose_transfer(
-            sampler_step_transfers(
-                WeightSchedule.pigdm(np.zeros(9), np.ones(9)), prior, spec, sched
-            )
-        )
+        dps0 = transfer_triple(WeightSchedule.dps(np.zeros(9)), prior, spec, sched)
+        pigdm0 = transfer_triple(WeightSchedule.pigdm(np.zeros(9), np.ones(9)), prior, spec, sched)
         for a, b in ((dps0.D1, pigdm0.D1), (dps0.D2, pigdm0.D2), (dps0.D3, pigdm0.D3)):
             np.testing.assert_allclose(a, b, atol=1e-14)
         assert np.max(np.abs(dps0.D2)) == 0.0
+
+    def test_batch_rows_equal_single_compositions(self):
+        rng = np.random.default_rng(22)
+        prior, spec, _ = _random_setup(rng)
+        sched = ddim_subsequence(linear_ddpm_schedule(200), 7)
+        thetas = np.concatenate([rng.uniform(-1, 1, (5, 7)), rng.uniform(0, 1, (5, 7))], axis=1)
+        D1, D2, D3 = batch_triples("pigdm", thetas, prior, spec, sched)
+        for i, theta in enumerate(thetas):
+            triple = transfer_triple(WeightSchedule.pigdm(theta[:7], theta[7:]), prior, spec, sched)
+            np.testing.assert_array_equal(D1[i], triple.D1)
+            np.testing.assert_array_equal(D2[i], triple.D2)
+            np.testing.assert_array_equal(D3[i], triple.D3)
 
 
 class TestOutputDistribution:
     def test_direct_passthrough_triple(self):
         rng = np.random.default_rng(19)
         prior, spec, obs = _random_setup(rng)
-        triple_like = compose_transfer(
-            [StepTransfer(G=np.zeros(8, complex), Q=np.ones(8, complex), M=np.zeros(8, complex))]
+        triple_like = TransferTriple(
+            D1=np.zeros(8, complex), D2=np.ones(8, complex), D3=np.zeros(8, complex)
         )
         dist = output_distribution(triple_like, obs, prior)
         np.testing.assert_array_equal(dist.mean, obs.y_f)
@@ -369,9 +409,7 @@ class TestOutputDistribution:
         rng = np.random.default_rng(20)
         prior, spec, obs = _random_setup(rng)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 6)
-        triple = compose_transfer(
-            sampler_step_transfers(WeightSchedule.dps(np.zeros(6)), prior, spec, sched)
-        )
+        triple = transfer_triple(WeightSchedule.dps(np.zeros(6)), prior, spec, sched)
         assert np.max(np.abs(triple.D2)) == 0.0
 
     def test_unobserved_bins_ignore_measurement_for_every_sampler(self):
@@ -381,18 +419,12 @@ class TestOutputDistribution:
         sched = ddim_subsequence(linear_ddpm_schedule(150), 7)
         blocked = spec.lambda_h == 0
         triples = [
-            compose_transfer(
-                sampler_step_transfers(
-                    WeightSchedule.dps(rng.uniform(-1, 1, 7)), prior, spec, sched
-                )
-            ),
-            compose_transfer(
-                sampler_step_transfers(
-                    WeightSchedule.pigdm(rng.uniform(-1, 1, 7), rng.uniform(0, 1, 7)),
-                    prior,
-                    spec,
-                    sched,
-                )
+            transfer_triple(WeightSchedule.dps(rng.uniform(-1, 1, 7)), prior, spec, sched),
+            transfer_triple(
+                WeightSchedule.pigdm(rng.uniform(-1, 1, 7), rng.uniform(0, 1, 7)),
+                prior,
+                spec,
+                sched,
             ),
             ideal_triple(prior, spec, sched),
         ]
