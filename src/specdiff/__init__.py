@@ -57,7 +57,6 @@ from .objective import (
 from .optimizer import (
     OptimizeOptions,
     WeightSolution,
-    finite_diff_gradient,
     optimize_weights,
     iterative_ladder,
     reduce_dimensions,
@@ -69,9 +68,8 @@ from .simulator import (
     Guidance,
     SimConfig,
     RunStats,
-    HeuristicProfile,
     simulate_one,
     monte_carlo,
     heuristic_weight_profile,
-    replay_realized_weights,
+    heuristic_zeta,
 )

@@ -139,8 +139,8 @@ class _Runtime:
         out = []
         for zi, zp in enumerate(self.cfg.zeta_primes):
             sim = self.sim_config(S, self.heuristic_guidance(zp), (S * 1000 + r) * 10 + zi)
-            profile = heuristic_weight_profile(zp, sim, obs)
-            loss = self.weights_loss(WeightSchedule.dps(profile.mean), sim.schedule, obs)
+            zetas = heuristic_weight_profile(zp, sim, obs)
+            loss = self.weights_loss(WeightSchedule.dps(zetas.mean(axis=1)), sim.schedule, obs)
             out.append((f"dps-heuristic-{zp:g}", loss))
         return out
 
@@ -335,6 +335,11 @@ def cmd_estimate_prior(rt: _Runtime, threads: int):
 def cmd_eval_loss(rt: _Runtime, threads: int):
     """Evaluate configured weight schedules against the exact posterior."""
     cfg = rt.cfg
+    if cfg.weight_source == "optimize-averaged":
+        raise ConfigError(
+            "eval-loss scores each realization on its own; "
+            "sampler.weight_source = optimize-averaged is only supported by optimize"
+        )
     observations = rt.observations()
     rows = []
     for S in cfg.S_list:

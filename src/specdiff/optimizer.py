@@ -21,7 +21,6 @@ from .transfer import DPS, PIGDM, WeightSchedule, pigdm_heuristic_weights
 __all__ = [
     "OptimizeOptions",
     "WeightSolution",
-    "finite_diff_gradient",
     "optimize_weights",
     "iterative_ladder",
     "reduce_dimensions",
@@ -31,6 +30,8 @@ __all__ = [
 ]
 
 DEFAULT_BOUNDS = (-5.0, 5.0)
+# Relative central-difference step of the gradient: h * max(1, |theta_i|).
+GRAD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,6 @@ class OptimizeOptions:
     bounds: tuple[float, float] = DEFAULT_BOUNDS
     max_iters: int = 2500
     f_tol: float = 1e-6
-    grad_step: float = 1e-6
     ladder: tuple[int, ...] | None = None
     keep_dims: int | None = None
     report_exact: bool = False
@@ -59,24 +59,6 @@ class WeightSolution:
     final_loss: float
     iterations: int
     trace: tuple[tuple[int, float], ...]
-
-
-def finite_diff_gradient(f, theta: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient of a scalar functional."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    theta = np.asarray(theta, dtype=float)
-    grad = np.empty_like(theta)
-    for i in range(len(theta)):
-        up = theta.copy()
-        dn = theta.copy()
-        up[i] += h
-        dn[i] -= h
-        fu, fd = f(up), f(dn)
-        if not (np.isfinite(fu) and np.isfinite(fd)):
-            raise ValueError("non-finite loss in gradient evaluation")
-        grad[i] = (fu - fd) / (2.0 * h)
-    return grad
 
 
 def default_init(ctx: LossContext) -> WeightSchedule:
@@ -166,11 +148,9 @@ def dropped_bin_constant(ctx: LossContext, keep: np.ndarray) -> float:
     return float(batch_loss(dctx.sampler_kind, theta[None, :], dctx)[0])
 
 
-def _loss_gradient(
-    kind: str, ctx: LossContext, theta: np.ndarray, grad_step: float
-) -> np.ndarray:
+def _loss_gradient(kind: str, ctx: LossContext, theta: np.ndarray) -> np.ndarray:
     """Central-difference gradient evaluated through the batched loss path."""
-    steps = grad_step * np.maximum(1.0, np.abs(theta))
+    steps = GRAD_STEP * np.maximum(1.0, np.abs(theta))
     P = len(theta)
     pts = np.repeat(theta[None, :], 2 * P, axis=0)
     idx = np.arange(P)
@@ -213,7 +193,7 @@ def optimize_weights(
         return float(batch_loss(kind, theta[None, :], work_ctx)[0])
 
     def jac(theta: np.ndarray) -> np.ndarray:
-        return _loss_gradient(kind, work_ctx, theta, opts.grad_step)
+        return _loss_gradient(kind, work_ctx, theta)
 
     f0 = fun(theta0)
     if not np.isfinite(f0):

@@ -1,4 +1,4 @@
-"""CSV and text-file formats for signals, spectra, priors, and results.
+"""CSV and text-file formats for samples, priors, and results.
 
 All writers emit deterministic bytes: floats are rendered with repr, rows in
 a fixed order, and optional comment headers ('# key: value') carry run
@@ -13,19 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .schedule import Schedule
 from .spectral import SpectralPrior
 from .simulator import RunStats
-from .transfer import TransferTriple
 
 __all__ = [
     "write_csv",
-    "spectrum_to_csv",
-    "signal_to_csv",
-    "read_signal_csv",
     "read_samples_csv",
-    "schedule_to_csv",
-    "triple_to_csv",
     "prior_to_file",
     "prior_from_file",
     "runstats_to_csv",
@@ -54,30 +47,11 @@ def write_csv(path, columns: list[str], rows, header: dict | None = None) -> Non
     Path(path).write_text(buf.getvalue())
 
 
-def spectrum_to_csv(vec: np.ndarray, path, header: dict | None = None) -> None:
-    vec = np.asarray(vec, dtype=complex)
-    rows = [(i, v.real, v.imag) for i, v in enumerate(vec)]
-    write_csv(path, ["index", "re", "im"], rows, header)
-
-
-def signal_to_csv(vec: np.ndarray, path, header: dict | None = None) -> None:
-    rows = [(i, float(v)) for i, v in enumerate(np.asarray(vec, dtype=float))]
-    write_csv(path, ["index", "value"], rows, header)
-
-
 def _data_rows(path) -> list[list[str]]:
     lines = [
         ln for ln in Path(path).read_text().splitlines() if ln and not ln.startswith("#")
     ]
     return [row for row in csv.reader(lines)]
-
-
-def read_signal_csv(path) -> np.ndarray:
-    rows = _data_rows(path)[1:]
-    out = np.empty(len(rows))
-    for row in rows:
-        out[int(row[0])] = float(row[1])
-    return out
 
 
 def read_samples_csv(path) -> np.ndarray:
@@ -89,28 +63,6 @@ def read_samples_csv(path) -> np.ndarray:
     for r in rows:
         out[int(r[0]), int(r[1])] = float(r[2])
     return out
-
-
-def schedule_to_csv(sched: Schedule, path, header: dict | None = None) -> None:
-    rows = [(s, float(sched.alpha_bar[s - 1])) for s in range(1, sched.S + 1)]
-    write_csv(path, ["s", "alpha_bar"], rows, header)
-
-
-def triple_to_csv(triple: TransferTriple, path, header: dict | None = None) -> None:
-    rows = [
-        (
-            i,
-            triple.D1[i].real,
-            triple.D1[i].imag,
-            triple.D2[i].real,
-            triple.D2[i].imag,
-            triple.D3[i].real,
-            triple.D3[i].imag,
-        )
-        for i in range(len(triple.D1))
-    ]
-    cols = ["bin", "d1_re", "d1_im", "d2_re", "d2_im", "d3_re", "d3_im"]
-    write_csv(path, cols, rows, header)
 
 
 def prior_to_file(prior: SpectralPrior, path, mu_const: float | None = None) -> None:

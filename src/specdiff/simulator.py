@@ -5,6 +5,21 @@ covariance, degradation, their regularized inverses) is applied as a
 circulant matrix-vector product through the FFT.  This mirrors the sampler
 updates as written in the time domain and serves as an independent check on
 the composed spectral transfer functions.
+
+A guided step adds w J^T H^T E (y - H x0hat) to the unguided DDIM step
+a x + b x0hat, where J = sqrt(ab) Sigma (ab Sigma + (1 - ab) I)^-1 is the
+Jacobian of the prior denoiser x0hat.  DPS takes w = 2 zeta and E = I;
+PiGDM takes w = g and E = (r^2 H H^T + sigma^2 I)^-1.  This is the (w, e)
+form that ``transfer.py`` composes per bin, applied here as FFT matvecs on
+the state; the weights come from a ``WeightSchedule`` or, for the DPS
+heuristic, from each step's residual norm (``heuristic_zeta``).
+
+A real state admits only real circulant operators, whose multipliers are
+Hermitian (bin d - k is the conjugate of bin k).  Keeping the real part of
+a non-Hermitian matvec would silently give trajectories that no longer
+match the composed triple, so ``SimConfig`` rejects such a prior or
+degradation (``make_lpf`` builds one when its kept-bin count breaks a
+conjugate pair).
 """
 
 from __future__ import annotations
@@ -14,23 +29,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .schedule import Schedule, step_coeffs_scalar
-from .spectral import DegradationSpec, Observation, SpectralPrior
+from .spectral import DegradationSpec, Observation, SpectralPrior, _require_hermitian
+from .transfer import PIGDM, WeightSchedule
 
 __all__ = [
     "Guidance",
     "SimConfig",
     "RunStats",
-    "HeuristicProfile",
     "simulate_one",
     "monte_carlo",
     "heuristic_weight_profile",
-    "replay_realized_weights",
+    "heuristic_zeta",
 ]
 
 GUIDANCE_NONE = "none"
-GUIDANCE_DPS_FIXED = "dps-fixed"
+GUIDANCE_FIXED = "fixed"
 GUIDANCE_DPS_HEURISTIC = "dps-heuristic"
-GUIDANCE_PIGDM = "pigdm"
 GUIDANCE_OPTIMAL = "optimal"
 
 DEFAULT_ZETA_CAP = 5.0
@@ -41,10 +55,8 @@ class Guidance:
     """Guidance rule used inside the sampler loop."""
 
     kind: str
-    zeta: np.ndarray | None = None
+    weights: WeightSchedule | None = None
     zeta_prime: float | None = None
-    g: np.ndarray | None = None
-    r: np.ndarray | None = None
     cap: float = DEFAULT_ZETA_CAP
 
     @classmethod
@@ -52,22 +64,14 @@ class Guidance:
         return cls(kind=GUIDANCE_NONE)
 
     @classmethod
-    def dps_fixed(cls, zeta) -> "Guidance":
-        return cls(kind=GUIDANCE_DPS_FIXED, zeta=np.asarray(zeta, dtype=float))
+    def fixed(cls, weights: WeightSchedule) -> "Guidance":
+        return cls(kind=GUIDANCE_FIXED, weights=weights)
 
     @classmethod
     def dps_heuristic(cls, zeta_prime: float, cap: float = DEFAULT_ZETA_CAP) -> "Guidance":
-        if zeta_prime < 0:
-            raise ValueError("zeta_prime must be nonnegative")
+        if zeta_prime <= 0:
+            raise ValueError("zeta_prime must be positive")
         return cls(kind=GUIDANCE_DPS_HEURISTIC, zeta_prime=float(zeta_prime), cap=cap)
-
-    @classmethod
-    def pigdm(cls, g, r) -> "Guidance":
-        return cls(
-            kind=GUIDANCE_PIGDM,
-            g=np.asarray(g, dtype=float),
-            r=np.asarray(r, dtype=float),
-        )
 
     @classmethod
     def optimal(cls) -> "Guidance":
@@ -84,11 +88,14 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for vec in (self.guidance.zeta, self.guidance.g, self.guidance.r):
-            if vec is not None and len(vec) != self.schedule.S:
-                raise ValueError("guidance vectors must match the schedule length")
+        weights = self.guidance.weights
+        if weights is not None and weights.steps != self.schedule.S:
+            raise ValueError("guidance weights must match the schedule length")
         if self.n_runs < 1:
             raise ValueError("n_runs must be positive")
+        _require_hermitian(self.spec.lambda_h, "lambda_h")
+        _require_hermitian(self.prior.mu_f, "mu_f")
+        _require_hermitian(self.prior.lambda0, "lambda0")
 
 
 @dataclass(frozen=True)
@@ -105,29 +112,25 @@ class RunStats:
     per_step_zeta: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class HeuristicProfile:
-    """Per-step statistics of the realized heuristic weights."""
-
-    mean: np.ndarray
-    std: np.ndarray
-    zetas: np.ndarray
-    resid_norms: np.ndarray
-
-
 def _apply(mult: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Circulant matvec: rows of X filtered by the spectral multiplier."""
     return np.fft.ifft(mult * np.fft.fft(X, axis=-1), axis=-1).real
 
 
+def heuristic_zeta(zeta_prime: float, norms: np.ndarray, cap: float) -> np.ndarray:
+    """DPS heuristic weights zeta' / ||y - H x0hat||; cap where a norm is zero."""
+    norms = np.asarray(norms, dtype=float)
+    return np.where(norms == 0, cap, zeta_prime / np.where(norms == 0, 1.0, norms))
+
+
 def _run_batch(
     cfg: SimConfig, obs: Observation, x_start: np.ndarray, stop_at_s: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Advance a (n, d) batch of starting states through the sampler.
 
     Runs steps s = S down to stop_at_s + 1 (the full trajectory by default).
-    Returns the resulting states, the realized per-step scalar weights
-    (S, n), and the per-step residual norms (S, n) where guidance uses them.
+    Returns the resulting states and the realized per-step weights (S, n):
+    zeta for DPS, g for PiGDM, zero without guidance.
     """
     prior, spec, sched, guide = cfg.prior, cfg.spec, cfg.schedule, cfg.guidance
     lam = prior.lambda0
@@ -138,12 +141,12 @@ def _run_batch(
     mu0 = prior.mu_time()
     y_time = obs.y_time()
     X = np.atleast_2d(np.asarray(x_start, dtype=float)).copy()
-    n = X.shape[0]
-    S = sched.S
-    realized = np.zeros((S, n))
-    resid_norms = np.zeros((S, n))
+    realized = np.zeros((sched.S, X.shape[0]))
+    weights = guide.weights
+    pigdm = weights is not None and weights.kind == PIGDM
+    column = None if weights is None else (weights.g if pigdm else weights.zeta)
 
-    for s in range(S, stop_at_s, -1):
+    for s in range(sched.S, stop_at_s, -1):
         ab = sched.at(s)
         a, b = step_coeffs_scalar(sched, s)
         inv_reg = 1.0 / (ab * lam + (1.0 - ab))
@@ -155,41 +158,26 @@ def _run_batch(
                 + sig2 * np.sqrt(ab) * _apply(lam, X)
                 + sig2 * (1.0 - ab) * mu0
             )
-            x0hat = _apply(1.0 / lam_sum, rhs)
-            X = a * X + b * x0hat
+            X = a * X + b * _apply(1.0 / lam_sum, rhs)
         else:
             x0hat = _apply(inv_reg, np.sqrt(ab) * _apply(lam, X) + (1.0 - ab) * mu0)
-            if guide.kind == GUIDANCE_NONE:
-                X = a * X + b * x0hat
-            else:
+            X = a * X + b * x0hat
+            if guide.kind != GUIDANCE_NONE:
                 resid = y_time - _apply(h, x0hat)
-                norms = np.linalg.norm(resid, axis=-1)
-                resid_norms[s - 1] = norms
-                if guide.kind == GUIDANCE_DPS_FIXED:
-                    zeta = np.full(n, guide.zeta[s - 1])
-                elif guide.kind == GUIDANCE_DPS_HEURISTIC:
-                    zeta = np.where(norms == 0, guide.cap, guide.zeta_prime / np.where(norms == 0, 1.0, norms))
-                elif guide.kind == GUIDANCE_PIGDM:
-                    zeta = np.full(n, guide.g[s - 1])
+                if guide.kind == GUIDANCE_DPS_HEURISTIC:
+                    norms = np.linalg.norm(resid, axis=-1)
+                    realized[s - 1] = heuristic_zeta(guide.zeta_prime, norms, guide.cap)
                 else:
-                    raise ValueError(f"unknown guidance kind: {guide.kind}")
-                realized[s - 1] = zeta
-                if guide.kind == GUIDANCE_PIGDM:
-                    r_s = guide.r[s - 1]
-                    t = _apply(1.0 / (r_s**2 * habs2 + sig2), resid)
-                    t = _apply(hbar, t)
-                    gradient_step = zeta[:, None] * _apply(
-                        inv_reg, np.sqrt(ab) * _apply(lam, t)
-                    )
+                    realized[s - 1] = column[s - 1]
+                if pigdm:
+                    resid = _apply(1.0 / (weights.r[s - 1] ** 2 * habs2 + sig2), resid)
+                    w = realized[s - 1]
                 else:
-                    t = _apply(hbar, resid)
-                    gradient_step = 2.0 * zeta[:, None] * _apply(
-                        inv_reg, np.sqrt(ab) * _apply(lam, t)
-                    )
-                X = a * X + b * x0hat + gradient_step
+                    w = 2.0 * realized[s - 1]
+                X = X + w[:, None] * _apply(inv_reg, np.sqrt(ab) * _apply(lam, _apply(hbar, resid)))
         if not np.all(np.isfinite(X)):
             raise ValueError(f"diverged at step {s}")
-    return X, realized, resid_norms
+    return X, realized
 
 
 def simulate_one(
@@ -199,7 +187,7 @@ def simulate_one(
     x_start = np.asarray(x_start, dtype=float)
     if x_start.shape != (cfg.prior.dim,):
         raise ValueError("starting state length mismatch")
-    X, realized, _ = _run_batch(cfg, obs, x_start[None, :])
+    X, realized = _run_batch(cfg, obs, x_start[None, :])
     return X[0], realized[:, 0]
 
 
@@ -213,7 +201,7 @@ def monte_carlo(cfg: SimConfig, obs: Observation) -> RunStats:
     """Empirical output moments over i.i.d. standard-normal starting states."""
     if cfg.n_runs < 2:
         raise ValueError("n_runs must be at least 2")
-    X0, realized, _ = _run_batch(cfg, obs, _start_states(cfg))
+    X0, realized = _run_batch(cfg, obs, _start_states(cfg))
     spectra = np.fft.fft(X0, axis=-1)
     emp_mean = spectra.mean(axis=0)
     emp_var = np.mean(np.abs(spectra - emp_mean) ** 2, axis=0) / cfg.prior.dim
@@ -225,23 +213,7 @@ def monte_carlo(cfg: SimConfig, obs: Observation) -> RunStats:
 
 def heuristic_weight_profile(
     zeta_prime: float, cfg: SimConfig, obs: Observation
-) -> HeuristicProfile:
-    """Realized DPS weights zeta' / ||y - H x0hat|| recorded at every step."""
-    if zeta_prime <= 0:
-        raise ValueError("zeta_prime must be positive")
-    run_cfg = replace(cfg, guidance=Guidance.dps_heuristic(zeta_prime, cap=cfg.guidance.cap))
-    _, realized, norms = _run_batch(run_cfg, obs, _start_states(run_cfg))
-    return HeuristicProfile(
-        mean=realized.mean(axis=1),
-        std=realized.std(axis=1),
-        zetas=realized,
-        resid_norms=norms,
-    )
-
-
-def replay_realized_weights(
-    zeta_prime: float, resid_norms: np.ndarray, cap: float = DEFAULT_ZETA_CAP
 ) -> np.ndarray:
-    """Heuristic weights recomputed on frozen residual norms (exact replay)."""
-    norms = np.asarray(resid_norms, dtype=float)
-    return np.where(norms == 0, cap, zeta_prime / np.where(norms == 0, 1.0, norms))
+    """Realized (S, n_runs) heuristic weights, as monte_carlo's per_step_zeta."""
+    run_cfg = replace(cfg, guidance=Guidance.dps_heuristic(zeta_prime, cap=cfg.guidance.cap))
+    return _run_batch(run_cfg, obs, _start_states(run_cfg))[1]

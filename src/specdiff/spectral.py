@@ -43,6 +43,13 @@ def hermitian_mismatch(v: np.ndarray) -> float:
     return float(np.max(np.abs(v - mirrored))) if d else 0.0
 
 
+def _require_hermitian(v: np.ndarray, name: str) -> None:
+    """Reject v unless it is the DFT of a real vector, up to relative round-off."""
+    scale = max(1.0, float(np.max(np.abs(v))))
+    if hermitian_mismatch(v) > 1e-12 * scale:
+        raise ValueError(f"{name} is not Hermitian: it is not the DFT of a real signal or operator")
+
+
 @dataclass(frozen=True)
 class SpectralPrior:
     """Gaussian prior diagonalized by the DFT: spectral mean and eigenvalues."""
@@ -130,7 +137,8 @@ class Observation:
         return len(self.y_f)
 
     def y_time(self) -> np.ndarray:
-        """Time-domain measurement (real part; exact for real operators)."""
+        """Time-domain measurement; y_f must be the DFT of a real vector."""
+        _require_hermitian(self.y_f, "y_f")
         return np.fft.ifft(self.y_f).real
 
 

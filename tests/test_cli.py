@@ -2,26 +2,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from specdiff import (
-    Schedule,
-    SpectralPrior,
-    TransferTriple,
-    WeightSchedule,
-    ddim_subsequence,
-    linear_ddpm_schedule,
-    make_synthetic_prior,
-)
+from specdiff import SpectralPrior, make_synthetic_prior
 from specdiff.cli import main
 from specdiff.config import ConfigError, load_config
 from specdiff.serialize import (
     prior_from_file,
     prior_to_file,
     read_samples_csv,
-    read_signal_csv,
-    schedule_to_csv,
-    signal_to_csv,
-    spectrum_to_csv,
-    triple_to_csv,
     write_csv,
 )
 
@@ -36,7 +23,8 @@ d = 12
 l = 0.1
 
 [degradation]
-V = 0.5
+# 5 of 12 bins, DC and two conjugate pairs, so the operator is real.
+V = 0.42
 sigma_y = 0.1
 
 [schedule]
@@ -67,20 +55,6 @@ def _write_config(tmp_path, text=None, **extra):
 
 
 class TestSerialize:
-    def test_spectrum_roundtrip_columns(self, tmp_path):
-        path = tmp_path / "spec.csv"
-        vec = np.array([1 + 2j, -3.5 + 0j])
-        spectrum_to_csv(vec, path, header={"seed": 1})
-        text = path.read_text()
-        assert text.startswith("# seed: 1\n")
-        assert "index,re,im" in text
-
-    def test_signal_roundtrip(self, tmp_path):
-        path = tmp_path / "sig.csv"
-        x = np.array([0.5, -1.25, 3.0])
-        signal_to_csv(x, path)
-        np.testing.assert_array_equal(read_signal_csv(path), x)
-
     def test_samples_roundtrip(self, tmp_path):
         path = tmp_path / "samples.csv"
         rows = [(k, i, float(k * 10 + i)) for k in range(3) for i in range(4)]
@@ -107,19 +81,6 @@ class TestSerialize:
         back = prior_from_file(path)
         np.testing.assert_allclose(back.mu_f, prior.mu_f, atol=1e-15)
         np.testing.assert_allclose(back.lambda0, prior.lambda0, atol=1e-15)
-
-    def test_schedule_and_triple_exports(self, tmp_path):
-        sched = ddim_subsequence(linear_ddpm_schedule(50), 4)
-        schedule_to_csv(sched, tmp_path / "sched.csv")
-        lines = (tmp_path / "sched.csv").read_text().splitlines()
-        assert lines[0] == "s,alpha_bar"
-        assert len(lines) == 5
-        triple = TransferTriple(
-            D1=np.array([1 + 1j]), D2=np.array([2 + 0j]), D3=np.array([0j])
-        )
-        triple_to_csv(triple, tmp_path / "triple.csv")
-        header = (tmp_path / "triple.csv").read_text().splitlines()[0]
-        assert header == "bin,d1_re,d1_im,d2_re,d2_im,d3_re,d3_im"
 
 
 class TestConfig:
@@ -245,11 +206,11 @@ class TestCliCommands:
                 n_runs=16,
                 seed=int(np.random.SeedSequence([7, 202, 5 * 10 + zi]).generate_state(1)[0]),
             )
-            profile = heuristic_weight_profile(zp, sim, obs)
+            zetas = heuristic_weight_profile(zp, sim, obs)
             rows = (tmp_path / "sim" / f"profile_S5_zp{zp:g}.csv").read_text().splitlines()[4:]
             got = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
-            np.testing.assert_array_equal(got[:, 0], profile.mean)
-            np.testing.assert_array_equal(got[:, 1], profile.std)
+            np.testing.assert_array_equal(got[:, 0], zetas.mean(axis=1))
+            np.testing.assert_array_equal(got[:, 1], zetas.std(axis=1))
 
     def test_optimize_rejects_weight_sources_it_does_not_optimize(self, tmp_path, runner):
         for source in ("heuristic", "pigdm-heuristic", "ideal"):
@@ -260,6 +221,39 @@ class TestCliCommands:
             assert result.exit_code == 2, (source, result.output)
             assert "sampler.weight_source" in result.output
             assert not (tmp_path / source / "losses.csv").exists()
+
+    def test_eval_loss_rejects_optimize_averaged(self, tmp_path, runner):
+        text = BASE_CONFIG.format(out=tmp_path / "ev").replace("optimize-k1", "optimize-averaged")
+        cfg = tmp_path / "ev.cfg"
+        cfg.write_text(text)
+        result = runner.invoke(main, ["eval-loss", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert "sampler.weight_source" in result.output
+        assert not (tmp_path / "ev" / "eval_loss.csv").exists()
+
+    def test_non_hermitian_operator_exits_3(self, tmp_path, runner):
+        # V = 0.5 keeps 6 of 12 bins: DC, two conjugate pairs and bin 3
+        # without its mirror 9, which no real operator has.
+        text = BASE_CONFIG.format(out=tmp_path / "nh").replace("V = 0.42", "V = 0.5").replace(
+            "n_runs = 16", "n_runs = 16\nguidance = heuristic"
+        )
+        cfg = tmp_path / "nh.cfg"
+        cfg.write_text(text)
+        for command in ("simulate", "sweep-wasserstein"):
+            result = runner.invoke(main, [command, "--config", str(cfg)])
+            assert result.exit_code == 3, (command, result.output)
+            assert "not Hermitian" in result.output
+
+    def test_nonpositive_zeta_prime_exits_3(self, tmp_path, runner):
+        text = BASE_CONFIG.format(out=tmp_path / "zp").replace(
+            "zeta_prime = 0.1, 0.3", "zeta_prime = 0.1, 0"
+        ).replace("n_runs = 16", "n_runs = 16\nguidance = heuristic")
+        cfg = tmp_path / "zp.cfg"
+        cfg.write_text(text)
+        for command in ("simulate", "sweep-wasserstein"):
+            result = runner.invoke(main, [command, "--config", str(cfg)])
+            assert result.exit_code == 3, (command, result.output)
+            assert "zeta_prime must be positive" in result.output
 
     def test_estimate_prior_roundtrip(self, tmp_path, runner):
         rng = np.random.default_rng(0)

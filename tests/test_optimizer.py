@@ -12,7 +12,6 @@ from specdiff import (
     ddim_subsequence,
     default_init,
     degrade,
-    finite_diff_gradient,
     interpolate_weights,
     iterative_ladder,
     linear_ddpm_schedule,
@@ -25,7 +24,7 @@ from specdiff import (
 )
 from specdiff.optimizer import _loss_gradient, dropped_bin_constant
 
-from oracles import five_point_gradient, random_prior_arrays
+from oracles import central_gradient, five_point_gradient, random_prior_arrays
 
 
 def _small_ctx(rng, d=8, S=6, kind="dps", K=1):
@@ -48,14 +47,6 @@ def _paper_ctx(rng, S=20, kind="dps"):
 
 
 class TestFiniteDiffGradient:
-    def test_quadratic(self):
-        g = finite_diff_gradient(lambda t: float(np.sum(t**2)), np.array([1.0, 2.0]), 1e-6)
-        np.testing.assert_allclose(g, [2.0, 4.0], atol=1e-6)
-
-    def test_constant(self):
-        g = finite_diff_gradient(lambda t: 3.5, np.arange(4.0), 1e-6)
-        np.testing.assert_array_equal(g, np.zeros(4))
-
     def test_matches_five_point_stencil_on_loss(self):
         rng = np.random.default_rng(0)
         ctx = _small_ctx(rng)
@@ -64,7 +55,7 @@ class TestFiniteDiffGradient:
             return realization_loss(WeightSchedule.dps(theta), ctx)
 
         theta = rng.uniform(-0.5, 0.5, ctx.schedule.S)
-        g2 = finite_diff_gradient(f, theta, 1e-5)
+        g2 = _loss_gradient("dps", ctx, theta)
         g4 = five_point_gradient(f, theta, 1e-4)
         np.testing.assert_allclose(g2, g4, rtol=1e-4, atol=1e-9)
 
@@ -85,13 +76,9 @@ class TestFiniteDiffGradient:
                     return realization_loss(WeightSchedule.dps(t), ctx)
                 return realization_loss(WeightSchedule.pigdm(t[:S], np.abs(t[S:])), ctx)
 
-            internal = _loss_gradient(kind, ctx, theta, 1e-6)
-            public = finite_diff_gradient(f, theta, 1e-6)
+            internal = _loss_gradient(kind, ctx, theta)
+            public = central_gradient(f, theta, 1e-6)
             np.testing.assert_allclose(internal, public, rtol=1e-4, atol=1e-8)
-
-    def test_nonpositive_step_rejected(self):
-        with pytest.raises(ValueError):
-            finite_diff_gradient(lambda t: 0.0, np.zeros(2), 0.0)
 
 
 class TestOptimizeWeights:

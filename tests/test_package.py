@@ -5,10 +5,40 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from click.testing import CliRunner
+
 import specdiff
+from specdiff.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 INIT = Path(specdiff.__file__)
+
+
+TOY_CONFIG = """\
+[experiment]
+out = {out}
+
+[prior]
+d = 8
+l = 0.1
+
+[degradation]
+V = 0.4
+sigma_y = 0.1
+
+[schedule]
+T = 50
+S = 3
+
+[sampler]
+zeta_prime = 0.1, 0.3
+max_iters = 5
+
+[run]
+n_realizations = 1
+n_runs = 4
+guidance = heuristic
+"""
 
 
 def _package_imports() -> dict[str, set[str]]:
@@ -54,3 +84,23 @@ class TestBenchmarkHooks:
         for module_name, attr in sorted(targets):
             module = importlib.import_module(module_name)
             assert hasattr(module, attr), f"hook target {module_name}.{attr} is missing"
+
+    def test_traced_commands_record_simulator_spans(self, tmp_path):
+        # The traced benchmark reads the SimConfig out of the hooked calls'
+        # arguments, so a signature change must fail here, not only there.
+        hooks = _load_hooks()
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(TOY_CONFIG.format(out=tmp_path / "out"))
+        tracer = hooks.Tracer()
+        runner = CliRunner()
+        with hooks.installed(tracer.replacements()):
+            for command in ("sweep-wasserstein", "simulate"):
+                result = runner.invoke(main, [command, "--config", str(cfg)])
+                assert result.exit_code == 0, (command, result.output)
+        calls, _ = tracer.totals()
+        assert calls["simulator.profile"] == 2  # one per zeta' in the sweep
+        assert calls["simulator.stats"] == 2  # one per zeta' in simulate
+        assert tracer.failed_batches == 0
+        metrics = hooks.layer_metrics(tracer, 1, 0.0)
+        assert metrics["simulator.heuristic.ns_per_traj_step"] > 0
+        assert metrics["serialize.writes"] > 0

@@ -13,13 +13,13 @@ from specdiff import (
     ddim_subsequence,
     degrade,
     heuristic_weight_profile,
+    heuristic_zeta,
     ideal_triple,
     linear_ddpm_schedule,
     make_lpf,
     make_synthetic_prior,
     monte_carlo,
     output_distribution,
-    replay_realized_weights,
     sample_prior,
     simulate_one,
     transfer_triple,
@@ -56,7 +56,10 @@ class TestSimulateOne:
             zeta = rng.uniform(-0.5, 0.5, sched.S)
             x_start = rng.standard_normal(prior.dim)
             cfg = SimConfig(
-                prior=prior, spec=spec, schedule=sched, guidance=Guidance.dps_fixed(zeta)
+                prior=prior,
+                spec=spec,
+                schedule=sched,
+                guidance=Guidance.fixed(WeightSchedule.dps(zeta)),
             )
             x0, realized = simulate_one(cfg, obs, x_start)
             triple = transfer_triple(WeightSchedule.dps(zeta), prior, spec, sched)
@@ -73,13 +76,15 @@ class TestSimulateOne:
             g = rng.uniform(-0.5, 0.5, sched.S)
             r = rng.uniform(0.0, 1.0, sched.S)
             x_start = rng.standard_normal(prior.dim)
-            cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=Guidance.pigdm(g, r))
-            x0, _ = simulate_one(cfg, obs, x_start)
+            guide = Guidance.fixed(WeightSchedule.pigdm(g, r))
+            cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
+            x0, realized = simulate_one(cfg, obs, x_start)
             triple = transfer_triple(WeightSchedule.pigdm(g, r), prior, spec, sched)
             want = triple.D1 * np.fft.fft(x_start) + triple.D2 * obs.y_f + triple.D3 * prior.mu_f
             np.testing.assert_allclose(
                 np.fft.fft(x0), want, atol=1e-10 * max(1, np.max(np.abs(want)))
             )
+            np.testing.assert_array_equal(realized, g)
 
     def test_optimal_guidance_with_huge_noise_follows_prior_trajectory(self):
         from specdiff import with_noise
@@ -103,11 +108,34 @@ class TestSimulateOne:
     def test_divergence_reports_step(self):
         rng = np.random.default_rng(4)
         prior, spec, sched, obs = _setup(rng, S=4)
-        cfg = SimConfig(
-            prior=prior, spec=spec, schedule=sched, guidance=Guidance.dps_fixed([1e300] * 4)
-        )
+        guide = Guidance.fixed(WeightSchedule.dps([1e300] * 4))
+        cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
         with pytest.raises(ValueError, match="diverged at step"):
             simulate_one(cfg, obs, rng.standard_normal(8))
+
+
+class TestRealOperators:
+    def test_lpf_with_a_broken_conjugate_pair_rejected(self):
+        # d=50, V=0.12 keeps 6 bins: DC, the pairs (1, 49) and (2, 48), and
+        # bin 3 without its mirror 47.  Keeping the real part of each matvec
+        # used to move simulate_one off the composed triple by 0.41 on
+        # outputs of size 7.4 (S=20, constant zeta=0.1).
+        prior = make_synthetic_prior(50, 0.05)
+        spec = make_lpf(50, 0.12, sigma_y=0.1)
+        sched = ddim_subsequence(linear_ddpm_schedule(100), 5)
+        with pytest.raises(ValueError, match="lambda_h is not Hermitian"):
+            SimConfig(prior=prior, spec=spec, schedule=sched, guidance=Guidance.none())
+
+    def test_complex_prior_mean_and_measurement_rejected(self):
+        rng = np.random.default_rng(12)
+        prior, spec, sched, obs = _setup(rng)
+        mu_f = prior.mu_f.copy()
+        mu_f[1] += 1e-6j
+        bad = SpectralPrior(dim=prior.dim, mu_f=mu_f, lambda0=prior.lambda0)
+        with pytest.raises(ValueError, match="mu_f is not Hermitian"):
+            SimConfig(prior=bad, spec=spec, schedule=sched, guidance=Guidance.none())
+        with pytest.raises(ValueError, match="y_f is not Hermitian"):
+            Observation(y_f=obs.y_f + 1e-6j).y_time()
 
 
 class TestMonteCarlo:
@@ -142,7 +170,7 @@ class TestMonteCarlo:
             prior=prior,
             spec=spec,
             schedule=sched,
-            guidance=Guidance.dps_fixed([zeta_kill]),
+            guidance=Guidance.fixed(WeightSchedule.dps([zeta_kill])),
             n_runs=64,
             seed=3,
         )
@@ -187,15 +215,15 @@ class TestHeuristicProfile:
         # With a perfect denoiser and shrinking residual, the realized weights
         # grow as sampling proceeds (later steps sit at lower s).
         prior = make_synthetic_prior(16, 0.2)
-        spec = make_lpf(16, 0.5, sigma_y=0.0)
+        spec = make_lpf(16, 0.45, sigma_y=0.0)
         sched = ddim_subsequence(linear_ddpm_schedule(500), 40)
         rng = np.random.default_rng(8)
         obs = degrade(sample_prior(prior, rng), spec, rng)
         cfg = SimConfig(
             prior=prior, spec=spec, schedule=sched, guidance=Guidance.none(), n_runs=64, seed=5
         )
-        profile = heuristic_weight_profile(0.3, cfg, obs)
-        process_order = profile.mean[::-1]  # s = S first
+        profile = heuristic_weight_profile(0.3, cfg, obs).mean(axis=1)
+        process_order = profile[::-1]  # s = S first
         late = process_order[-8:]
         early = process_order[:8]
         assert late.mean() > early.mean()
@@ -213,7 +241,7 @@ class TestHeuristicProfile:
             prior=prior,
             spec=spec,
             schedule=sched,
-            guidance=Guidance.dps_fixed(np.zeros(sched.S)),
+            guidance=Guidance.fixed(WeightSchedule.dps(np.zeros(sched.S))),
             n_runs=8,
             seed=1,
         )
@@ -221,20 +249,15 @@ class TestHeuristicProfile:
         assert stats.per_step_zeta is None
 
     def test_replay_is_exactly_linear_in_the_constant(self):
-        rng = np.random.default_rng(10)
-        prior, spec, sched, obs = _setup(rng, S=10)
-        cfg = SimConfig(
-            prior=prior, spec=spec, schedule=sched, guidance=Guidance.none(), n_runs=16, seed=21
-        )
-        profile = heuristic_weight_profile(0.3, cfg, obs)
-        replayed_1x = replay_realized_weights(0.3, profile.resid_norms)
-        np.testing.assert_allclose(replayed_1x, profile.zetas, rtol=1e-12)
-        replayed_2x = replay_realized_weights(0.6, profile.resid_norms)
-        np.testing.assert_allclose(replayed_2x, 2.0 * profile.zetas, rtol=1e-12)
+        # The heuristic replayed on frozen residual norms scales with zeta'.
+        norms = np.random.default_rng(10).uniform(0.1, 3.0, (10, 16))
+        once = heuristic_zeta(0.3, norms, cap=5.0)
+        np.testing.assert_allclose(once, 0.3 / norms, rtol=1e-15)
+        np.testing.assert_allclose(heuristic_zeta(0.6, norms, cap=5.0), 2.0 * once, rtol=1e-15)
 
     def test_zero_residual_caps_at_bound(self):
         norms = np.array([[0.0, 2.0]])
-        out = replay_realized_weights(1.0, norms, cap=5.0)
+        out = heuristic_zeta(1.0, norms, cap=5.0)
         np.testing.assert_allclose(out, [[5.0, 0.5]])
 
     def test_profile_shapes_and_determinism(self):
@@ -245,6 +268,5 @@ class TestHeuristicProfile:
         )
         p1 = heuristic_weight_profile(0.5, cfg, obs)
         p2 = heuristic_weight_profile(0.5, cfg, obs)
-        assert p1.mean.shape == (7,) and p1.std.shape == (7,)
-        assert p1.zetas.shape == (7, 12)
-        np.testing.assert_array_equal(p1.zetas, p2.zetas)
+        assert p1.shape == (7, 12)
+        np.testing.assert_array_equal(p1, p2)

@@ -281,17 +281,17 @@ class TestTimeDomainOracle:
                 if kind == "dps":
                     zeta = float(rng.uniform(-2, 2))
                     G, Q, M = one_step("dps", [0.0, zeta], prior, spec, two, 2)
-                    guide = Guidance.dps_fixed([0.0, zeta])
+                    guide = Guidance.fixed(WeightSchedule.dps([0.0, zeta]))
                 elif kind == "pigdm":
                     g = float(rng.uniform(-2, 2))
                     r = float(rng.uniform(0, 2))
                     G, Q, M = one_step("pigdm", [0.0, g, 1.0, r], prior, spec, two, 2)
-                    guide = Guidance.pigdm([0.0, g], [1.0, r])
+                    guide = Guidance.fixed(WeightSchedule.pigdm([0.0, g], [1.0, r]))
                 else:
                     G, Q, M = one_step("ideal", np.empty(0), prior, spec, two, 2)
                     guide = Guidance.optimal()
                 cfg = SimConfig(prior=prior, spec=spec, schedule=two, guidance=guide)
-                X, _, _ = _run_batch(cfg, obs, x_s[None, :], stop_at_s=1)
+                X, _ = _run_batch(cfg, obs, x_s[None, :], stop_at_s=1)
                 want = G * np.fft.fft(x_s) + Q * obs.y_f + M * prior.mu_f
                 np.testing.assert_allclose(
                     np.fft.fft(X[0]), want, atol=1e-10 * max(1.0, np.max(np.abs(want)))
