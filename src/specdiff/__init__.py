@@ -11,7 +11,6 @@ from .spectral import (
     circulant_eigenvalues,
     make_synthetic_prior,
     make_lpf,
-    with_noise,
     sample_prior,
     degrade,
     true_posterior,
@@ -43,15 +42,12 @@ from .transfer import (
     pigdm_heuristic_weights,
 )
 from .objective import (
-    WienerGain,
     LossContext,
     w2_diag,
     wiener_gain,
     triples_loss,
     batch_loss,
-    realization_loss,
-    averaged_loss_analytic,
-    averaged_loss_empirical,
+    weights_loss,
     triple_realization_loss,
 )
 from .optimizer import (

@@ -71,7 +71,10 @@ class _Runtime:
             self.prior = prior_from_file(cfg.prior_file)
         else:
             self.prior = make_synthetic_prior(cfg.prior_d, cfg.prior_l, cfg.prior_mu_const)
-        self.spec = make_lpf(self.prior.dim, cfg.V, sigma_y=cfg.sigma_y)
+        try:
+            self.spec = make_lpf(self.prior.dim, cfg.V, sigma_y=cfg.sigma_y)
+        except ValueError as exc:
+            raise ConfigError(f"degradation.V: {exc}") from exc
         self.full_schedule = linear_ddpm_schedule(cfg.T)
 
     def header(self) -> dict:
@@ -161,7 +164,6 @@ def _common_options(fn):
     fn = click.option("--config", "config_path", required=True, type=click.Path())(fn)
     fn = click.option("--seed", type=int, default=None, help="Overrides the config seed.")(fn)
     fn = click.option("--out", type=click.Path(), default=None, help="Output directory.")(fn)
-    fn = click.option("--threads", type=int, default=1)(fn)
     return fn
 
 
@@ -181,9 +183,9 @@ def main():
 def _cli_command(fn):
     """Shared error handling: config errors exit 2, numerical failures exit 3."""
 
-    def wrapper(config_path, seed, out, threads, **kwargs):
+    def wrapper(config_path, seed, out, **kwargs):
         try:
-            fn(_load_runtime(config_path, seed, out), threads, **kwargs)
+            fn(_load_runtime(config_path, seed, out), **kwargs)
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(2)
@@ -198,6 +200,7 @@ def _cli_command(fn):
 
 @main.command("optimize")
 @_common_options
+@click.option("--threads", type=int, default=1)
 @_cli_command
 def cmd_optimize(rt: _Runtime, threads: int):
     """Optimize weight schedules for each configured step count."""
@@ -249,6 +252,7 @@ def cmd_optimize(rt: _Runtime, threads: int):
 
 @main.command("sweep-wasserstein")
 @_common_options
+@click.option("--threads", type=int, default=1)
 @_cli_command
 def cmd_sweep_wasserstein(rt: _Runtime, threads: int):
     """Wasserstein-2 sweep: heuristics, optimized weights, and the ideal sampler."""
@@ -294,7 +298,7 @@ def cmd_sweep_wasserstein(rt: _Runtime, threads: int):
 @main.command("simulate")
 @_common_options
 @_cli_command
-def cmd_simulate(rt: _Runtime, threads: int):
+def cmd_simulate(rt: _Runtime):
     """Monte-Carlo output statistics and realized heuristic weight profiles."""
     cfg = rt.cfg
     observations = rt.observations()
@@ -318,7 +322,7 @@ def cmd_simulate(rt: _Runtime, threads: int):
 @main.command("estimate-prior")
 @_common_options
 @_cli_command
-def cmd_estimate_prior(rt: _Runtime, threads: int):
+def cmd_estimate_prior(rt: _Runtime):
     """Estimate a stationary prior from a CSV of time-domain samples."""
     if not rt.cfg.samples_file:
         raise ConfigError("estimate.samples must point to a sample CSV")
@@ -332,7 +336,7 @@ def cmd_estimate_prior(rt: _Runtime, threads: int):
 @main.command("eval-loss")
 @_common_options
 @_cli_command
-def cmd_eval_loss(rt: _Runtime, threads: int):
+def cmd_eval_loss(rt: _Runtime):
     """Evaluate configured weight schedules against the exact posterior."""
     cfg = rt.cfg
     if cfg.weight_source == "optimize-averaged":

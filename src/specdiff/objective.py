@@ -5,12 +5,13 @@ over the Wiener-filtered measurement.  Everything here is expressed per
 frequency bin, in the package's DFT units (means in forward-transform units,
 variances as covariance eigenvalues), so the measurement-power term of the
 analytic average carries the factor d that relates the two.  ``triples_loss``
-holds the one formula; every other loss here is a wrapper of it.
+holds the one formula; ``batch_loss`` feeds it composed triples, and
+``weights_loss`` and ``triple_realization_loss`` are one-row calls of those.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,24 +23,14 @@ from .spectral import DegradationSpec, DiagGaussian, Observation, SpectralPrior
 from .transfer import DPS, PIGDM, TransferTriple, WeightSchedule, batch_triples
 
 __all__ = [
-    "WienerGain",
     "LossContext",
     "w2_diag",
     "wiener_gain",
     "triples_loss",
     "batch_loss",
-    "realization_loss",
-    "averaged_loss_analytic",
-    "averaged_loss_empirical",
+    "weights_loss",
     "triple_realization_loss",
 ]
-
-
-@dataclass(frozen=True)
-class WienerGain:
-    """Per-frequency optimal linear estimator coefficients."""
-
-    A: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -48,9 +39,8 @@ class LossContext:
 
     ``observations=None`` selects the closed-form average over measurements;
     otherwise the loss averages over the given realizations (K = 1 recovers
-    the single-realization distance).  ``variance_spectrum`` picks which
-    eigenvalues anchor the variance term: the true-posterior spectrum
-    (default) or the prior spectrum.
+    the single-realization distance).  The variance term is anchored at the
+    true-posterior spectrum.
     """
 
     prior: SpectralPrior
@@ -58,22 +48,15 @@ class LossContext:
     schedule: Schedule
     sampler_kind: str = DPS
     observations: tuple[Observation, ...] | None = None
-    variance_spectrum: str = "posterior"
 
     def __post_init__(self):
         if self.sampler_kind not in (DPS, PIGDM):
             raise ValueError(f"unknown sampler kind: {self.sampler_kind}")
-        if self.variance_spectrum not in ("posterior", "prior"):
-            raise ValueError("variance_spectrum must be 'posterior' or 'prior'")
         if self.observations is not None:
             obs = tuple(self.observations)
             if len(obs) < 1:
                 raise ValueError("need at least one observation")
             object.__setattr__(self, "observations", obs)
-
-    @property
-    def K(self) -> int:
-        return 0 if self.observations is None else len(self.observations)
 
 
 def w2_diag(p: DiagGaussian, q: DiagGaussian) -> float:
@@ -85,21 +68,17 @@ def w2_diag(p: DiagGaussian, q: DiagGaussian) -> float:
     return float(np.sqrt(mean_term + std_term))
 
 
-def wiener_gain(prior: SpectralPrior, spec: DegradationSpec) -> WienerGain:
+def wiener_gain(prior: SpectralPrior, spec: DegradationSpec) -> np.ndarray:
     """Per-bin Wiener coefficient lambda * conj(h) / (lambda |h|^2 + sigma^2)."""
     lam = prior.lambda0
     h = spec.lambda_h
     den = lam * np.abs(h) ** 2 + spec.sigma_y**2
     if np.any(den == 0):
         raise ValueError("degenerate bin")
-    return WienerGain(A=lam * np.conj(h) / den)
+    return lam * np.conj(h) / den
 
 
-def _target_std(
-    prior: SpectralPrior, spec: DegradationSpec, variance_spectrum: str
-) -> np.ndarray:
-    if variance_spectrum == "prior":
-        return np.sqrt(prior.lambda0)
+def _target_std(prior: SpectralPrior, spec: DegradationSpec) -> np.ndarray:
     lam = prior.lambda0
     den = lam * np.abs(spec.lambda_h) ** 2 + spec.sigma_y**2
     safe = np.where(den == 0, 1.0, den)
@@ -114,7 +93,6 @@ def triples_loss(
     prior: SpectralPrior,
     spec: DegradationSpec,
     ys: np.ndarray | None,
-    variance_spectrum: str,
 ) -> np.ndarray:
     """Squared W2 to the true posterior, shape (B,), of (B, d) sampler triples.
 
@@ -124,8 +102,8 @@ def triples_loss(
     up by M = D2 - A (the per-bin power d * (lambda |h|^2 + sigma^2)) plus the
     deterministic offset.
     """
-    A = wiener_gain(prior, spec).A
-    target_std = _target_std(prior, spec, variance_spectrum)
+    A = wiener_gain(prior, spec)
+    target_std = _target_std(prior, spec)
     var_term = np.sum((target_std - np.abs(D1)) ** 2, axis=1)
     M = D2 - A
     bcoef = D3 - 1.0 + A * spec.lambda_h
@@ -150,39 +128,21 @@ def batch_loss(
     """Loss values, shape (B,), for a batch of packed weight vectors."""
     D1, D2, D3 = batch_triples(kind, thetas, ctx.prior, ctx.spec, ctx.schedule)
     ys = None if ctx.observations is None else np.stack([o.y_f for o in ctx.observations])
-    return triples_loss(D1, D2, D3, ctx.prior, ctx.spec, ys, ctx.variance_spectrum)
+    return triples_loss(D1, D2, D3, ctx.prior, ctx.spec, ys)
 
 
-def triple_realization_loss(
-    triple: TransferTriple,
-    prior: SpectralPrior,
-    spec: DegradationSpec,
-    obs: Observation,
-    variance_spectrum: str = "posterior",
-) -> float:
-    """Squared W2 between a sampler triple's output law and the true posterior."""
-    D1, D2, D3 = (D[None] for D in (triple.D1, triple.D2, triple.D3))
-    return float(triples_loss(D1, D2, D3, prior, spec, obs.y_f[None], variance_spectrum)[0])
+def weights_loss(weights: WeightSchedule, ctx: LossContext) -> float:
+    """The context's loss of one weight schedule.
 
-
-def _weights_loss(weights: WeightSchedule, ctx: LossContext) -> float:
+    For the closed-form measurement average of a context that carries
+    observations, pass ``replace(ctx, observations=None)``.
+    """
     return float(batch_loss(weights.kind, weights.theta, ctx)[0])
 
 
-def realization_loss(weights: WeightSchedule, ctx: LossContext) -> float:
-    """Squared W2 for a single observation context."""
-    if ctx.K != 1:
-        raise ValueError("realization_loss needs a context with exactly one observation")
-    return _weights_loss(weights, ctx)
-
-
-def averaged_loss_analytic(weights: WeightSchedule, ctx: LossContext) -> float:
-    """Closed-form measurement-averaged squared W2; ignores ctx's observations."""
-    return _weights_loss(weights, replace(ctx, observations=None))
-
-
-def averaged_loss_empirical(weights: WeightSchedule, ctx: LossContext) -> float:
-    """Mean squared W2 over the context's observation list."""
-    if ctx.K < 1:
-        raise ValueError("empirical average needs observations")
-    return _weights_loss(weights, ctx)
+def triple_realization_loss(
+    triple: TransferTriple, prior: SpectralPrior, spec: DegradationSpec, obs: Observation
+) -> float:
+    """Squared W2 between a sampler triple's output law and the true posterior."""
+    D1, D2, D3 = (D[None] for D in (triple.D1, triple.D2, triple.D3))
+    return float(triples_loss(D1, D2, D3, prior, spec, obs.y_f[None])[0])

@@ -41,7 +41,6 @@ class OptimizeOptions:
     f_tol: float = 1e-6
     ladder: tuple[int, ...] | None = None
     keep_dims: int | None = None
-    report_exact: bool = False
 
     def __post_init__(self):
         lo, hi = self.bounds
@@ -58,7 +57,6 @@ class WeightSolution:
     weights: WeightSchedule
     final_loss: float
     iterations: int
-    trace: tuple[tuple[int, float], ...]
 
 
 def default_init(ctx: LossContext) -> WeightSchedule:
@@ -128,26 +126,6 @@ def reduce_dimensions(
     return (*_take_bins(prior, spec, keep), keep)
 
 
-def dropped_bin_constant(ctx: LossContext, keep: np.ndarray) -> float:
-    """Loss contribution of the bins removed by eigen-truncation.
-
-    Dropped bins have (near-)zero prior eigenvalues, where the guidance
-    multipliers vanish, so their contribution equals the zero-guidance
-    sampler's loss restricted to those bins.
-    """
-    mask = np.ones(ctx.prior.dim, dtype=bool)
-    mask[keep] = False
-    dropped = np.flatnonzero(mask)
-    if len(dropped) == 0:
-        return 0.0
-    dctx = _reduced_context(ctx, dropped)
-    if dctx.sampler_kind == DPS:
-        theta = np.zeros(ctx.schedule.S)
-    else:
-        theta = np.concatenate([np.zeros(ctx.schedule.S), np.ones(ctx.schedule.S)])
-    return float(batch_loss(dctx.sampler_kind, theta[None, :], dctx)[0])
-
-
 def _loss_gradient(kind: str, ctx: LossContext, theta: np.ndarray) -> np.ndarray:
     """Central-difference gradient evaluated through the batched loss path."""
     steps = GRAD_STEP * np.maximum(1.0, np.abs(theta))
@@ -168,8 +146,10 @@ def optimize_weights(
     """Minimize the context's loss over the weight schedule inside the box.
 
     Stops when the relative improvement drops below f_tol or after
-    max_iters iterations; the returned trace lists the accepted iterates'
-    losses, which are non-increasing.
+    max_iters iterations, and never returns a point worse than the start.
+    With keep_dims below the context's dimension the solve runs on the
+    kept bins only, but final_loss is the loss of the returned weights on
+    all bins, so truncated and full solves report on the same basis.
     """
     opts = opts or OptimizeOptions()
     if init.kind != ctx.sampler_kind:
@@ -177,9 +157,9 @@ def optimize_weights(
     if init.steps != ctx.schedule.S:
         raise ValueError("initial weights must match the schedule length")
 
+    truncated = opts.keep_dims is not None and opts.keep_dims < ctx.prior.dim
     work_ctx = ctx
-    keep = None
-    if opts.keep_dims is not None and opts.keep_dims < ctx.prior.dim:
+    if truncated:
         _, _, keep = reduce_dimensions(ctx.prior, ctx.spec, opts.keep_dims)
         work_ctx = _reduced_context(ctx, keep)
 
@@ -199,31 +179,24 @@ def optimize_weights(
     if not np.isfinite(f0):
         raise ValueError("invalid starting point")
 
-    trace: list[tuple[int, float]] = [(0, f0)]
-
-    def callback(theta: np.ndarray) -> None:
-        trace.append((len(trace), fun(theta)))
-
     result = minimize(
         fun,
         theta0,
         jac=jac,
         method="L-BFGS-B",
         bounds=_bounds_list(kind, S, opts.bounds),
-        callback=callback,
         options={"maxiter": opts.max_iters, "ftol": opts.f_tol, "maxfun": 10**7},
     )
     theta_best = np.clip(result.x, *opts.bounds)
     f_best = float(result.fun)
     if f_best > f0:
         theta_best, f_best = theta0, f0
-    if keep is not None and opts.report_exact:
-        f_best += dropped_bin_constant(ctx, keep)
+    if truncated:
+        f_best = float(batch_loss(kind, theta_best[None, :], ctx)[0])
     return WeightSolution(
         weights=_unpack(kind, theta_best, S),
         final_loss=f_best,
         iterations=int(result.nit),
-        trace=tuple(trace),
     )
 
 
@@ -235,19 +208,16 @@ def _interp_to(values: np.ndarray, S_new: int) -> np.ndarray:
     return np.interp(pos_new, pos_old, values)
 
 
-def interpolate_weights(
-    weights: WeightSchedule, S_new: int, rescale_gain: bool = False
-) -> WeightSchedule:
+def interpolate_weights(weights: WeightSchedule, S_new: int) -> WeightSchedule:
     """Resample weights onto a new step count by normalized position s/S.
 
-    With rescale_gain the guidance gains (zeta, g) are multiplied by the step
-    ratio S_old/S_new, keeping the summed guidance effect roughly constant;
-    the PiGDM uncertainty r tracks the noise level and is never rescaled.
+    The guidance gains (zeta, g) are multiplied by the step ratio S_old/S_new,
+    keeping the summed guidance effect roughly constant; the PiGDM
+    uncertainty r tracks the noise level and is never rescaled.
     """
+    scale = weights.steps / S_new
     if weights.kind == DPS:
-        scale = len(weights.zeta) / S_new if rescale_gain else 1.0
         return WeightSchedule.dps(scale * _interp_to(weights.zeta, S_new))
-    scale = len(weights.g) / S_new if rescale_gain else 1.0
     return WeightSchedule.pigdm(scale * _interp_to(weights.g, S_new), _interp_to(weights.r, S_new))
 
 
@@ -277,7 +247,7 @@ def iterative_ladder(ctx: LossContext, opts: OptimizeOptions) -> WeightSolution:
         rung_ctx = replace(ctx, schedule=sched_r)
         inits = [default_init(rung_ctx)]
         if weights is not None:
-            inits.append(interpolate_weights(weights, sched_r.S, rescale_gain=True))
+            inits.append(interpolate_weights(weights, sched_r.S))
         candidates = [optimize_weights(rung_ctx, init, opts) for init in inits]
         solution = min(candidates, key=lambda sol: sol.final_loss)
         weights = solution.weights

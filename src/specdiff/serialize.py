@@ -65,15 +65,13 @@ def read_samples_csv(path) -> np.ndarray:
     return out
 
 
-def prior_to_file(prior: SpectralPrior, path, mu_const: float | None = None) -> None:
-    """Structured text form: dim, mu_const or inline mu_f, lambda0 list."""
-    lines = [f"dim = {prior.dim}"]
-    if mu_const is not None:
-        lines.append(f"mu_const = {_fmt(mu_const)}")
-    else:
-        mu = " ".join(_fmt_complex(v) for v in prior.mu_f)
-        lines.append(f"mu_f = {mu}")
-    lines.append("lambda0 = " + " ".join(_fmt(v) for v in prior.lambda0))
+def prior_to_file(prior: SpectralPrior, path) -> None:
+    """Structured text form: dim, inline mu_f, lambda0 list."""
+    lines = [
+        f"dim = {prior.dim}",
+        "mu_f = " + " ".join(_fmt_complex(v) for v in prior.mu_f),
+        "lambda0 = " + " ".join(_fmt(v) for v in prior.lambda0),
+    ]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -82,6 +80,7 @@ def _fmt_complex(v: complex) -> str:
 
 
 def prior_from_file(path) -> SpectralPrior:
+    """Read the text form; ``mu_const = c`` may stand in for mu_f (mean c)."""
     entries = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()

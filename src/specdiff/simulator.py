@@ -18,8 +18,7 @@ A real state admits only real circulant operators, whose multipliers are
 Hermitian (bin d - k is the conjugate of bin k).  Keeping the real part of
 a non-Hermitian matvec would silently give trajectories that no longer
 match the composed triple, so ``SimConfig`` rejects such a prior or
-degradation (``make_lpf`` builds one when its kept-bin count breaks a
-conjugate pair).
+degradation.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ covariance eigenvalues (equivalently, spectral power divided by ``d``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "true_posterior",
     "estimate_spectral_prior",
     "hermitian_mismatch",
-    "with_noise",
 ]
 
 
@@ -72,13 +71,6 @@ class SpectralPrior:
         """Time-domain mean vector."""
         return np.fft.ifft(self.mu_f).real
 
-    def validate_symmetry(self, tol: float = 1e-12) -> None:
-        """Check the Hermitian-symmetry pattern of a real-signal prior."""
-        if hermitian_mismatch(self.mu_f) > tol:
-            raise ValueError("mu_f is not the DFT of a real vector")
-        if hermitian_mismatch(self.lambda0.astype(complex)) > tol:
-            raise ValueError("lambda0 is not symmetric")
-
 
 @dataclass(frozen=True)
 class DegradationSpec:
@@ -121,16 +113,12 @@ class DiagGaussian:
 
 @dataclass(frozen=True)
 class Observation:
-    """Spectral measurement, optionally with the generating signal attached."""
+    """Spectral measurement."""
 
     y_f: np.ndarray
-    ground_truth_f: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "y_f", _freeze(np.asarray(self.y_f, dtype=complex)))
-        if self.ground_truth_f is not None:
-            gt = _freeze(np.asarray(self.ground_truth_f, dtype=complex))
-            object.__setattr__(self, "ground_truth_f", gt)
 
     @property
     def dim(self) -> int:
@@ -175,35 +163,19 @@ def make_synthetic_prior(d: int, l: float, mu_const: float = 0.0) -> SpectralPri
 def make_lpf(d: int, V: float, sigma_y: float = 0.0) -> DegradationSpec:
     """Ideal low-pass degradation keeping round(V*d) bins symmetric around DC.
 
-    Bin 0 is always kept, then pairs (i, d-i) for growing i; if the remaining
-    budget breaks a pair, the lower-index bin of that pair is kept.
+    The kept bins are DC and the pairs (i, d-i) nearest to it, plus the
+    middle bin of an even d when every bin is kept.  A budget that would keep
+    one bin of a pair without its mirror describes no real operator and
+    raises ValueError.
     """
     if not 0.0 < V <= 1.0:
         raise ValueError("V must lie in (0, 1]")
     k = max(1, int(np.floor(V * d + 0.5)))
-    mask = np.zeros(d)
-    mask[0] = 1.0
-    kept = 1
-    i = 1
-    while kept < k:
-        lo, hi = i, d - i
-        if lo == hi:
-            mask[lo] = 1.0
-            kept += 1
-        elif kept + 2 <= k:
-            mask[lo] = 1.0
-            mask[hi] = 1.0
-            kept += 2
-        else:
-            mask[lo] = 1.0
-            kept += 1
-        i += 1
-    return DegradationSpec(dim=d, lambda_h=mask.astype(complex), sigma_y=sigma_y)
-
-
-def with_noise(spec: DegradationSpec, sigma_y: float) -> DegradationSpec:
-    """Copy of the degradation with a different noise level."""
-    return replace(spec, sigma_y=sigma_y)
+    if k % 2 == 0 and k < d:
+        lo = k // 2
+        raise ValueError(f"keeping {k} of {d} bins splits the conjugate pair ({lo}, {d - lo})")
+    dist = np.minimum(np.arange(d), d - np.arange(d))  # circular distance from DC
+    return DegradationSpec(dim=d, lambda_h=(dist <= k // 2).astype(complex), sigma_y=sigma_y)
 
 
 def sample_prior(prior: SpectralPrior, rng: np.random.Generator) -> np.ndarray:
@@ -222,7 +194,7 @@ def degrade(x0: np.ndarray, spec: DegradationSpec, rng: np.random.Generator) -> 
     y_f = spec.lambda_h * x0_f
     if spec.sigma_y > 0:
         y_f = y_f + np.fft.fft(spec.sigma_y * rng.standard_normal(spec.dim))
-    return Observation(y_f=y_f, ground_truth_f=x0_f)
+    return Observation(y_f=y_f)
 
 
 def true_posterior(prior: SpectralPrior, spec: DegradationSpec, obs: Observation) -> DiagGaussian:

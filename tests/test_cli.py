@@ -64,9 +64,12 @@ class TestSerialize:
         assert mat[2, 3] == 23.0
 
     def test_prior_file_roundtrip_mu_const(self, tmp_path):
+        # prior_to_file writes mu_f inline; a hand-written file may give the
+        # constant time-domain mean instead.
         prior = make_synthetic_prior(10, 0.2, mu_const=0.7)
         path = tmp_path / "prior.txt"
-        prior_to_file(prior, path, mu_const=0.7)
+        lam = " ".join(repr(float(v)) for v in prior.lambda0)
+        path.write_text(f"dim = 10\nmu_const = 0.7\nlambda0 = {lam}\n")
         back = prior_from_file(path)
         assert back.dim == 10
         np.testing.assert_allclose(back.lambda0, prior.lambda0)
@@ -231,18 +234,20 @@ class TestCliCommands:
         assert "sampler.weight_source" in result.output
         assert not (tmp_path / "ev" / "eval_loss.csv").exists()
 
-    def test_non_hermitian_operator_exits_3(self, tmp_path, runner):
+    def test_split_conjugate_pair_exits_2(self, tmp_path, runner):
         # V = 0.5 keeps 6 of 12 bins: DC, two conjugate pairs and bin 3
-        # without its mirror 9, which no real operator has.
+        # without its mirror 9, which no real operator has.  Every command
+        # that builds the operator rejects the config before writing output.
         text = BASE_CONFIG.format(out=tmp_path / "nh").replace("V = 0.42", "V = 0.5").replace(
             "n_runs = 16", "n_runs = 16\nguidance = heuristic"
         )
         cfg = tmp_path / "nh.cfg"
         cfg.write_text(text)
-        for command in ("simulate", "sweep-wasserstein"):
+        for command in ("optimize", "eval-loss", "simulate", "sweep-wasserstein"):
             result = runner.invoke(main, [command, "--config", str(cfg)])
-            assert result.exit_code == 3, (command, result.output)
-            assert "not Hermitian" in result.output
+            assert result.exit_code == 2, (command, result.output)
+            assert "degradation.V" in result.output and "(3, 9)" in result.output
+        assert not (tmp_path / "nh").exists()
 
     def test_nonpositive_zeta_prime_exits_3(self, tmp_path, runner):
         text = BASE_CONFIG.format(out=tmp_path / "zp").replace(
@@ -313,6 +318,14 @@ class TestCliCommands:
         )
         threaded = (tmp_path / "out" / "weights_S5.csv").read_bytes()
         assert serial == threaded
+
+    def test_threads_only_where_read(self, tmp_path, runner):
+        # Only optimize and sweep-wasserstein run solves concurrently.
+        cfg = _write_config(tmp_path)
+        for command in ("simulate", "estimate-prior", "eval-loss"):
+            result = runner.invoke(main, [command, "--config", str(cfg), "--threads", "2"])
+            assert result.exit_code == 2, (command, result.output)
+            assert "--threads" in result.output
 
     def test_sweep_small_grid(self, tmp_path, runner):
         text = BASE_CONFIG.format(out=tmp_path / "sw").replace("S = 5", "S = 4, 6")

@@ -18,11 +18,12 @@ from specdiff import (
     make_lpf,
     make_synthetic_prior,
     optimize_weights,
-    realization_loss,
     reduce_dimensions,
     sample_prior,
+    weights_loss,
 )
-from specdiff.optimizer import _loss_gradient, dropped_bin_constant
+from specdiff import optimizer
+from specdiff.optimizer import _loss_gradient
 
 from oracles import central_gradient, five_point_gradient, random_prior_arrays
 
@@ -52,7 +53,7 @@ class TestFiniteDiffGradient:
         ctx = _small_ctx(rng)
 
         def f(theta):
-            return realization_loss(WeightSchedule.dps(theta), ctx)
+            return weights_loss(WeightSchedule.dps(theta), ctx)
 
         theta = rng.uniform(-0.5, 0.5, ctx.schedule.S)
         g2 = _loss_gradient("dps", ctx, theta)
@@ -73,8 +74,8 @@ class TestFiniteDiffGradient:
 
             def f(t):
                 if kind == "dps":
-                    return realization_loss(WeightSchedule.dps(t), ctx)
-                return realization_loss(WeightSchedule.pigdm(t[:S], np.abs(t[S:])), ctx)
+                    return weights_loss(WeightSchedule.dps(t), ctx)
+                return weights_loss(WeightSchedule.pigdm(t[:S], np.abs(t[S:])), ctx)
 
             internal = _loss_gradient(kind, ctx, theta)
             public = central_gradient(f, theta, 1e-6)
@@ -88,14 +89,35 @@ class TestOptimizeWeights:
             ctx = _small_ctx(rng, kind=kind)
             init = default_init(ctx)
             sol = optimize_weights(ctx, init, OptimizeOptions(max_iters=300))
-            f0 = sol.trace[0][1]
-            assert sol.final_loss <= f0 + 1e-12
-            losses = [v for _, v in sol.trace]
-            assert all(a >= b - 1e-10 for a, b in zip(losses, losses[1:]))
+            assert sol.final_loss <= weights_loss(init, ctx) + 1e-12
+            assert np.isclose(sol.final_loss, weights_loss(sol.weights, ctx), rtol=1e-12)
             packed = sol.weights.zeta if kind == "dps" else np.r_[sol.weights.g, sol.weights.r]
             assert np.all(packed >= -5.0) and np.all(packed <= 5.0)
             if kind == "pigdm":
                 assert np.all(sol.weights.r >= 0)
+
+    def test_loss_calls_are_the_start_plus_the_solver_requests(self):
+        # One loss call for the starting point, then one per function and one
+        # per gradient evaluation L-BFGS-B asks for; no iterate is re-evaluated.
+        rng = np.random.default_rng(14)
+        ctx = _small_ctx(rng, d=12, S=6)
+        batch_loss, minimize = optimizer.batch_loss, optimizer.minimize
+        calls, results = [], []
+
+        def counted_loss(*args, **kwargs):
+            calls.append(1)
+            return batch_loss(*args, **kwargs)
+
+        def recorded_minimize(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "batch_loss", counted_loss)
+            mp.setattr(optimizer, "minimize", recorded_minimize)
+            optimize_weights(ctx, default_init(ctx))
+        (result,) = results
+        assert len(calls) == 1 + result.nfev + result.njev
 
     def test_restarting_at_optimum_is_a_fixed_point(self):
         rng = np.random.default_rng(3)
@@ -145,9 +167,9 @@ class TestOptimizeWeights:
             ctx.prior, ctx.spec, ctx.schedule, "pigdm", ctx.observations
         )
         pig = pigdm_heuristic_weights(ctx.schedule)
-        assert sol.final_loss <= realization_loss(pig, pigdm_ctx) + 1e-9
+        assert sol.final_loss <= weights_loss(pig, pigdm_ctx) + 1e-9
         pig_sol = optimize_weights(pigdm_ctx, default_init(pigdm_ctx))
-        assert pig_sol.final_loss <= realization_loss(pig, pigdm_ctx) + 1e-9
+        assert pig_sol.final_loss <= weights_loss(pig, pigdm_ctx) + 1e-9
 
 
 class TestLadder:
@@ -163,10 +185,11 @@ class TestLadder:
     def test_constant_vector_interpolates_to_constant(self):
         w = WeightSchedule.dps(np.full(7, 0.42))
         out = interpolate_weights(w, 19)
-        np.testing.assert_allclose(out.zeta, np.full(19, 0.42), atol=1e-15)
+        # The gains scale by S_old / S_new; r is resampled unscaled.
+        np.testing.assert_allclose(out.zeta, np.full(19, 0.42 * 7 / 19), atol=1e-15)
         wp = WeightSchedule.pigdm(np.full(3, 1.0), np.full(3, 0.2))
         out = interpolate_weights(wp, 11)
-        np.testing.assert_allclose(out.g, np.ones(11))
+        np.testing.assert_allclose(out.g, np.full(11, 3 / 11))
         np.testing.assert_allclose(out.r, np.full(11, 0.2))
 
     def test_warm_start_quality_matches_cold_start(self):
@@ -227,14 +250,11 @@ class TestReduceDimensions:
             with pytest.raises(ValueError):
                 reduce_dimensions(ctx.prior, ctx.spec, k)
 
-    def test_report_exact_adds_dropped_constant(self):
+    def test_truncated_solve_reports_all_bin_loss(self):
         rng = np.random.default_rng(13)
         ctx = _small_ctx(rng)
         _, _, keep = reduce_dimensions(ctx.prior, ctx.spec, 5)
-        const = dropped_bin_constant(ctx, keep)
-        plain = optimize_weights(ctx, default_init(ctx), OptimizeOptions(keep_dims=5))
-        exact = optimize_weights(
-            ctx, default_init(ctx), OptimizeOptions(keep_dims=5, report_exact=True)
-        )
-        assert np.isclose(exact.final_loss - plain.final_loss, const, rtol=1e-9, atol=1e-12)
-        assert const >= 0
+        sol = optimize_weights(ctx, default_init(ctx), OptimizeOptions(keep_dims=5))
+        assert sol.final_loss == weights_loss(sol.weights, ctx)
+        kept = optimizer._reduced_context(ctx, keep)
+        assert sol.final_loss > weights_loss(sol.weights, kept)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -87,11 +89,9 @@ class TestSimulateOne:
             np.testing.assert_array_equal(realized, g)
 
     def test_optimal_guidance_with_huge_noise_follows_prior_trajectory(self):
-        from specdiff import with_noise
-
         rng = np.random.default_rng(3)
         prior, spec, sched, obs = _setup(rng)
-        big = with_noise(spec, 1e7)
+        big = replace(spec, sigma_y=1e7)
         x_start = rng.standard_normal(8)
         x_opt, _ = simulate_one(
             SimConfig(prior=prior, spec=big, schedule=sched, guidance=Guidance.optimal()),
@@ -105,6 +105,7 @@ class TestSimulateOne:
         )
         np.testing.assert_allclose(x_opt, x_none, atol=1e-6 * max(1, np.max(np.abs(x_none))))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_reports_step(self):
         rng = np.random.default_rng(4)
         prior, spec, sched, obs = _setup(rng, S=4)
@@ -116,12 +117,14 @@ class TestSimulateOne:
 
 class TestRealOperators:
     def test_lpf_with_a_broken_conjugate_pair_rejected(self):
-        # d=50, V=0.12 keeps 6 bins: DC, the pairs (1, 49) and (2, 48), and
-        # bin 3 without its mirror 47.  Keeping the real part of each matvec
-        # used to move simulate_one off the composed triple by 0.41 on
+        # DC, the pairs (1, 49) and (2, 48), and bin 3 without its mirror 47:
+        # the mask make_lpf(50, 0.12) used to build.  Keeping the real part of
+        # each matvec moved simulate_one off the composed triple by 0.41 on
         # outputs of size 7.4 (S=20, constant zeta=0.1).
         prior = make_synthetic_prior(50, 0.05)
-        spec = make_lpf(50, 0.12, sigma_y=0.1)
+        mask = np.zeros(50, complex)
+        mask[[0, 1, 2, 3, 48, 49]] = 1.0
+        spec = DegradationSpec(dim=50, lambda_h=mask, sigma_y=0.1)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 5)
         with pytest.raises(ValueError, match="lambda_h is not Hermitian"):
             SimConfig(prior=prior, spec=spec, schedule=sched, guidance=Guidance.none())

@@ -13,7 +13,6 @@ from specdiff import (
     make_synthetic_prior,
     sample_prior,
     true_posterior,
-    with_noise,
 )
 
 from oracles import (
@@ -73,7 +72,8 @@ class TestSyntheticPrior:
 
     def test_hermitian_symmetry(self):
         prior = make_synthetic_prior(17, 0.3, mu_const=1.2)
-        prior.validate_symmetry(tol=1e-12)
+        assert hermitian_mismatch(prior.mu_f) <= 1e-12
+        assert hermitian_mismatch(prior.lambda0.astype(complex)) <= 1e-12
 
 
 class TestMakeLpf:
@@ -90,9 +90,11 @@ class TestMakeLpf:
         assert set(np.flatnonzero(mask)) == expected
 
     def test_d4_half_band_regression(self):
-        # Budget k = 2 breaks the (1, 3) pair; the lower index wins.
-        spec = make_lpf(4, 0.5)
-        np.testing.assert_array_equal(spec.lambda_h.real, [1, 1, 0, 0])
+        # A budget that breaks a conjugate pair is rejected, naming the pair:
+        # keeping one bin without its mirror gives no real operator.
+        for d, V, pair in ((4, 0.5, (1, 3)), (8, 0.5, (2, 6)), (50, 0.12, (3, 47))):
+            with pytest.raises(ValueError, match=rf"conjugate pair \({pair[0]}, {pair[1]}\)"):
+                make_lpf(d, V)
 
     def test_mask_is_symmetric_when_pairs_complete(self):
         spec = make_lpf(9, 5 / 9)
@@ -135,7 +137,7 @@ class TestDegrade:
         np.testing.assert_allclose(obs.y_f, np.fft.fft(x), atol=1e-12)
 
     def test_blocked_bins_are_exactly_zero_without_noise(self):
-        spec = make_lpf(8, 0.5)
+        spec = make_lpf(8, 0.375)
         x = np.random.default_rng(3).standard_normal(8)
         obs = degrade(x, spec, np.random.default_rng(4))
         blocked = spec.lambda_h == 0
@@ -151,7 +153,7 @@ class TestDegrade:
         np.testing.assert_allclose(per_bin, np.full(8, 0.01), rtol=0.05)
 
     def test_dimension_mismatch_rejected(self):
-        spec = make_lpf(8, 0.5)
+        spec = make_lpf(8, 0.375)
         with pytest.raises(ValueError):
             degrade(np.zeros(7), spec, np.random.default_rng(0))
 
@@ -169,7 +171,7 @@ class TestTruePosterior:
 
     def test_unobserved_bins_keep_the_prior(self):
         prior = make_synthetic_prior(8, 0.2, mu_const=0.4)
-        spec = make_lpf(8, 0.5, sigma_y=0.1)
+        spec = make_lpf(8, 0.375, sigma_y=0.1)
         obs = degrade(sample_prior(prior, np.random.default_rng(2)), spec, np.random.default_rng(3))
         post = true_posterior(prior, spec, obs)
         blocked = spec.lambda_h == 0
@@ -270,12 +272,6 @@ class TestConventionAndTypes:
     def test_negative_eigenvalues_rejected(self):
         with pytest.raises(ValueError):
             SpectralPrior(dim=2, mu_f=np.zeros(2, complex), lambda0=np.array([1.0, -0.1]))
-
-    def test_with_noise_returns_updated_copy(self):
-        spec = make_lpf(8, 0.5)
-        noisy = with_noise(spec, 0.3)
-        assert noisy.sigma_y == 0.3 and spec.sigma_y == 0.0
-        np.testing.assert_array_equal(noisy.lambda_h, spec.lambda_h)
 
     def test_prior_arrays_read_only(self):
         prior = make_synthetic_prior(8, 0.1)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -109,13 +111,11 @@ class TestDenoisers:
         np.testing.assert_allclose(got, x_f, atol=1e-9)
 
     def test_map_denoise_reduces_to_prior_denoise_at_huge_noise(self):
-        from specdiff import with_noise
-
         rng = np.random.default_rng(4)
         prior, spec, obs = _random_setup(rng, sigma=0.3)
         x_f = np.fft.fft(rng.standard_normal(8))
         ab = 0.4
-        got = posterior_optimal_denoise(prior, with_noise(spec, 1e6), obs.y_f, x_f, ab)
+        got = posterior_optimal_denoise(prior, replace(spec, sigma_y=1e6), obs.y_f, x_f, ab)
         want = prior_optimal_denoise(prior, x_f, ab)
         np.testing.assert_allclose(got, want, rtol=1e-6)
 
@@ -167,7 +167,7 @@ class TestStepTransfers:
 
     def test_guidance_dead_on_unobserved_bins(self):
         prior = make_synthetic_prior(8, 0.2)
-        spec = make_lpf(8, 0.5, sigma_y=0.1)
+        spec = make_lpf(8, 0.375, sigma_y=0.1)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
         coeffs = step_coeffs(sched, 2, prior)
         G, Q, M = one_step("dps", at_step(4, 2, 0.8), prior, spec, sched, 2)
@@ -248,7 +248,7 @@ class TestStepTransfers:
 
     def test_pigdm_zero_covariance_bin_rejected(self):
         prior = make_synthetic_prior(8, 0.2)
-        spec = make_lpf(8, 0.5, sigma_y=0.0)
+        spec = make_lpf(8, 0.375, sigma_y=0.0)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
         with pytest.raises(ValueError, match="zero likelihood-covariance"):
             all_steps("pigdm", np.concatenate([np.ones(4), np.zeros(4)]), prior, spec, sched)
@@ -257,7 +257,7 @@ class TestStepTransfers:
         prior = make_synthetic_prior(8, 0.2)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
         with pytest.raises(ValueError, match="unknown sampler kind"):
-            batch_triples("ddpm", np.zeros(4), prior, make_lpf(8, 0.5, 0.1), sched)
+            batch_triples("ddpm", np.zeros(4), prior, make_lpf(8, 0.375, 0.1), sched)
 
 
 class TestTimeDomainOracle:
@@ -341,7 +341,7 @@ class TestCompose:
         prior = make_synthetic_prior(8, 0.2)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
         with pytest.raises(ValueError, match="must match the schedule"):
-            batch_triples("dps", np.empty((1, 0)), prior, make_lpf(8, 0.5, 0.1), sched)
+            batch_triples("dps", np.empty((1, 0)), prior, make_lpf(8, 0.375, 0.1), sched)
 
     def test_recursion_equals_closed_form_all_samplers(self):
         rng = np.random.default_rng(17)
@@ -415,7 +415,7 @@ class TestOutputDistribution:
     def test_unobserved_bins_ignore_measurement_for_every_sampler(self):
         rng = np.random.default_rng(21)
         prior = make_synthetic_prior(10, 0.3, mu_const=0.5)
-        spec = make_lpf(10, 0.4, sigma_y=0.2)
+        spec = make_lpf(10, 0.3, sigma_y=0.2)
         sched = ddim_subsequence(linear_ddpm_schedule(150), 7)
         blocked = spec.lambda_h == 0
         triples = [
