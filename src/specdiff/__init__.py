@@ -32,6 +32,7 @@ from .transfer import (
     IDEAL,
     WeightSchedule,
     TransferTriple,
+    StepTable,
     prior_optimal_denoise,
     posterior_optimal_denoise,
     step_multipliers,
@@ -46,7 +47,9 @@ from .objective import (
     w2_diag,
     wiener_gain,
     triples_loss,
+    triples_loss_cotangents,
     batch_loss,
+    loss_and_gradient,
     weights_loss,
     triple_realization_loss,
 )

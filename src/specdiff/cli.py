@@ -9,7 +9,6 @@ numerical failures.
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -153,13 +152,6 @@ class _Runtime:
         return triple_realization_loss(triple, self.prior, self.spec, obs)
 
 
-def _run_tasks(tasks, threads: int):
-    if threads <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [f.result() for f in [pool.submit(t) for t in tasks]]
-
-
 def _common_options(fn):
     fn = click.option("--config", "config_path", required=True, type=click.Path())(fn)
     fn = click.option("--seed", type=int, default=None, help="Overrides the config seed.")(fn)
@@ -200,9 +192,8 @@ def _cli_command(fn):
 
 @main.command("optimize")
 @_common_options
-@click.option("--threads", type=int, default=1)
 @_cli_command
-def cmd_optimize(rt: _Runtime, threads: int):
+def cmd_optimize(rt: _Runtime):
     """Optimize weight schedules for each configured step count."""
     cfg = rt.cfg
     if cfg.weight_source not in ("optimize-k1", "optimize-averaged"):
@@ -214,19 +205,12 @@ def cmd_optimize(rt: _Runtime, threads: int):
     observations = None if averaged else rt.observations()
     loss_rows = []
 
-    def solve_for(S: int):
+    for S in sorted(cfg.S_list):
         sched = rt.schedule(S)
-        if averaged:
-            ctx = LossContext(rt.prior, rt.spec, sched, cfg.sampler_kind, None)
-            return S, [rt.solve(ctx)]
-        sols = []
-        for obs in observations:
-            ctx = LossContext(rt.prior, rt.spec, sched, cfg.sampler_kind, (obs,))
-            sols.append(rt.solve(ctx))
-        return S, sols
-
-    results = _run_tasks([lambda S=S: solve_for(S) for S in cfg.S_list], threads)
-    for S, sols in sorted(results):
+        sols = [
+            rt.solve(LossContext(rt.prior, rt.spec, sched, cfg.sampler_kind, obs))
+            for obs in ([None] if averaged else [(o,) for o in observations])
+        ]
         fields = ("g", "r") if cfg.sampler_kind == PIGDM else ("zeta",)
         stacks = [
             (f"{f}_r{k}", getattr(sol.weights, f)) for k, sol in enumerate(sols) for f in fields
@@ -239,7 +223,7 @@ def cmd_optimize(rt: _Runtime, threads: int):
         cols = ["s"] + [name for name, _ in stacks]
         rows = [
             tuple([s + 1] + [float(vec[s]) for _, vec in stacks])
-            for s in range(rt.schedule(S).S)
+            for s in range(sched.S)
         ]
         write_csv(rt.out / f"weights_S{S}.csv", cols, rows, rt.header())
         for k, sol in enumerate(sols):
@@ -252,9 +236,8 @@ def cmd_optimize(rt: _Runtime, threads: int):
 
 @main.command("sweep-wasserstein")
 @_common_options
-@click.option("--threads", type=int, default=1)
 @_cli_command
-def cmd_sweep_wasserstein(rt: _Runtime, threads: int):
+def cmd_sweep_wasserstein(rt: _Runtime):
     """Wasserstein-2 sweep: heuristics, optimized weights, and the ideal sampler."""
     cfg = rt.cfg
     observations = rt.observations()
@@ -283,13 +266,7 @@ def cmd_sweep_wasserstein(rt: _Runtime, threads: int):
         rows.append(("ideal", S, r, float(np.sqrt(rt.ideal_loss(sched, obs)))))
         return rows
 
-    tasks = [
-        lambda S=S, r=r: rows_for(S, r)
-        for S in cfg.S_list
-        for r in range(cfg.n_realizations)
-    ]
-    results = _run_tasks(tasks, threads)
-    all_rows = [row for chunk in results for row in chunk]
+    all_rows = [row for S in cfg.S_list for r in range(cfg.n_realizations) for row in rows_for(S, r)]
     all_rows.sort(key=lambda row: (row[1], row[2], row[0]))
     write_csv(rt.out / "sweep.csv", ["method", "S", "realization", "w2"], all_rows, rt.header())
     click.echo(f"wrote {len(all_rows)} sweep rows to {rt.out / 'sweep.csv'}")

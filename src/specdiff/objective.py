@@ -7,6 +7,9 @@ variances as covariance eigenvalues), so the measurement-power term of the
 analytic average carries the factor d that relates the two.  ``triples_loss``
 holds the one formula; ``batch_loss`` feeds it composed triples, and
 ``weights_loss`` and ``triple_realization_loss`` are one-row calls of those.
+``triples_loss_cotangents`` holds the loss's derivatives dL/d conj(D) for the
+same two modes, and ``loss_and_gradient`` chains them through a step table's
+reverse sweep into the exact gradient over the weights.
 """
 
 from __future__ import annotations
@@ -20,14 +23,16 @@ import numpy as np
 # under this module's name.
 from .schedule import Schedule, denoiser_coeffs, step_coeffs_scalar  # noqa: F401
 from .spectral import DegradationSpec, DiagGaussian, Observation, SpectralPrior
-from .transfer import DPS, PIGDM, TransferTriple, WeightSchedule, batch_triples
+from .transfer import DPS, PIGDM, StepTable, TransferTriple, WeightSchedule, batch_triples
 
 __all__ = [
     "LossContext",
     "w2_diag",
     "wiener_gain",
     "triples_loss",
+    "triples_loss_cotangents",
     "batch_loss",
+    "loss_and_gradient",
     "weights_loss",
     "triple_realization_loss",
 ]
@@ -86,6 +91,26 @@ def _target_std(prior: SpectralPrior, spec: DegradationSpec) -> np.ndarray:
     return np.sqrt(np.maximum(lam_post, 0.0))
 
 
+def _mean_residual(D2, D3, prior: SpectralPrior, spec: DegradationSpec, ys):
+    """M = D2 - A and the mean residual of the sampler against the posterior mean.
+
+    The residual is (B, K, d) for the stacked measurements ``ys``; for the
+    closed-form average (``ys=None``) it is the deterministic (B, d) offset
+    M h mu + (D3 - 1 + A h) mu.
+    """
+    A = wiener_gain(prior, spec)
+    M = D2 - A
+    bcoef = D3 - 1.0 + A * spec.lambda_h
+    if ys is None:
+        return M, M * (spec.lambda_h * prior.mu_f) + bcoef * prior.mu_f
+    return M, M[:, None, :] * ys[None, :, :] + (bcoef * prior.mu_f)[:, None, :]
+
+
+def _y_power(prior: SpectralPrior, spec: DegradationSpec) -> np.ndarray:
+    """Per-bin measurement variance lambda |h|^2 + sigma^2; d times it in DFT units."""
+    return prior.lambda0 * np.abs(spec.lambda_h) ** 2 + spec.sigma_y**2
+
+
 def triples_loss(
     D1: np.ndarray,
     D2: np.ndarray,
@@ -102,22 +127,42 @@ def triples_loss(
     up by M = D2 - A (the per-bin power d * (lambda |h|^2 + sigma^2)) plus the
     deterministic offset.
     """
-    A = wiener_gain(prior, spec)
-    target_std = _target_std(prior, spec)
-    var_term = np.sum((target_std - np.abs(D1)) ** 2, axis=1)
-    M = D2 - A
-    bcoef = D3 - 1.0 + A * spec.lambda_h
+    var_term = np.sum((_target_std(prior, spec) - np.abs(D1)) ** 2, axis=1)
+    M, resid = _mean_residual(D2, D3, prior, spec, ys)
     if ys is None:
-        y_power = prior.lambda0 * np.abs(spec.lambda_h) ** 2 + spec.sigma_y**2
-        trace_term = prior.dim * np.sum(np.abs(M) ** 2 * y_power, axis=1)
-        offset = np.sum(
-            np.abs(M * (spec.lambda_h * prior.mu_f) + bcoef * prior.mu_f) ** 2,
-            axis=1,
-        )
-        return var_term + trace_term + offset
-    # (B, K, d) mean discrepancies, averaged over K.
-    diff = M[:, None, :] * ys[None, :, :] + (bcoef * prior.mu_f)[:, None, :]
-    return var_term + np.mean(np.sum(np.abs(diff) ** 2, axis=2), axis=1)
+        trace_term = prior.dim * np.sum(np.abs(M) ** 2 * _y_power(prior, spec), axis=1)
+        return var_term + trace_term + np.sum(np.abs(resid) ** 2, axis=1)
+    return var_term + np.mean(np.sum(np.abs(resid) ** 2, axis=2), axis=1)
+
+
+def triples_loss_cotangents(
+    D1: np.ndarray,
+    D2: np.ndarray,
+    D3: np.ndarray,
+    prior: SpectralPrior,
+    spec: DegradationSpec,
+    ys: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cotangents dL/d conj(D_k), each (B, d), of ``triples_loss`` L.
+
+    These are the conjugate (Wirtinger) derivatives: a change dD_k moves L
+    by 2 Re sum(conj(c_k) dD_k).  ``StepTable.compose_with_pullback`` turns
+    them into the gradient over the weights.  Where |D1| = 0 the variance
+    term is not differentiable and its cotangent is taken as 0.
+    """
+    absD1 = np.abs(D1)
+    unit = np.divide(D1, absD1, out=np.zeros_like(D1), where=absD1 > 0)
+    c1 = (absD1 - _target_std(prior, spec)) * unit
+    M, resid = _mean_residual(D2, D3, prior, spec, ys)
+    if ys is None:
+        c2 = prior.dim * _y_power(prior, spec) * M + resid * np.conj(spec.lambda_h * prior.mu_f)
+        return c1, c2, resid * np.conj(prior.mu_f)
+    c2 = np.mean(resid * np.conj(ys)[None, :, :], axis=1)
+    return c1, c2, np.mean(resid, axis=1) * np.conj(prior.mu_f)
+
+
+def _measurements(ctx: LossContext) -> np.ndarray | None:
+    return None if ctx.observations is None else np.stack([o.y_f for o in ctx.observations])
 
 
 def batch_loss(
@@ -127,8 +172,23 @@ def batch_loss(
 ) -> np.ndarray:
     """Loss values, shape (B,), for a batch of packed weight vectors."""
     D1, D2, D3 = batch_triples(kind, thetas, ctx.prior, ctx.spec, ctx.schedule)
-    ys = None if ctx.observations is None else np.stack([o.y_f for o in ctx.observations])
-    return triples_loss(D1, D2, D3, ctx.prior, ctx.spec, ys)
+    return triples_loss(D1, D2, D3, ctx.prior, ctx.spec, _measurements(ctx))
+
+
+def loss_and_gradient(
+    table: StepTable, theta: np.ndarray, ctx: LossContext
+) -> tuple[float, np.ndarray]:
+    """The context's loss of one packed weight vector and its exact gradient.
+
+    ``table`` is the context's StepTable.  One forward sweep composes the
+    triple, ``triples_loss`` gives the loss (equal to ``batch_loss`` bit for
+    bit), and one reverse sweep over its cotangents gives the gradient.
+    """
+    (D1, D2, D3), pullback = table.compose_with_pullback(theta)
+    ys = _measurements(ctx)
+    loss = triples_loss(D1, D2, D3, ctx.prior, ctx.spec, ys)
+    grad = pullback(*triples_loss_cotangents(D1, D2, D3, ctx.prior, ctx.spec, ys))
+    return float(loss[0]), grad
 
 
 def weights_loss(weights: WeightSchedule, ctx: LossContext) -> float:

@@ -1,9 +1,11 @@
 """Box-constrained minimization of the weight-schedule losses.
 
-The solve itself is delegated to L-BFGS-B; gradients are central finite
-differences evaluated through the batched loss path, so a gradient costs
-about as much as a couple of plain evaluations.  Warm-starting across step
-counts (the ladder) and eigen-truncation keep large problems tractable.
+The solve itself is delegated to L-BFGS-B.  A solve builds its context's
+step table once; every point the solver requests is then one forward sweep
+for the loss and one reverse sweep for its exact gradient, both returned by
+one call (``jac=True``).  Warm-starting across step counts (the ladder) keeps
+long schedules in a good basin, and eigen-truncation (``keep_dims``) solves
+on the bins with the largest prior eigenvalues only.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from .objective import LossContext, batch_loss
+from .objective import LossContext, batch_loss, loss_and_gradient
 from .schedule import ddim_subsequence, linear_ddpm_schedule
 from .spectral import DegradationSpec, Observation, SpectralPrior
-from .transfer import DPS, PIGDM, WeightSchedule, pigdm_heuristic_weights
+from .transfer import DPS, PIGDM, StepTable, WeightSchedule, pigdm_heuristic_weights
 
 __all__ = [
     "OptimizeOptions",
@@ -30,8 +32,6 @@ __all__ = [
 ]
 
 DEFAULT_BOUNDS = (-5.0, 5.0)
-# Relative central-difference step of the gradient: h * max(1, |theta_i|).
-GRAD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -126,20 +126,6 @@ def reduce_dimensions(
     return (*_take_bins(prior, spec, keep), keep)
 
 
-def _loss_gradient(kind: str, ctx: LossContext, theta: np.ndarray) -> np.ndarray:
-    """Central-difference gradient evaluated through the batched loss path."""
-    steps = GRAD_STEP * np.maximum(1.0, np.abs(theta))
-    P = len(theta)
-    pts = np.repeat(theta[None, :], 2 * P, axis=0)
-    idx = np.arange(P)
-    pts[idx, idx] += steps
-    pts[P + idx, idx] -= steps
-    vals = batch_loss(kind, pts, ctx)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite loss in gradient evaluation")
-    return (vals[:P] - vals[P:]) / (2.0 * steps)
-
-
 def optimize_weights(
     ctx: LossContext, init: WeightSchedule, opts: OptimizeOptions | None = None
 ) -> WeightSolution:
@@ -169,20 +155,21 @@ def optimize_weights(
     if kind == PIGDM:
         theta0[S:] = np.maximum(theta0[S:], 0.0)
 
-    def fun(theta: np.ndarray) -> float:
-        return float(batch_loss(kind, theta[None, :], work_ctx)[0])
-
-    def jac(theta: np.ndarray) -> np.ndarray:
-        return _loss_gradient(kind, work_ctx, theta)
-
-    f0 = fun(theta0)
+    table = StepTable(kind, work_ctx.prior, work_ctx.spec, work_ctx.schedule)
+    f0, _ = loss_and_gradient(table, theta0, work_ctx)
     if not np.isfinite(f0):
         raise ValueError("invalid starting point")
+
+    def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        f, grad = loss_and_gradient(table, theta, work_ctx)
+        if not (np.isfinite(f) and np.all(np.isfinite(grad))):
+            raise ValueError("non-finite loss or gradient")
+        return f, grad
 
     result = minimize(
         fun,
         theta0,
-        jac=jac,
+        jac=True,
         method="L-BFGS-B",
         bounds=_bounds_list(kind, S, opts.bounds),
         options={"maxiter": opts.max_iters, "ftol": opts.f_tol, "maxfun": 10**7},

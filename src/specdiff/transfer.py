@@ -17,9 +17,17 @@ with a per-step gain w and likelihood weight e.  DPS takes w = 2 zeta and no
 likelihood weight; PiGDM takes w = g and e = 1 / (r^2 |h|^2 + sigma^2), the
 inverse of its likelihood covariance r^2 H H^T + sigma^2 I.  The ideal
 sampler drives the same DDIM step with the MAP denoiser: its (G, Q, M) are
-one fixed multiplier set per step, with no guidance.  ``step_multipliers``
-yields the multipliers of every step and ``batch_triples`` composes them for
-a whole batch of weight vectors at once.
+one fixed multiplier set per step, with no guidance.
+
+A ``StepTable`` holds those per-step arrays for one (sampler, prior,
+degradation, schedule), so a solve builds them once.  It yields the
+multipliers of every step (``step_multipliers``), composes them for a whole
+batch of weight vectors at once (``batch_triples``), and differentiates the
+composition in reverse mode: the forward sweep keeps each step's state, and
+one backward sweep over the suffix products of G turns the loss cotangents
+dL/d conj(D) into dL/dtheta in O(S d).  The theta-derivatives follow from
+the step form: a unit of w e moves (G, Q, M) by (-dG, dQ, -dM), DPS has
+w e = 2 zeta, and PiGDM has d(w e)/dg = e and d(w e)/dr = -2 g r |h|^2 e^2.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ __all__ = [
     "IDEAL",
     "WeightSchedule",
     "TransferTriple",
+    "StepTable",
     "prior_optimal_denoise",
     "posterior_optimal_denoise",
     "step_multipliers",
@@ -161,31 +170,146 @@ def output_distribution(
     return DiagGaussian(mean=mean, var=var)
 
 
-def _step_table(kind: str, prior: SpectralPrior, spec: DegradationSpec, sched: Schedule):
-    """Per-step arrays, each (S, d), in sampling order s = S..1.
+class StepTable:
+    """One sampler's per-step arrays over a fixed prior, degradation and schedule.
 
-    The ideal sampler gets its multipliers (G, Q, M); the guided samplers get
-    the unguided step (G0, M0) and the guidance directions (dG, dQ, dM).
+    Building the table costs one ``step_coeffs`` call per step; every weight
+    vector is then evaluated against it, so a solve builds one table.  The
+    arrays are (S, d), in sampling order s = S..1: the ideal sampler keeps its
+    multipliers (G, Q, M), the guided samplers the unguided step (G0, M0) and
+    the guidance directions (dG, dQ, dM).
     """
-    coeffs = [step_coeffs(sched, s, prior) for s in range(sched.S, 0, -1)]
-    a = np.array([k.a_s for k in coeffs])[:, None]
-    b = np.array([k.b_s for k in coeffs])[:, None]
-    habs2 = np.abs(spec.lambda_h) ** 2
-    hbar = np.conj(spec.lambda_h)
-    if kind == IDEAL:
-        lam = prior.lambda0
-        sig2 = spec.sigma_y**2
-        ab = sched.alpha_bar[::-1, None]
-        lam_sum = (1.0 - ab) * lam * habs2 + sig2 * ab * lam + sig2 * (1.0 - ab)
-        if np.any(lam_sum == 0):
-            raise ValueError("zero denominator bin")
-        G = a + b * sig2 * np.sqrt(ab) * lam / lam_sum
-        Q = b * (1.0 - ab) * lam * hbar / lam_sum
-        M = b * sig2 * (1.0 - ab) / lam_sum
-        return G, Q, M
-    c = np.stack([k.c_s for k in coeffs])
-    dd = np.stack([k.d_s for k in coeffs])
-    return a + b * c, b * dd, c**2 * habs2, c * hbar, c * habs2 * dd
+
+    def __init__(self, kind: str, prior: SpectralPrior, spec: DegradationSpec, sched: Schedule):
+        S = sched.S
+        widths = {DPS: S, PIGDM: 2 * S, IDEAL: 0}
+        if kind not in widths:
+            raise ValueError(f"unknown sampler kind: {kind}")
+        self.kind, self.S, self.dim, self.width = kind, S, prior.dim, widths[kind]
+        self.habs2 = np.abs(spec.lambda_h) ** 2
+        self.sig2 = spec.sigma_y**2
+        coeffs = [step_coeffs(sched, s, prior) for s in range(S, 0, -1)]
+        a = np.array([k.a_s for k in coeffs])[:, None]
+        b = np.array([k.b_s for k in coeffs])[:, None]
+        hbar = np.conj(spec.lambda_h)
+        if kind == IDEAL:
+            lam = prior.lambda0
+            ab = sched.alpha_bar[::-1, None]
+            lam_sum = (1.0 - ab) * lam * self.habs2 + self.sig2 * ab * lam + self.sig2 * (1.0 - ab)
+            if np.any(lam_sum == 0):
+                raise ValueError("zero denominator bin")
+            self.G = a + b * self.sig2 * np.sqrt(ab) * lam / lam_sum
+            self.Q = b * (1.0 - ab) * lam * hbar / lam_sum
+            self.M = b * self.sig2 * (1.0 - ab) / lam_sum
+            return
+        c = np.stack([k.c_s for k in coeffs])
+        dd = np.stack([k.d_s for k in coeffs])
+        self.G0, self.M0 = a + b * c, b * dd
+        self.dG, self.dQ, self.dM = c**2 * self.habs2, c * hbar, c * self.habs2 * dd
+
+    def _thetas(self, thetas) -> np.ndarray:
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        if thetas.shape[1] != self.width:
+            raise ValueError("weight vector length must match the schedule")
+        return thetas
+
+    def _gains(self, thetas: np.ndarray):
+        """Per-step gain w, (B, S, 1), and likelihood weight e, (B, S, d) or None.
+
+        Step j of the sampling order is s = S - j, whose weights sit in column
+        S - 1 - j (and, for PiGDM's r, S columns further on).
+        """
+        S = self.S
+        if self.kind == DPS:
+            return 2.0 * thetas[:, ::-1, None], None
+        w, r = thetas[:, :S][:, ::-1, None], thetas[:, S:][:, ::-1, None]
+        # r^2 |h|^2 + sigma^2 can only vanish without measurement noise.
+        if self.sig2 == 0 and np.any(r**2 * self.habs2 == 0):
+            raise ValueError("zero likelihood-covariance bin")
+        return w, 1.0 / (r**2 * self.habs2 + self.sig2)
+
+    def _gain_gradient(self, thetas: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """dL/dtheta, (P,), of one weight vector from U = dL/d(w e), (S, d)."""
+        w, e = self._gains(thetas)
+        if self.kind == DPS:
+            return (2.0 * U.sum(axis=1))[::-1]
+        w, e = w[0], e[0]
+        r = thetas[0, self.S :][::-1, None]
+        dg = np.sum(e * U, axis=1)
+        # de/dr = -2 r |h|^2 e^2
+        dr = np.sum(-2.0 * w * r * self.habs2 * e**2 * U, axis=1)
+        return np.concatenate([dg[::-1], dr[::-1]])
+
+    def _step_arrays(self, thetas: np.ndarray):
+        """Every step's (G, Q, M): (B, S, d) arrays, or the ideal sampler's (S, d).
+
+        A guided step is G0 - (w dG) e, (w dQ) e, M0 - (w dM) e; DPS has no e.
+        """
+        if self.kind == IDEAL:
+            return self.G, self.Q, self.M
+        w, e = self._gains(thetas)
+        wdG, wdQ, wdM = w * self.dG, w * self.dQ, w * self.dM
+        if e is not None:
+            wdG, wdQ, wdM = wdG * e, wdQ * e, wdM * e
+        return self.G0 - wdG, wdQ, self.M0 - wdM
+
+    def multipliers(self, thetas):
+        """Yield each step's (G, Q, M), in sampling order, for a (B, P) batch."""
+        G, Q, M = self._step_arrays(self._thetas(thetas))
+        for j in range(self.S):
+            yield G[..., j, :], Q[..., j, :], M[..., j, :]
+
+    def _forward(self, thetas: np.ndarray, G, Q, M, states: list | None = None):
+        p = np.ones((len(thetas), self.dim), dtype=complex)
+        q = np.zeros_like(p)
+        m = np.zeros_like(p)
+        for j in range(self.S):
+            if states is not None:
+                states.append((p, q, m))
+            Gj = G[..., j, :]
+            p = Gj * p
+            q = Gj * q + Q[..., j, :]
+            m = Gj * m + M[..., j, :]
+        return p, q, m
+
+    def compose(self, thetas):
+        """Composed (D1, D2, D3), each (B, d), for a (B, P) batch of weight vectors.
+
+        The running state follows (p, q, m) <- (G p, G q + Q, G m + M) from
+        (1, 0, 0) over the steps in sampling order, which reproduces the
+        product-sum closed form because the per-bin factors commute.
+        """
+        thetas = self._thetas(thetas)
+        return self._forward(thetas, *self._step_arrays(thetas))
+
+    def compose_with_pullback(self, theta):
+        """(D1, D2, D3) of one weight vector, each (1, d), and its reverse sweep.
+
+        The reverse sweep maps the cotangents c_k = dL/d conj(D_k) of a real
+        loss L to dL/dtheta.  D_k depends on step j's multipliers only through
+        suffix_j (G_j state_j + source_j), where state_j is the (p, q, m)
+        before step j and suffix_j the product of the later G, so one backward
+        cumulative product gives every step's sensitivity at O(S d) cost.
+        """
+        if self.kind == IDEAL:
+            raise ValueError("the ideal sampler has no weights to differentiate")
+        thetas = self._thetas(theta)
+        if len(thetas) != 1:
+            raise ValueError("compose_with_pullback takes one weight vector")
+        G, Q, M = self._step_arrays(thetas)
+        states = []
+        triple = self._forward(thetas, G, Q, M, states)
+
+        def pullback(c1, c2, c3) -> np.ndarray:
+            p, q, m = (np.concatenate(arrays) for arrays in zip(*states))
+            suffix = np.ones_like(G[0])
+            suffix[:-1] = np.cumprod(G[0, :0:-1], axis=0)[::-1]
+            a1, a2, a3 = (suffix * np.conj(c) for c in (c1, c2, c3))
+            # A unit of w e moves step j's multipliers by (-dG, dQ, -dM).
+            U = 2.0 * np.real(a2 * self.dQ - (a1 * p + a2 * q + a3 * m) * self.dG - a3 * self.dM)
+            return self._gain_gradient(thetas, U)
+
+        return triple, pullback
 
 
 def step_multipliers(
@@ -201,33 +325,7 @@ def step_multipliers(
     (P = S), [g, r] for PiGDM (P = 2S), no columns for the ideal sampler.
     The multipliers broadcast against (B, d).
     """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    S = sched.S
-    widths = {DPS: S, PIGDM: 2 * S, IDEAL: 0}
-    if kind not in widths:
-        raise ValueError(f"unknown sampler kind: {kind}")
-    if thetas.shape[1] != widths[kind]:
-        raise ValueError("weight vector length must match the schedule")
-    table = _step_table(kind, prior, spec, sched)
-    if kind == IDEAL:
-        yield from zip(*table)
-        return
-    G0, M0, dG, dQ, dM = table
-    habs2 = np.abs(spec.lambda_h) ** 2
-    sig2 = spec.sigma_y**2
-    # Step j of the sampling order is s = S - j, whose weights sit in column
-    # S - 1 - j (and, for PiGDM's r, S columns further on).
-    for j, i in enumerate(range(S - 1, -1, -1)):
-        if kind == DPS:
-            w = 2.0 * thetas[:, i : i + 1]
-            yield G0[j] - w * dG[j], w * dQ[j], M0[j] - w * dM[j]
-            continue
-        w, r = thetas[:, i : i + 1], thetas[:, S + i : S + i + 1]
-        # r^2 |h|^2 + sigma^2 can only vanish without measurement noise.
-        if sig2 == 0 and np.any(r**2 * habs2 == 0):
-            raise ValueError("zero likelihood-covariance bin")
-        e = 1.0 / (r**2 * habs2 + sig2)
-        yield G0[j] - w * dG[j] * e, w * dQ[j] * e, M0[j] - w * dM[j] * e
+    return StepTable(kind, prior, spec, sched).multipliers(thetas)
 
 
 def batch_triples(
@@ -237,25 +335,8 @@ def batch_triples(
     spec: DegradationSpec,
     sched: Schedule,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Composed (D1, D2, D3), each (B, d), for a (B, P) batch of weight vectors.
-
-    The running state follows (p, q, m) <- (G p, G q + Q, G m + M) from
-    (1, 0, 0) over the steps in sampling order, which reproduces the
-    product-sum closed form because the per-bin factors commute.
-    """
-    B = len(np.atleast_2d(thetas))
-    p = np.ones((B, prior.dim), dtype=complex)
-    q = np.zeros((B, prior.dim), dtype=complex)
-    m = np.zeros((B, prior.dim), dtype=complex)
-    for G, Q, M in step_multipliers(kind, thetas, prior, spec, sched):
-        p = G * p
-        q = G * q + Q
-        m = G * m + M
-        # Release this step's (B, d) multipliers before the next step
-        # allocates its own; the freed blocks are then reused while still
-        # in cache, which is measurably faster at large batches.
-        del G, Q, M
-    return p, q, m
+    """Composed (D1, D2, D3), each (B, d), for a (B, P) batch of weight vectors."""
+    return StepTable(kind, prior, spec, sched).compose(thetas)
 
 
 def transfer_triple(

@@ -306,23 +306,10 @@ class TestCliCommands:
         assert first != second
         assert "# seed: 99" in second
 
-    def test_threads_do_not_change_bytes(self, tmp_path, runner):
-        cfg = _write_config(tmp_path)
-        assert runner.invoke(main, ["optimize", "--config", str(cfg)]).exit_code == 0
-        serial = (tmp_path / "out" / "weights_S5.csv").read_bytes()
-        assert (
-            runner.invoke(
-                main, ["optimize", "--config", str(cfg), "--threads", "4"]
-            ).exit_code
-            == 0
-        )
-        threaded = (tmp_path / "out" / "weights_S5.csv").read_bytes()
-        assert serial == threaded
-
     def test_threads_only_where_read(self, tmp_path, runner):
-        # Only optimize and sweep-wasserstein run solves concurrently.
+        # No command runs work concurrently, so none takes --threads.
         cfg = _write_config(tmp_path)
-        for command in ("simulate", "estimate-prior", "eval-loss"):
+        for command in ("optimize", "sweep-wasserstein", "simulate", "estimate-prior", "eval-loss"):
             result = runner.invoke(main, [command, "--config", str(cfg), "--threads", "2"])
             assert result.exit_code == 2, (command, result.output)
             assert "--threads" in result.output

@@ -20,6 +20,8 @@ from specdiff import (
     sample_prior,
     transfer_triple,
     triple_realization_loss,
+    triples_loss,
+    triples_loss_cotangents,
     true_posterior,
     w2_diag,
     weights_loss,
@@ -302,3 +304,36 @@ class TestBatchLoss:
             weights_loss(WeightSchedule.pigdm(np.ones(6), np.zeros(6)), ctx)
         some_r = np.concatenate([np.ones(6), np.full(6, 0.1)])[None, :]
         assert np.all(np.isfinite(batch_loss("pigdm", some_r, ctx)))
+
+
+class TestLossCotangents:
+    def test_match_central_differences_in_each_component(self):
+        # With c = dL/d conj(D), moving Re D by h changes L by 2 h Re c and
+        # moving Im D by h changes it by 2 h Im c.
+        rng = np.random.default_rng(15)
+        base = _random_ctx(rng, d=6, K=3)
+        h = 1e-6
+        for ys in (None, np.stack([o.y_f for o in base.observations])):
+            D = [rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6)) for _ in range(3)]
+            cot = triples_loss_cotangents(*D, base.prior, base.spec, ys)
+            for k in range(3):
+                for unit in (1.0, 1j):
+                    fd = np.empty((2, 6))
+                    for b in range(6):
+                        up = [X.copy() for X in D]
+                        dn = [X.copy() for X in D]
+                        up[k][:, b] += h * unit
+                        dn[k][:, b] -= h * unit
+                        fd[:, b] = (
+                            triples_loss(*up, base.prior, base.spec, ys)
+                            - triples_loss(*dn, base.prior, base.spec, ys)
+                        ) / (2 * h)
+                    exact = 2 * (cot[k].real if unit == 1.0 else cot[k].imag)
+                    np.testing.assert_allclose(exact, fd, rtol=1e-5, atol=1e-6)
+
+    def test_zero_d1_bin_has_zero_variance_cotangent(self):
+        rng = np.random.default_rng(16)
+        ctx = _random_ctx(rng, d=4)
+        D = [np.zeros((1, 4), complex), np.ones((1, 4), complex), np.ones((1, 4), complex)]
+        c1, _, _ = triples_loss_cotangents(*D, ctx.prior, ctx.spec, None)
+        np.testing.assert_array_equal(c1, 0.0)

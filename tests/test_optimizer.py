@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdiff import (
     DegradationSpec,
@@ -8,22 +12,25 @@ from specdiff import (
     OptimizeOptions,
     Schedule,
     SpectralPrior,
+    StepTable,
     WeightSchedule,
+    batch_loss,
     ddim_subsequence,
     default_init,
     degrade,
     interpolate_weights,
     iterative_ladder,
     linear_ddpm_schedule,
+    loss_and_gradient,
     make_lpf,
     make_synthetic_prior,
     optimize_weights,
+    pigdm_from_dps,
     reduce_dimensions,
     sample_prior,
     weights_loss,
 )
-from specdiff import optimizer
-from specdiff.optimizer import _loss_gradient
+from specdiff import optimizer, transfer
 
 from oracles import central_gradient, five_point_gradient, random_prior_arrays
 
@@ -47,39 +54,101 @@ def _paper_ctx(rng, S=20, kind="dps"):
     return LossContext(prior=prior, spec=spec, schedule=sched, sampler_kind=kind, observations=(obs,))
 
 
+def _theta(rng, kind, S):
+    """A packed weight vector: zeta for DPS, [g, r] for PiGDM."""
+    if kind == "dps":
+        return rng.uniform(-0.5, 0.5, S)
+    return np.r_[rng.uniform(-0.5, 0.5, S), rng.uniform(0.1, 1.0, S)]
+
+
+def _public_loss(kind, ctx):
+    """The loss as a function of theta through the public one-schedule path."""
+    S = ctx.schedule.S
+
+    def f(t):
+        if kind == "dps":
+            return weights_loss(WeightSchedule.dps(t), ctx)
+        # |r| keeps the function defined (and even in r) on both sides of r = 0.
+        return weights_loss(WeightSchedule.pigdm(t[:S], np.abs(t[S:])), ctx)
+
+    return f
+
+
+def _adjoint(ctx, theta):
+    table = StepTable(ctx.sampler_kind, ctx.prior, ctx.spec, ctx.schedule)
+    return loss_and_gradient(table, theta, ctx)
+
+
 class TestFiniteDiffGradient:
+    """The adjoint gradient against the finite-difference oracles."""
+
     def test_matches_five_point_stencil_on_loss(self):
         rng = np.random.default_rng(0)
         ctx = _small_ctx(rng)
-
-        def f(theta):
-            return weights_loss(WeightSchedule.dps(theta), ctx)
-
         theta = rng.uniform(-0.5, 0.5, ctx.schedule.S)
-        g2 = _loss_gradient("dps", ctx, theta)
-        g4 = five_point_gradient(f, theta, 1e-4)
-        np.testing.assert_allclose(g2, g4, rtol=1e-4, atol=1e-9)
+        _, g = _adjoint(ctx, theta)
+        g4 = five_point_gradient(_public_loss("dps", ctx), theta, 1e-4)
+        np.testing.assert_allclose(g, g4, rtol=1e-4, atol=1e-9)
 
     def test_internal_gradient_matches_public_op(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             kind = "dps" if rng.random() < 0.5 else "pigdm"
             ctx = _small_ctx(rng, kind=kind)
-            S = ctx.schedule.S
-            theta = (
-                rng.uniform(-0.5, 0.5, S)
-                if kind == "dps"
-                else np.r_[rng.uniform(-0.5, 0.5, S), rng.uniform(0.1, 1.0, S)]
-            )
-
-            def f(t):
-                if kind == "dps":
-                    return weights_loss(WeightSchedule.dps(t), ctx)
-                return weights_loss(WeightSchedule.pigdm(t[:S], np.abs(t[S:])), ctx)
-
-            internal = _loss_gradient(kind, ctx, theta)
-            public = central_gradient(f, theta, 1e-6)
+            theta = _theta(rng, kind, ctx.schedule.S)
+            _, internal = _adjoint(ctx, theta)
+            public = central_gradient(_public_loss(kind, ctx), theta, 1e-6)
             np.testing.assert_allclose(internal, public, rtol=1e-4, atol=1e-8)
+
+    @pytest.mark.parametrize("kind", ["dps", "pigdm"])
+    @pytest.mark.parametrize("mode", ["K=1", "K=3", "averaged"])
+    @pytest.mark.parametrize("bins", ["full", "truncated"])
+    def test_every_sampler_and_loss_mode(self, kind, mode, bins):
+        rng = np.random.default_rng(15)
+        ctx = _small_ctx(rng, d=12, S=7, kind=kind, K=1 if mode == "K=1" else 3)
+        if mode == "averaged":
+            ctx = replace(ctx, observations=None)
+        if bins == "truncated":
+            _, _, keep = reduce_dimensions(ctx.prior, ctx.spec, 7)
+            ctx = optimizer._reduced_context(ctx, keep)
+        theta = _theta(rng, kind, ctx.schedule.S)
+        f, g = _adjoint(ctx, theta)
+        assert f == batch_loss(kind, theta[None], ctx)[0]
+        public = _public_loss(kind, ctx)
+        np.testing.assert_allclose(g, five_point_gradient(public, theta, 1e-4), rtol=1e-4, atol=1e-9)
+        np.testing.assert_allclose(g, central_gradient(public, theta, 1e-6), rtol=1e-4, atol=1e-8)
+
+    def test_pigdm_at_zero_r(self):
+        # pigdm_from_dps starts every r at 0, where the loss is even in r.
+        rng = np.random.default_rng(16)
+        ctx = _small_ctx(rng, kind="pigdm")
+        S = ctx.schedule.S
+        init = pigdm_from_dps(rng.uniform(-0.5, 0.5, S), ctx.spec.sigma_y)
+        f, g = _adjoint(ctx, init.theta)
+        assert f == weights_loss(init, ctx)
+        np.testing.assert_array_equal(g[S:], 0.0)
+        public = central_gradient(_public_loss("pigdm", ctx), init.theta, 1e-6)
+        np.testing.assert_allclose(g, public, rtol=1e-4, atol=1e-8)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 10),
+        S=st.integers(1, 8),
+        kind=st.sampled_from(["dps", "pigdm"]),
+        K=st.sampled_from([0, 1, 2]),
+    )
+    def test_property_random_contexts(self, seed, d, S, kind, K):
+        # K = 0 stands for the closed-form average over measurements.
+        rng = np.random.default_rng(seed)
+        ctx = _small_ctx(rng, d=d, S=S, kind=kind, K=max(K, 1))
+        if K == 0:
+            ctx = replace(ctx, observations=None)
+        theta = _theta(rng, kind, S)
+        f, g = _adjoint(ctx, theta)
+        assert f == batch_loss(kind, theta[None], ctx)[0]
+        public = central_gradient(_public_loss(kind, ctx), theta, 1e-6)
+        np.testing.assert_allclose(g, public, rtol=1e-4, atol=1e-8 * max(1.0, f))
 
 
 class TestOptimizeWeights:
@@ -97,27 +166,62 @@ class TestOptimizeWeights:
                 assert np.all(sol.weights.r >= 0)
 
     def test_loss_calls_are_the_start_plus_the_solver_requests(self):
-        # One loss call for the starting point, then one per function and one
-        # per gradient evaluation L-BFGS-B asks for; no iterate is re-evaluated.
+        # One evaluation of the starting point, then one combined loss and
+        # gradient evaluation per L-BFGS-B request; no iterate is re-evaluated.
         rng = np.random.default_rng(14)
         ctx = _small_ctx(rng, d=12, S=6)
-        batch_loss, minimize = optimizer.batch_loss, optimizer.minimize
+        evaluate, minimize = optimizer.loss_and_gradient, optimizer.minimize
         calls, results = [], []
 
-        def counted_loss(*args, **kwargs):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return batch_loss(*args, **kwargs)
+            return evaluate(*args, **kwargs)
 
         def recorded_minimize(*args, **kwargs):
             results.append(minimize(*args, **kwargs))
             return results[-1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optimizer, "batch_loss", counted_loss)
+            mp.setattr(optimizer, "loss_and_gradient", counted)
             mp.setattr(optimizer, "minimize", recorded_minimize)
             optimize_weights(ctx, default_init(ctx))
         (result,) = results
-        assert len(calls) == 1 + result.nfev + result.njev
+        assert result.nfev == result.njev
+        assert len(calls) == 1 + result.nfev
+
+    def test_step_table_is_built_once_per_solve(self):
+        # Regression: the S-step coefficient table used to be rebuilt on every
+        # loss call, S * (1 + nfev + njev) step_coeffs calls per solve.
+        rng = np.random.default_rng(20)
+        for kind in ("dps", "pigdm"):
+            ctx = _small_ctx(rng, d=10, S=9, kind=kind)
+            calls = []
+
+            def counted(*args, step_coeffs=transfer.step_coeffs):
+                calls.append(1)
+                return step_coeffs(*args)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(transfer, "step_coeffs", counted)
+                sol = optimize_weights(ctx, default_init(ctx))
+            assert sol.iterations > 1
+            assert len(calls) == ctx.schedule.S
+
+    def test_non_finite_gradient_raises(self):
+        rng = np.random.default_rng(21)
+        ctx = _small_ctx(rng)
+        evaluate = optimizer.loss_and_gradient
+        calls = []
+
+        def poisoned(*args):
+            f, g = evaluate(*args)
+            calls.append(1)
+            return f, (g if len(calls) == 1 else np.full_like(g, np.nan))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "loss_and_gradient", poisoned)
+            with pytest.raises(ValueError, match="non-finite loss or gradient"):
+                optimize_weights(ctx, default_init(ctx))
 
     def test_restarting_at_optimum_is_a_fixed_point(self):
         rng = np.random.default_rng(3)
