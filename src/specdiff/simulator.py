@@ -1,24 +1,33 @@
 """Time-domain Monte-Carlo engine for guided DDIM sampling.
 
-The state is kept as real time-domain vectors and every operator (prior
-covariance, degradation, their regularized inverses) is applied as a
-circulant matrix-vector product through the FFT.  This mirrors the sampler
-updates as written in the time domain and serves as an independent check on
-the composed spectral transfer functions.
+The state is a real (n, d) array of time-domain vectors between steps.  Each
+step takes one real FFT of the state, applies the whole sampler update per
+bin on the d // 2 + 1 bins of the half spectrum, and takes one inverse real
+FFT back.  Every operator here (prior covariance, degradation, their
+regularized inverses) is a real circulant matrix, so its multiplier is
+Hermitian (bin d - k is the conjugate of bin k) and the half spectrum holds
+all of it.
 
-A guided step adds w J^T H^T E (y - H x0hat) to the unguided DDIM step
-a x + b x0hat, where J = sqrt(ab) Sigma (ab Sigma + (1 - ab) I)^-1 is the
-Jacobian of the prior denoiser x0hat.  DPS takes w = 2 zeta and E = I;
-PiGDM takes w = g and E = (r^2 H H^T + sigma^2 I)^-1.  This is the (w, e)
-form that ``transfer.py`` composes per bin, applied here as FFT matvecs on
-the state; the weights come from a ``WeightSchedule`` or, for the DPS
-heuristic, from each step's residual norm (``heuristic_zeta``).
+The unguided DDIM step is a x + b x0hat with the prior denoiser
+x0hat = J x + (1 - ab) (ab Sigma + (1 - ab) I)^-1 mu, where
+J = sqrt(ab) Sigma (ab Sigma + (1 - ab) I)^-1 is its Jacobian; per bin that
+is X <- A X + B.  A guided step adds w J^T H^T E (y - H x0hat): DPS takes
+w = 2 zeta and E = I, PiGDM takes w = g and E = (r^2 H H^T + sigma^2 I)^-1.
+The weights come from a ``WeightSchedule`` or, for the DPS heuristic, from
+each trajectory's residual norm ||y - H x0hat|| (``heuristic_zeta``), which
+Parseval gives from the half spectrum.  The MAP ("optimal") denoiser is
+affine in the state as well, so its step is X <- A X + B too.
 
-A real state admits only real circulant operators, whose multipliers are
-Hermitian (bin d - k is the conjugate of bin k).  Keeping the real part of
-a non-Hermitian matvec would silently give trajectories that no longer
-match the composed triple, so ``SimConfig`` rejects such a prior or
-degradation.
+This stays an independent check on ``transfer.py``.  The multipliers are
+built here from ``step_coeffs_scalar`` and the prior and degradation
+multipliers, in the operator terms above; nothing is taken from the step
+tables or the composition of ``transfer.py``.  Each trajectory carries its
+own state and residual through every step, so the heuristic weights are the
+ones each trajectory realizes, which no closed form gives.
+
+Keeping only the Hermitian half of a non-Hermitian matvec would silently give
+trajectories that no longer match the composed triple, so ``SimConfig``
+rejects such a prior or degradation.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ GUIDANCE_NONE = "none"
 GUIDANCE_FIXED = "fixed"
 GUIDANCE_DPS_HEURISTIC = "dps-heuristic"
 GUIDANCE_OPTIMAL = "optimal"
+_GUIDANCE_KINDS = (GUIDANCE_NONE, GUIDANCE_FIXED, GUIDANCE_DPS_HEURISTIC, GUIDANCE_OPTIMAL)
 
 DEFAULT_ZETA_CAP = 5.0
 
@@ -58,6 +68,17 @@ class Guidance:
     zeta_prime: float | None = None
     cap: float = DEFAULT_ZETA_CAP
 
+    def __post_init__(self):
+        if self.kind not in _GUIDANCE_KINDS:
+            raise ValueError(f"unknown guidance kind: {self.kind}")
+        if self.kind == GUIDANCE_FIXED and self.weights is None:
+            raise ValueError("fixed guidance requires weights")
+        if self.kind == GUIDANCE_DPS_HEURISTIC:
+            if self.zeta_prime is None:
+                raise ValueError("dps-heuristic guidance requires zeta_prime")
+            if self.zeta_prime <= 0:
+                raise ValueError("zeta_prime must be positive")
+
     @classmethod
     def none(cls) -> "Guidance":
         return cls(kind=GUIDANCE_NONE)
@@ -68,8 +89,6 @@ class Guidance:
 
     @classmethod
     def dps_heuristic(cls, zeta_prime: float, cap: float = DEFAULT_ZETA_CAP) -> "Guidance":
-        if zeta_prime <= 0:
-            raise ValueError("zeta_prime must be positive")
         return cls(kind=GUIDANCE_DPS_HEURISTIC, zeta_prime=float(zeta_prime), cap=cap)
 
     @classmethod
@@ -111,15 +130,23 @@ class RunStats:
     per_step_zeta: np.ndarray | None = None
 
 
-def _apply(mult: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Circulant matvec: rows of X filtered by the spectral multiplier."""
-    return np.fft.ifft(mult * np.fft.fft(X, axis=-1), axis=-1).real
-
-
 def heuristic_zeta(zeta_prime: float, norms: np.ndarray, cap: float) -> np.ndarray:
     """DPS heuristic weights zeta' / ||y - H x0hat||; cap where a norm is zero."""
     norms = np.asarray(norms, dtype=float)
     return np.where(norms == 0, cap, zeta_prime / np.where(norms == 0, 1.0, norms))
+
+
+def _parseval_weights(d: int) -> np.ndarray:
+    """Weights of |R_k|^2 over the re/im pairs of a half spectrum, summing to ||r||^2.
+
+    Bin k of the d // 2 + 1 stands for itself and its conjugate d - k, except
+    DC and, for even d, Nyquist, which have none.
+    """
+    w = np.full(d // 2 + 1, 2.0 / d)
+    w[0] = 1.0 / d
+    if d % 2 == 0:
+        w[-1] = 1.0 / d
+    return np.repeat(w, 2)
 
 
 def _run_batch(
@@ -129,53 +156,68 @@ def _run_batch(
 
     Runs steps s = S down to stop_at_s + 1 (the full trajectory by default).
     Returns the resulting states and the realized per-step weights (S, n):
-    zeta for DPS, g for PiGDM, zero without guidance.
+    zeta for DPS, g for PiGDM, zero without guidance or for steps not run.
+    Only the DPS heuristic realizes weights that differ between runs; for the
+    other kinds the weights are a read-only broadcast of one column.
     """
     prior, spec, sched, guide = cfg.prior, cfg.spec, cfg.schedule, cfg.guidance
-    lam = prior.lambda0
-    h = spec.lambda_h
+    d = prior.dim
+    m = d // 2 + 1
+    lam = prior.lambda0[:m]
+    h = spec.lambda_h[:m]
     hbar = np.conj(h)
     habs2 = np.abs(h) ** 2
     sig2 = spec.sigma_y**2
-    mu0 = prior.mu_time()
-    y_time = obs.y_time()
-    X = np.atleast_2d(np.asarray(x_start, dtype=float)).copy()
-    realized = np.zeros((sched.S, X.shape[0]))
+    mu = np.fft.rfft(prior.mu_time())
+    y = np.fft.rfft(obs.y_time())
+    X = np.atleast_2d(np.asarray(x_start, dtype=float))
     weights = guide.weights
     pigdm = weights is not None and weights.kind == PIGDM
-    column = None if weights is None else (weights.g if pigdm else weights.zeta)
+    heuristic = guide.kind == GUIDANCE_DPS_HEURISTIC
+    guided = heuristic or guide.kind == GUIDANCE_FIXED
+    column = np.zeros(sched.S)
+    if weights is not None:
+        column[stop_at_s:] = (weights.g if pigdm else weights.zeta)[stop_at_s:]
+    if heuristic:
+        realized = np.zeros((sched.S, X.shape[0]))
+        parseval = _parseval_weights(d)
+    else:
+        realized = np.broadcast_to(column[:, None], (sched.S, X.shape[0]))
 
     for s in range(sched.S, stop_at_s, -1):
         ab = sched.at(s)
         a, b = step_coeffs_scalar(sched, s)
-        inv_reg = 1.0 / (ab * lam + (1.0 - ab))
-
+        Xf = np.fft.rfft(X, axis=-1)
         if guide.kind == GUIDANCE_OPTIMAL:
-            lam_sum = (1.0 - ab) * lam * habs2 + sig2 * ab * lam + sig2 * (1.0 - ab)
-            rhs = (
-                (1.0 - ab) * _apply(lam, _apply(hbar, y_time))
-                + sig2 * np.sqrt(ab) * _apply(lam, X)
-                + sig2 * (1.0 - ab) * mu0
-            )
-            X = a * X + b * _apply(1.0 / lam_sum, rhs)
+            # MAP denoiser x0hat = K^-1 ((1 - ab) Sigma H^T y + sig2 sqrt(ab) Sigma x
+            # + sig2 (1 - ab) mu) with K = (1 - ab) Sigma H^T H + sig2 (ab Sigma + (1 - ab) I).
+            K = (1.0 - ab) * lam * habs2 + sig2 * ab * lam + sig2 * (1.0 - ab)
+            Xf *= a + b * sig2 * np.sqrt(ab) * lam / K
+            Xf += b * ((1.0 - ab) * lam * hbar * y + sig2 * (1.0 - ab) * mu) / K
         else:
-            x0hat = _apply(inv_reg, np.sqrt(ab) * _apply(lam, X) + (1.0 - ab) * mu0)
-            X = a * X + b * x0hat
-            if guide.kind != GUIDANCE_NONE:
-                resid = y_time - _apply(h, x0hat)
-                if guide.kind == GUIDANCE_DPS_HEURISTIC:
-                    norms = np.linalg.norm(resid, axis=-1)
+            reg = ab * lam + (1.0 - ab)
+            J = np.sqrt(ab) * lam / reg
+            x0_offset = (1.0 - ab) * mu / reg
+            if guided:
+                R = (y - h * x0_offset) - (h * J) * Xf  # y - H x0hat, x0hat = J x + offset
+            Xf *= a + b * J
+            Xf += b * x0_offset
+            if guided:
+                if heuristic:
+                    Rv = R.view(np.float64)
+                    norms = np.sqrt((Rv * Rv) @ parseval)
                     realized[s - 1] = heuristic_zeta(guide.zeta_prime, norms, guide.cap)
+                    w = 2.0 * realized[s - 1][:, None]
                 else:
-                    realized[s - 1] = column[s - 1]
-                if pigdm:
-                    resid = _apply(1.0 / (weights.r[s - 1] ** 2 * habs2 + sig2), resid)
-                    w = realized[s - 1]
-                else:
-                    w = 2.0 * realized[s - 1]
-                X = X + w[:, None] * _apply(inv_reg, np.sqrt(ab) * _apply(lam, _apply(hbar, resid)))
-        if not np.all(np.isfinite(X)):
+                    w = column[s - 1] if pigdm else 2.0 * column[s - 1]
+                E = 1.0 / (weights.r[s - 1] ** 2 * habs2 + sig2) if pigdm else 1.0
+                R *= J * hbar * E  # J^T H^T E; J is real and symmetric
+                # Scale the real view: an overflow gives inf, never inf * 0 = nan.
+                R.view(np.float64)[...] *= w
+                Xf += R
+        if not np.isfinite(Xf.view(np.float64)).all():
             raise ValueError(f"diverged at step {s}")
+        X = np.fft.irfft(Xf, n=d, axis=-1)
     return X, realized
 
 

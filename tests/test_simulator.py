@@ -27,7 +27,9 @@ from specdiff import (
     transfer_triple,
 )
 
-from oracles import random_prior_arrays
+from specdiff.simulator import _run_batch
+
+from oracles import dense_operator_from_multiplier, dense_prior_denoiser, random_prior_arrays
 
 
 def _setup(rng, d=8, S=6, sigma=0.2, lam_floor=0.0):
@@ -107,12 +109,47 @@ class TestSimulateOne:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_reports_step(self):
-        rng = np.random.default_rng(4)
-        prior, spec, sched, obs = _setup(rng, S=4)
-        guide = Guidance.fixed(WeightSchedule.dps([1e300] * 4))
-        cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
-        with pytest.raises(ValueError, match="diverged at step"):
-            simulate_one(cfg, obs, rng.standard_normal(8))
+        cases = [
+            (WeightSchedule.dps([1e300] * 4), 3),
+            (WeightSchedule.pigdm([1e150] * 4, [1.0] * 4), 2),
+        ]
+        for weights, step in cases:
+            rng = np.random.default_rng(4)
+            prior, spec, sched, obs = _setup(rng, S=4)
+            guide = Guidance.fixed(weights)
+            cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
+            with pytest.raises(ValueError, match=f"diverged at step {step}$"):
+                simulate_one(cfg, obs, rng.standard_normal(8))
+
+    def test_unvaried_weights_are_not_allocated(self):
+        # Only the DPS heuristic realizes weights that differ between runs;
+        # the other kinds return one column broadcast over the runs.
+        rng = np.random.default_rng(13)
+        prior, spec, sched, obs = _setup(rng, S=5)
+        zeta = rng.uniform(-0.5, 0.5, sched.S)
+        for guide, column in [
+            (Guidance.none(), np.zeros(sched.S)),
+            (Guidance.optimal(), np.zeros(sched.S)),
+            (Guidance.fixed(WeightSchedule.dps(zeta)), zeta),
+        ]:
+            cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
+            _, realized = _run_batch(cfg, obs, rng.standard_normal((4, prior.dim)))
+            assert realized.shape == (sched.S, 4) and realized.strides[1] == 0
+            assert not realized.flags.writeable
+            np.testing.assert_array_equal(realized[:, 3], column)
+
+
+class TestGuidance:
+    def test_malformed_guidance_rejected_at_construction(self):
+        # Each used to construct, then fail mid-loop with a TypeError.
+        with pytest.raises(ValueError, match="unknown guidance kind"):
+            Guidance(kind="dps")
+        with pytest.raises(ValueError, match="requires weights"):
+            Guidance(kind="fixed")
+        with pytest.raises(ValueError, match="requires zeta_prime"):
+            Guidance(kind="dps-heuristic")
+        with pytest.raises(ValueError, match="must be positive"):
+            Guidance.dps_heuristic(0.0)
 
 
 class TestRealOperators:
@@ -250,6 +287,25 @@ class TestHeuristicProfile:
         )
         stats = monte_carlo(cfg0, obs)
         assert stats.per_step_zeta is None
+
+    def test_heuristic_norm_matches_dense_residual(self):
+        # The norm comes from the half spectrum by Parseval, where DC and, for
+        # even d, Nyquist count once and every other bin twice.
+        rng = np.random.default_rng(14)
+        for d in range(2, 12):
+            prior, spec, sched, obs = _setup(rng, d=d, S=3)
+            guide = Guidance.dps_heuristic(0.7, cap=1e6)
+            cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
+            x_s = rng.standard_normal((4, d))
+            _, realized = _run_batch(cfg, obs, x_s, stop_at_s=sched.S - 1)
+            Sigma0 = dense_operator_from_multiplier(prior.lambda0).real
+            H = dense_operator_from_multiplier(spec.lambda_h).real
+            y = obs.y_time()
+            ab = sched.at(sched.S)
+            x0 = [dense_prior_denoiser(prior.mu_time(), Sigma0, x, ab) for x in x_s]
+            norms = np.array([np.linalg.norm(y - H @ x) for x in x0])
+            np.testing.assert_allclose(realized[-1], 0.7 / norms, rtol=1e-10)
+            assert np.all(realized[:-1] == 0)
 
     def test_replay_is_exactly_linear_in_the_constant(self):
         # The heuristic replayed on frozen residual norms scales with zeta'.
