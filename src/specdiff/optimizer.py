@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .objective import LossContext, batch_loss, loss_and_gradient
 from .schedule import ddim_subsequence, linear_ddpm_schedule
@@ -32,6 +31,17 @@ __all__ = [
 ]
 
 DEFAULT_BOUNDS = (-5.0, 5.0)
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use.
+
+    Importing scipy.optimize roughly doubles the start-up time and the memory
+    of a CLI run; commands that never solve should not pay for it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)

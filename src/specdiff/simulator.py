@@ -1,12 +1,13 @@
 """Time-domain Monte-Carlo engine for guided DDIM sampling.
 
-The state is a real (n, d) array of time-domain vectors between steps.  Each
-step takes one real FFT of the state, applies the whole sampler update per
-bin on the d // 2 + 1 bins of the half spectrum, and takes one inverse real
-FFT back.  Every operator here (prior covariance, degradation, their
-regularized inverses) is a real circulant matrix, so its multiplier is
-Hermitian (bin d - k is the conjugate of bin k) and the half spectrum holds
-all of it.
+A batch enters and leaves as a real (n, d) array of time-domain states.  In
+between it lives on the d // 2 + 1 bins of the half spectrum: one real FFT
+of the starting states, every step as per-bin arithmetic, and one inverse
+real FFT of the final states.  Every operator here (prior covariance,
+degradation, their regularized inverses) is a real circulant matrix, so its
+multiplier is Hermitian (bin d - k is the conjugate of bin k) and the half
+spectrum holds all of it; a round trip to the time domain between steps
+would change nothing but rounding.
 
 The unguided DDIM step is a x + b x0hat with the prior denoiser
 x0hat = J x + (1 - ab) (ab Sigma + (1 - ab) I)^-1 mu, where
@@ -16,14 +17,17 @@ w = 2 zeta and E = I, PiGDM takes w = g and E = (r^2 H H^T + sigma^2 I)^-1.
 The weights come from a ``WeightSchedule`` or, for the DPS heuristic, from
 each trajectory's residual norm ||y - H x0hat|| (``heuristic_zeta``), which
 Parseval gives from the half spectrum.  The MAP ("optimal") denoiser is
-affine in the state as well, so its step is X <- A X + B too.
+affine in the state as well, so its step is X <- A X + B too.  Before the
+first step a batch tabulates these per-bin multipliers for every step it
+runs, so the loop holds only the (n, d // 2 + 1) arithmetic.
 
-This stays an independent check on ``transfer.py``.  The multipliers are
-built here from ``step_coeffs_scalar`` and the prior and degradation
-multipliers, in the operator terms above; nothing is taken from the step
-tables or the composition of ``transfer.py``.  Each trajectory carries its
-own state and residual through every step, so the heuristic weights are the
-ones each trajectory realizes, which no closed form gives.
+This stays an independent check on ``transfer.py``.  Its tables are built
+here from ``step_coeffs_scalar`` and the prior and degradation multipliers,
+in the operator terms above; nothing is taken from the step tables or the
+composition of ``transfer.py``.  Each trajectory carries its own state and
+residual through every step, so the heuristic weights are the ones each
+trajectory realizes, which no closed form gives.  The tests check the
+half-spectrum steps against dense matrices applied in the time domain.
 
 Keeping only the Hermitian half of a non-Hermitian matvec would silently give
 trajectories that no longer match the composed triple, so ``SimConfig``
@@ -162,14 +166,6 @@ def _run_batch(
     """
     prior, spec, sched, guide = cfg.prior, cfg.spec, cfg.schedule, cfg.guidance
     d = prior.dim
-    m = d // 2 + 1
-    lam = prior.lambda0[:m]
-    h = spec.lambda_h[:m]
-    hbar = np.conj(h)
-    habs2 = np.abs(h) ** 2
-    sig2 = spec.sigma_y**2
-    mu = np.fft.rfft(prior.mu_time())
-    y = np.fft.rfft(obs.y_time())
     X = np.atleast_2d(np.asarray(x_start, dtype=float))
     weights = guide.weights
     pigdm = weights is not None and weights.kind == PIGDM
@@ -183,42 +179,62 @@ def _run_batch(
         parseval = _parseval_weights(d)
     else:
         realized = np.broadcast_to(column[:, None], (sched.S, X.shape[0]))
+    if stop_at_s == sched.S:
+        return X, realized
 
-    for s in range(sched.S, stop_at_s, -1):
-        ab = sched.at(s)
-        a, b = step_coeffs_scalar(sched, s)
-        Xf = np.fft.rfft(X, axis=-1)
-        if guide.kind == GUIDANCE_OPTIMAL:
-            # MAP denoiser x0hat = K^-1 ((1 - ab) Sigma H^T y + sig2 sqrt(ab) Sigma x
-            # + sig2 (1 - ab) mu) with K = (1 - ab) Sigma H^T H + sig2 (ab Sigma + (1 - ab) I).
-            K = (1.0 - ab) * lam * habs2 + sig2 * ab * lam + sig2 * (1.0 - ab)
-            Xf *= a + b * sig2 * np.sqrt(ab) * lam / K
-            Xf += b * ((1.0 - ab) * lam * hbar * y + sig2 * (1.0 - ab) * mu) / K
-        else:
-            reg = ab * lam + (1.0 - ab)
-            J = np.sqrt(ab) * lam / reg
-            x0_offset = (1.0 - ab) * mu / reg
-            if guided:
-                R = (y - h * x0_offset) - (h * J) * Xf  # y - H x0hat, x0hat = J x + offset
-            Xf *= a + b * J
-            Xf += b * x0_offset
-            if guided:
-                if heuristic:
-                    Rv = R.view(np.float64)
-                    norms = np.sqrt((Rv * Rv) @ parseval)
-                    realized[s - 1] = heuristic_zeta(guide.zeta_prime, norms, guide.cap)
-                    w = 2.0 * realized[s - 1][:, None]
-                else:
-                    w = column[s - 1] if pigdm else 2.0 * column[s - 1]
-                E = 1.0 / (weights.r[s - 1] ** 2 * habs2 + sig2) if pigdm else 1.0
-                R *= J * hbar * E  # J^T H^T E; J is real and symmetric
-                # Scale the real view: an overflow gives inf, never inf * 0 = nan.
-                R.view(np.float64)[...] *= w
-                Xf += R
+    # Per-step multiplier tables, one row per step in run order s = S, S-1, ...
+    _require_hermitian(obs.y_f, "y_f")
+    m = d // 2 + 1
+    lam = prior.lambda0[:m]
+    h = spec.lambda_h[:m]
+    mu = prior.mu_f[:m]
+    y = obs.y_f[:m]
+    sig2 = spec.sigma_y**2
+    steps = np.arange(sched.S, stop_at_s, -1)
+    a, b = np.array([step_coeffs_scalar(sched, s) for s in steps]).T[:, :, None]
+    ab = sched.alpha_bar[steps - 1][:, None]  # (steps, 1), broadcast over the bins
+    if guide.kind == GUIDANCE_OPTIMAL:
+        # MAP denoiser x0hat = K^-1 ((1 - ab) Sigma H^T y + sig2 sqrt(ab) Sigma x
+        # + sig2 (1 - ab) mu) with K = (1 - ab) Sigma H^T H + sig2 (ab Sigma + (1 - ab) I).
+        K = (1.0 - ab) * lam * np.abs(h) ** 2 + sig2 * ab * lam + sig2 * (1.0 - ab)
+        A = a + b * sig2 * np.sqrt(ab) * lam / K
+        B = b * ((1.0 - ab) * lam * np.conj(h) * y + sig2 * (1.0 - ab) * mu) / K
+    else:
+        reg = ab * lam + (1.0 - ab)
+        J = np.sqrt(ab) * lam / reg
+        x0_offset = (1.0 - ab) * mu / reg
+        A = a + b * J
+        B = b * x0_offset
+    if guided:
+        C = y - h * x0_offset  # y - H x0hat = C - HJ x, x0hat = J x + offset
+        HJ = h * J
+        E = 1.0 / (weights.r[steps - 1][:, None] ** 2 * np.abs(h) ** 2 + sig2) if pigdm else 1.0
+        G = J * np.conj(h) * E  # J^T H^T E; J is real and symmetric
+        w_fixed = column[steps - 1] if pigdm else 2.0 * column[steps - 1]
+        R = np.empty((X.shape[0], m), dtype=complex)
+        Rv = R.view(np.float64)
+
+    Xf = np.fft.rfft(X, axis=-1)
+    for i, s in enumerate(steps):
+        if guided:
+            np.multiply(HJ[i], Xf, out=R)
+            np.subtract(C[i], R, out=R)
+            if heuristic:
+                norms = np.sqrt((Rv * Rv) @ parseval)
+                realized[s - 1] = heuristic_zeta(guide.zeta_prime, norms, guide.cap)
+                w = 2.0 * realized[s - 1][:, None]
+            else:
+                w = w_fixed[i]
+            R *= G[i]
+            # Scale the real view: an overflow gives inf, never inf * 0 = nan.
+            Rv *= w
+        Xf *= A[i]
+        Xf += B[i]
+        if guided:
+            Xf += R
         if not np.isfinite(Xf.view(np.float64)).all():
             raise ValueError(f"diverged at step {s}")
-        X = np.fft.irfft(Xf, n=d, axis=-1)
-    return X, realized
+    return np.fft.irfft(Xf, n=d, axis=-1), realized
 
 
 def simulate_one(

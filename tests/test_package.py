@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -74,6 +77,16 @@ class TestExports:
             for attr in module.__all__:
                 assert hasattr(module, attr), f"specdiff.{name}.{attr}"
                 assert hasattr(specdiff, attr), attr
+
+
+class TestStartUp:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        # optimizer.minimize imports it on the first solve, so a command that
+        # never solves does not pay its start-up time and memory.
+        src = str(INIT.parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, specdiff.cli; assert 'scipy.optimize' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestBenchmarkHooks:

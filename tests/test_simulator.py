@@ -29,7 +29,12 @@ from specdiff import (
 
 from specdiff.simulator import _run_batch
 
-from oracles import dense_operator_from_multiplier, dense_prior_denoiser, random_prior_arrays
+from oracles import (
+    dense_map_denoiser,
+    dense_operator_from_multiplier,
+    dense_prior_denoiser,
+    random_prior_arrays,
+)
 
 
 def _setup(rng, d=8, S=6, sigma=0.2, lam_floor=0.0):
@@ -39,6 +44,56 @@ def _setup(rng, d=8, S=6, sigma=0.2, lam_floor=0.0):
     sched = ddim_subsequence(linear_ddpm_schedule(200), S)
     obs = degrade(sample_prior(prior, rng), spec, rng)
     return prior, spec, sched, obs
+
+
+def _every_guidance(rng, S):
+    """One Guidance of each kind, with random weights where it takes them."""
+    return [
+        Guidance.none(),
+        Guidance.fixed(WeightSchedule.dps(rng.uniform(-0.5, 0.5, S))),
+        Guidance.fixed(WeightSchedule.pigdm(rng.uniform(-0.5, 0.5, S), rng.uniform(0.0, 1.0, S))),
+        Guidance.optimal(),
+        Guidance.dps_heuristic(0.7, cap=1e6),
+    ]
+
+
+def _dense_steps(cfg, obs, x, steps):
+    """Run the given steps with dense matrices: x <- a x + b x0hat + w J^T H^T E (y - H x0hat).
+
+    Returns the final states and the (steps, n) weights w / 2 for DPS, w for PiGDM.
+    """
+    prior, spec, sched, guide = cfg.prior, cfg.spec, cfg.schedule, cfg.guidance
+    d = prior.dim
+    mu0, y = prior.mu_time(), obs.y_time()
+    Sigma0 = dense_operator_from_multiplier(prior.lambda0).real
+    H = dense_operator_from_multiplier(spec.lambda_h).real
+    sig2 = spec.sigma_y**2
+    x = np.array(x, dtype=float)
+    realized = np.zeros((steps, len(x)))
+    pigdm = guide.kind == "fixed" and guide.weights.kind == "pigdm"
+    for i, s in enumerate(range(sched.S, sched.S - steps, -1)):
+        ab, ab_prev = sched.at(s), sched.before(s)
+        a = np.sqrt((1 - ab_prev) / (1 - ab))
+        b = np.sqrt(ab_prev) - np.sqrt(ab) * a
+        J = np.sqrt(ab) * Sigma0 @ np.linalg.inv(ab * Sigma0 + (1 - ab) * np.eye(d))
+        if pigdm:
+            r = guide.weights.r[s - 1]
+            E = np.linalg.inv(r**2 * H @ H.T + sig2 * np.eye(d))
+        else:
+            E = np.eye(d)
+        for n, x_s in enumerate(x):
+            if guide.kind == "optimal":
+                x0 = dense_map_denoiser(mu0, Sigma0, H, spec.sigma_y, y, x_s, ab)
+            else:
+                x0 = dense_prior_denoiser(mu0, Sigma0, x_s, ab)
+            residual = y - H @ x0
+            if guide.kind == "dps-heuristic":
+                realized[i, n] = guide.zeta_prime / np.linalg.norm(residual)
+            elif guide.kind == "fixed":
+                realized[i, n] = (guide.weights.g if pigdm else guide.weights.zeta)[s - 1]
+            w = realized[i, n] if pigdm else 2 * realized[i, n]
+            x[n] = a * x_s + b * x0 + w * J.T @ H.T @ E @ residual
+    return x, realized
 
 
 class TestSimulateOne:
@@ -137,6 +192,78 @@ class TestSimulateOne:
             assert realized.shape == (sched.S, 4) and realized.strides[1] == 0
             assert not realized.flags.writeable
             np.testing.assert_array_equal(realized[:, 3], column)
+
+    def test_steps_match_dense_time_domain_loop(self):
+        # The state stays on the half spectrum between steps; check it there
+        # against dense matrices applied in the time domain, step by step.
+        rng = np.random.default_rng(15)
+        steps = 3
+        for d in (4, 5):
+            prior, spec, sched, obs = _setup(rng, d=d, S=6, lam_floor=0.1)
+            for guide in _every_guidance(rng, sched.S):
+                cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
+                x_s = rng.standard_normal((4, d))
+                got, realized = _run_batch(cfg, obs, x_s, stop_at_s=sched.S - steps)
+                want, want_w = _dense_steps(cfg, obs, x_s, steps)
+                scale = max(1.0, np.max(np.abs(want)))
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * scale, err_msg=guide.kind)
+                np.testing.assert_allclose(realized[-steps:][::-1], want_w, rtol=1e-10)
+                assert np.all(realized[:-steps] == 0)
+
+    def test_one_real_fft_pair_per_batch(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        prior, spec, sched, obs = _setup(rng, S=5)
+        calls = {"rfft": 0, "irfft": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+                calls[_name] += 1
+                return _fft(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        for guide in _every_guidance(rng, sched.S):
+            cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
+            calls.update(rfft=0, irfft=0)
+            _run_batch(cfg, obs, rng.standard_normal((3, prior.dim)))
+            assert calls == {"rfft": 1, "irfft": 1}, guide.kind
+
+    def test_zero_step_batch_returns_its_input(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        prior, spec, sched, obs = _setup(rng, S=5)
+        monkeypatch.setattr(np.fft, "rfft", None)  # no FFT may run
+        monkeypatch.setattr(np.fft, "irfft", None)
+        for guide in _every_guidance(rng, sched.S):
+            cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
+            x_s = rng.standard_normal((3, prior.dim))
+            got, realized = _run_batch(cfg, obs, x_s, stop_at_s=sched.S)
+            assert got.tobytes() == x_s.tobytes()
+            assert realized.shape == (sched.S, 3) and np.all(realized == 0)
+
+    def test_dc_and_nyquist_round_off_does_not_feed_back(self):
+        # SimConfig accepts imaginary parts of up to 1e-12 relative on the
+        # bins that are their own mirror, and the state keeps its imaginary
+        # parts on them from step to step until the final inverse FFT.
+        rng = np.random.default_rng(18)
+        for d in (7, 8):
+            prior, spec, sched, obs = _setup(rng, d=d, S=20)
+            own_mirror = [0, d // 2] if d % 2 == 0 else [0]
+
+            def nudged(v):
+                out = np.array(v)
+                out[own_mirror] += 1e-13j * max(1.0, np.max(np.abs(v)))
+                return out
+
+            bent_prior = SpectralPrior(dim=d, mu_f=nudged(prior.mu_f), lambda0=prior.lambda0)
+            bent_spec = replace(spec, lambda_h=nudged(spec.lambda_h))
+            bent_obs = Observation(y_f=nudged(obs.y_f))
+            x_s = rng.standard_normal((4, d))
+            for guide in _every_guidance(rng, sched.S):
+                cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
+                bent = replace(cfg, prior=bent_prior, spec=bent_spec)
+                want, want_w = _run_batch(cfg, obs, x_s)
+                got, got_w = _run_batch(bent, bent_obs, x_s)
+                scale = max(1.0, np.max(np.abs(want)))
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * scale, err_msg=guide.kind)
+                np.testing.assert_allclose(got_w, want_w, rtol=1e-10)
 
 
 class TestGuidance:
