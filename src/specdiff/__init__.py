@@ -35,7 +35,6 @@ from .transfer import (
     StepTable,
     prior_optimal_denoise,
     posterior_optimal_denoise,
-    step_multipliers,
     batch_triples,
     output_distribution,
     transfer_triple,

@@ -34,7 +34,13 @@ from .serialize import (
     runstats_to_csv,
     write_csv,
 )
-from .simulator import Guidance, SimConfig, heuristic_weight_profile, monte_carlo
+from .simulator import (
+    Guidance,
+    SimConfig,
+    _require_stat_runs,
+    heuristic_weight_profile,
+    monte_carlo,
+)
 from .spectral import (
     Observation,
     degrade,
@@ -59,22 +65,42 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *tags]))
 
 
+def _config_value(key: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with its ValueError re-raised as a ConfigError naming key."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 class _Runtime:
     """Resolved configuration plus the derived model objects."""
 
     def __init__(self, cfg: ExperimentConfig, seed: int | None, out: str | None):
         self.cfg = cfg
         self.seed = cfg.seed if seed is None else seed
+        _config_value("experiment.seed", np.random.SeedSequence, self.seed)
         self.out = Path(out if out is not None else cfg.out)
         if cfg.prior_file:
             self.prior = prior_from_file(cfg.prior_file)
         else:
             self.prior = make_synthetic_prior(cfg.prior_d, cfg.prior_l, cfg.prior_mu_const)
+        self.spec = _config_value("degradation.V", make_lpf, self.prior.dim, cfg.V, cfg.sigma_y)
+        full = _config_value("schedule.T", linear_ddpm_schedule, cfg.T)
+        self.schedules = {
+            S: _config_value("schedule.S", ddim_subsequence, full, S) for S in cfg.S_list
+        }
         try:
-            self.spec = make_lpf(self.prior.dim, cfg.V, sigma_y=cfg.sigma_y)
+            self.opts = OptimizeOptions(
+                bounds=cfg.bounds,
+                max_iters=cfg.max_iters,
+                f_tol=cfg.f_tol,
+                ladder=cfg.ladder,
+                keep_dims=cfg.keep_dims,
+            )
         except ValueError as exc:
-            raise ConfigError(f"degradation.V: {exc}") from exc
-        self.full_schedule = linear_ddpm_schedule(cfg.T)
+            # Each message opens with the option's name, which is its sampler key.
+            raise ConfigError(f"sampler.{exc}") from exc
 
     def header(self) -> dict:
         return {
@@ -83,10 +109,9 @@ class _Runtime:
             "seed": self.seed,
         }
 
-    def schedule(self, S: int):
-        return ddim_subsequence(self.full_schedule, S)
-
     def observations(self) -> list[Observation]:
+        if self.cfg.n_realizations < 1:
+            raise ConfigError("run.n_realizations: must be at least 1")
         obs = []
         for r in range(self.cfg.n_realizations):
             rng = _rng(self.seed, _OBS_TAG, r)
@@ -94,17 +119,8 @@ class _Runtime:
             obs.append(degrade(x0, self.spec, rng))
         return obs
 
-    def opts(self) -> OptimizeOptions:
-        return OptimizeOptions(
-            bounds=self.cfg.bounds,
-            max_iters=self.cfg.max_iters,
-            f_tol=self.cfg.f_tol,
-            ladder=self.cfg.ladder,
-            keep_dims=self.cfg.keep_dims,
-        )
-
     def solve(self, ctx: LossContext):
-        opts = self.opts()
+        opts = self.opts
         if opts.ladder:
             ladder = tuple(r for r in opts.ladder if r < ctx.schedule.S) + (ctx.schedule.S,)
             return iterative_ladder(ctx, replace(opts, ladder=ladder))
@@ -118,7 +134,7 @@ class _Runtime:
         return SimConfig(
             prior=self.prior,
             spec=self.spec,
-            schedule=self.schedule(S),
+            schedule=self.schedules[S],
             guidance=guidance,
             n_runs=self.cfg.n_runs,
             seed=self.sim_seed(tag),
@@ -206,7 +222,7 @@ def cmd_optimize(rt: _Runtime):
     loss_rows = []
 
     for S in sorted(cfg.S_list):
-        sched = rt.schedule(S)
+        sched = rt.schedules[S]
         sols = [
             rt.solve(LossContext(rt.prior, rt.spec, sched, cfg.sampler_kind, obs))
             for obs in ([None] if averaged else [(o,) for o in observations])
@@ -243,7 +259,7 @@ def cmd_sweep_wasserstein(rt: _Runtime):
     observations = rt.observations()
 
     def rows_for(S: int, r: int):
-        sched = rt.schedule(S)
+        sched = rt.schedules[S]
         obs = observations[r]
         rows = [
             (method, S, r, float(np.sqrt(loss))) for method, loss in rt.heuristic_losses(S, r, obs)
@@ -259,7 +275,7 @@ def cmd_sweep_wasserstein(rt: _Runtime):
         if rt.spec.sigma_y > 0:
             pig_inits.append(pigdm_from_dps(dps_sol.weights.zeta, rt.spec.sigma_y))
         pig_sol = min(
-            (optimize_weights(pig_ctx, init, rt.opts()) for init in pig_inits),
+            (optimize_weights(pig_ctx, init, rt.opts) for init in pig_inits),
             key=lambda sol: sol.final_loss,
         )
         rows.append(("pigdm-optimized", S, r, float(np.sqrt(pig_sol.final_loss))))
@@ -278,8 +294,8 @@ def cmd_sweep_wasserstein(rt: _Runtime):
 def cmd_simulate(rt: _Runtime):
     """Monte-Carlo output statistics and realized heuristic weight profiles."""
     cfg = rt.cfg
-    observations = rt.observations()
-    obs = observations[0]
+    obs = rt.observations()[0]
+    _config_value("run.n_runs", _require_stat_runs, cfg.n_runs)
     for S in cfg.S_list:
         if cfg.guidance == "heuristic":
             # One batch gives both outputs: the realized weights for the
@@ -324,7 +340,7 @@ def cmd_eval_loss(rt: _Runtime):
     observations = rt.observations()
     rows = []
     for S in cfg.S_list:
-        sched = rt.schedule(S)
+        sched = rt.schedules[S]
         for r, obs in enumerate(observations):
             if cfg.weight_source == "ideal":
                 rows.append(("ideal", S, 1, rt.ideal_loss(sched, obs), rt.seed))

@@ -189,7 +189,7 @@ def optimize_weights(
     if f_best > f0:
         theta_best, f_best = theta0, f0
     if truncated:
-        f_best = float(batch_loss(kind, theta_best[None, :], ctx)[0])
+        f_best = batch_loss(kind, theta_best, ctx)
     return WeightSolution(
         weights=_unpack(kind, theta_best, S),
         final_loss=f_best,

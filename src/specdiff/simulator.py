@@ -254,10 +254,15 @@ def _start_states(cfg: SimConfig) -> np.ndarray:
     return rng.standard_normal((cfg.n_runs, cfg.prior.dim))
 
 
+def _require_stat_runs(n_runs: int) -> None:
+    """Output moments need two runs: one run has no spread to estimate."""
+    if n_runs < 2:
+        raise ValueError("n_runs must be at least 2")
+
+
 def monte_carlo(cfg: SimConfig, obs: Observation) -> RunStats:
     """Empirical output moments over i.i.d. standard-normal starting states."""
-    if cfg.n_runs < 2:
-        raise ValueError("n_runs must be at least 2")
+    _require_stat_runs(cfg.n_runs)
     X0, realized = _run_batch(cfg, obs, _start_states(cfg))
     spectra = np.fft.fft(X0, axis=-1)
     emp_mean = spectra.mean(axis=0)

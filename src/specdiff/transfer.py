@@ -20,14 +20,14 @@ sampler drives the same DDIM step with the MAP denoiser: its (G, Q, M) are
 one fixed multiplier set per step, with no guidance.
 
 A ``StepTable`` holds those per-step arrays for one (sampler, prior,
-degradation, schedule), so a solve builds them once.  It yields the
-multipliers of every step (``step_multipliers``), composes them for a whole
-batch of weight vectors at once (``batch_triples``), and differentiates the
-composition in reverse mode: the forward sweep keeps each step's state, and
-one backward sweep over the suffix products of G turns the loss cotangents
-dL/d conj(D) into dL/dtheta in O(S d).  The theta-derivatives follow from
-the step form: a unit of w e moves (G, Q, M) by (-dG, dQ, -dM), DPS has
-w e = 2 zeta, and PiGDM has d(w e)/dg = e and d(w e)/dr = -2 g r |h|^2 e^2.
+degradation, schedule), so a solve builds them once.  For one packed weight
+vector it gives every step's (S, d) multipliers (``step_arrays``), composes
+them into the triple (``compose``), and differentiates the composition in
+reverse mode: the forward sweep keeps each step's state, and one backward
+sweep over the suffix products of G turns the loss cotangents dL/d conj(D)
+into dL/dtheta in O(S d).  The theta-derivatives follow from the step form:
+a unit of w e moves (G, Q, M) by (-dG, dQ, -dM), DPS has w e = 2 zeta, and
+PiGDM has d(w e)/dg = e and d(w e)/dr = -2 g r |h|^2 e^2.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "StepTable",
     "prior_optimal_denoise",
     "posterior_optimal_denoise",
-    "step_multipliers",
     "batch_triples",
     "output_distribution",
     "transfer_triple",
@@ -207,83 +206,76 @@ class StepTable:
         self.G0, self.M0 = a + b * c, b * dd
         self.dG, self.dQ, self.dM = c**2 * self.habs2, c * hbar, c * self.habs2 * dd
 
-    def _thetas(self, thetas) -> np.ndarray:
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        if thetas.shape[1] != self.width:
-            raise ValueError("weight vector length must match the schedule")
-        return thetas
+    def _gains(self, theta: np.ndarray):
+        """Per-step gain w, (S, 1), and likelihood weight e, (S, d) or None.
 
-    def _gains(self, thetas: np.ndarray):
-        """Per-step gain w, (B, S, 1), and likelihood weight e, (B, S, d) or None.
-
-        Step j of the sampling order is s = S - j, whose weights sit in column
-        S - 1 - j (and, for PiGDM's r, S columns further on).
+        Step j of the sampling order is s = S - j, whose weights sit in entry
+        S - 1 - j (and, for PiGDM's r, S entries further on).
         """
         S = self.S
         if self.kind == DPS:
-            return 2.0 * thetas[:, ::-1, None], None
-        w, r = thetas[:, :S][:, ::-1, None], thetas[:, S:][:, ::-1, None]
+            return 2.0 * theta[::-1, None], None
+        w, r = theta[:S][::-1, None], theta[S:][::-1, None]
         # r^2 |h|^2 + sigma^2 can only vanish without measurement noise.
         if self.sig2 == 0 and np.any(r**2 * self.habs2 == 0):
             raise ValueError("zero likelihood-covariance bin")
         return w, 1.0 / (r**2 * self.habs2 + self.sig2)
 
-    def _gain_gradient(self, thetas: np.ndarray, U: np.ndarray) -> np.ndarray:
-        """dL/dtheta, (P,), of one weight vector from U = dL/d(w e), (S, d)."""
-        w, e = self._gains(thetas)
+    def _gain_gradient(self, theta: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """dL/dtheta, (P,), from U = dL/d(w e), (S, d)."""
         if self.kind == DPS:
             return (2.0 * U.sum(axis=1))[::-1]
-        w, e = w[0], e[0]
-        r = thetas[0, self.S :][::-1, None]
+        w, e = self._gains(theta)
+        r = theta[self.S :][::-1, None]
         dg = np.sum(e * U, axis=1)
         # de/dr = -2 r |h|^2 e^2
         dr = np.sum(-2.0 * w * r * self.habs2 * e**2 * U, axis=1)
         return np.concatenate([dg[::-1], dr[::-1]])
 
-    def _step_arrays(self, thetas: np.ndarray):
-        """Every step's (G, Q, M): (B, S, d) arrays, or the ideal sampler's (S, d).
+    def step_arrays(self, theta):
+        """Every step's (G, Q, M), each (S, d), in sampling order s = S..1.
 
-        A guided step is G0 - (w dG) e, (w dQ) e, M0 - (w dM) e; DPS has no e.
+        ``theta`` is one packed weight vector: zeta for DPS (S entries),
+        [g, r] for PiGDM (2S), none for the ideal sampler.  A guided step is
+        G0 - (w dG) e, (w dQ) e, M0 - (w dM) e; DPS has no e.
         """
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.width,):
+            raise ValueError(
+                f"weight vector shape {theta.shape} must match the schedule's ({self.width},)"
+            )
         if self.kind == IDEAL:
             return self.G, self.Q, self.M
-        w, e = self._gains(thetas)
+        w, e = self._gains(theta)
         wdG, wdQ, wdM = w * self.dG, w * self.dQ, w * self.dM
         if e is not None:
             wdG, wdQ, wdM = wdG * e, wdQ * e, wdM * e
         return self.G0 - wdG, wdQ, self.M0 - wdM
 
-    def multipliers(self, thetas):
-        """Yield each step's (G, Q, M), in sampling order, for a (B, P) batch."""
-        G, Q, M = self._step_arrays(self._thetas(thetas))
-        for j in range(self.S):
-            yield G[..., j, :], Q[..., j, :], M[..., j, :]
-
-    def _forward(self, thetas: np.ndarray, G, Q, M, states: list | None = None):
-        p = np.ones((len(thetas), self.dim), dtype=complex)
+    def _forward(self, G, Q, M, states: list | None = None):
+        p = np.ones(self.dim, dtype=complex)
         q = np.zeros_like(p)
         m = np.zeros_like(p)
         for j in range(self.S):
             if states is not None:
                 states.append((p, q, m))
-            Gj = G[..., j, :]
+            Gj = G[j]
             p = Gj * p
-            q = Gj * q + Q[..., j, :]
-            m = Gj * m + M[..., j, :]
+            q = Gj * q + Q[j]
+            m = Gj * m + M[j]
         return p, q, m
 
-    def compose(self, thetas):
-        """Composed (D1, D2, D3), each (B, d), for a (B, P) batch of weight vectors.
+    def compose(self, theta):
+        """Composed (D1, D2, D3), each (d,), of one packed weight vector.
 
         The running state follows (p, q, m) <- (G p, G q + Q, G m + M) from
         (1, 0, 0) over the steps in sampling order, which reproduces the
         product-sum closed form because the per-bin factors commute.
         """
-        thetas = self._thetas(thetas)
-        return self._forward(thetas, *self._step_arrays(thetas))
+        return self._forward(*self.step_arrays(theta))
 
     def compose_with_pullback(self, theta):
-        """(D1, D2, D3) of one weight vector, each (1, d), and its reverse sweep.
+        """(D1, D2, D3) of one packed weight vector, each (d,), and its reverse sweep.
 
         The reverse sweep maps the cotangents c_k = dL/d conj(D_k) of a real
         loss L to dL/dtheta.  D_k depends on step j's multipliers only through
@@ -293,50 +285,36 @@ class StepTable:
         """
         if self.kind == IDEAL:
             raise ValueError("the ideal sampler has no weights to differentiate")
-        thetas = self._thetas(theta)
-        if len(thetas) != 1:
-            raise ValueError("compose_with_pullback takes one weight vector")
-        G, Q, M = self._step_arrays(thetas)
+        theta = np.asarray(theta, dtype=float)
+        G, Q, M = self.step_arrays(theta)
         states = []
-        triple = self._forward(thetas, G, Q, M, states)
+        triple = self._forward(G, Q, M, states)
 
         def pullback(c1, c2, c3) -> np.ndarray:
-            p, q, m = (np.concatenate(arrays) for arrays in zip(*states))
-            suffix = np.ones_like(G[0])
-            suffix[:-1] = np.cumprod(G[0, :0:-1], axis=0)[::-1]
+            p, q, m = (np.array(arrays) for arrays in zip(*states))
+            suffix = np.ones_like(G)
+            suffix[:-1] = np.cumprod(G[:0:-1], axis=0)[::-1]
             a1, a2, a3 = (suffix * np.conj(c) for c in (c1, c2, c3))
             # A unit of w e moves step j's multipliers by (-dG, dQ, -dM).
             U = 2.0 * np.real(a2 * self.dQ - (a1 * p + a2 * q + a3 * m) * self.dG - a3 * self.dM)
-            return self._gain_gradient(thetas, U)
+            return self._gain_gradient(theta, U)
 
         return triple, pullback
 
 
-def step_multipliers(
-    kind: str,
-    thetas: np.ndarray,
-    prior: SpectralPrior,
-    spec: DegradationSpec,
-    sched: Schedule,
-):
-    """Yield each step's (G, Q, M), in sampling order s = S..1.
-
-    ``thetas`` is a (B, P) batch of packed weight vectors: zeta for DPS
-    (P = S), [g, r] for PiGDM (P = 2S), no columns for the ideal sampler.
-    The multipliers broadcast against (B, d).
-    """
-    return StepTable(kind, prior, spec, sched).multipliers(thetas)
-
-
 def batch_triples(
     kind: str,
-    thetas: np.ndarray,
+    theta: np.ndarray,
     prior: SpectralPrior,
     spec: DegradationSpec,
     sched: Schedule,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Composed (D1, D2, D3), each (B, d), for a (B, P) batch of weight vectors."""
-    return StepTable(kind, prior, spec, sched).compose(thetas)
+    """Composed (D1, D2, D3), each (d,), of one packed weight vector.
+
+    It takes one vector, not a batch; the name stays until the benchmark
+    hooks that wrap it move in a declared benchmark change.
+    """
+    return StepTable(kind, prior, spec, sched).compose(theta)
 
 
 def transfer_triple(
@@ -346,16 +324,14 @@ def transfer_triple(
     sched: Schedule,
 ) -> TransferTriple:
     """Composed triple of a weighted sampler."""
-    D1, D2, D3 = batch_triples(weights.kind, weights.theta, prior, spec, sched)
-    return TransferTriple(D1[0], D2[0], D3[0])
+    return TransferTriple(*batch_triples(weights.kind, weights.theta, prior, spec, sched))
 
 
 def ideal_triple(
     prior: SpectralPrior, spec: DegradationSpec, sched: Schedule
 ) -> TransferTriple:
     """Composed triple of the MAP-denoiser sampler."""
-    D1, D2, D3 = batch_triples(IDEAL, np.empty((1, 0)), prior, spec, sched)
-    return TransferTriple(D1[0], D2[0], D3[0])
+    return TransferTriple(*batch_triples(IDEAL, np.empty(0), prior, spec, sched))
 
 
 def pigdm_heuristic_weights(sched: Schedule) -> WeightSchedule:

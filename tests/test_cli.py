@@ -204,7 +204,7 @@ class TestCliCommands:
             sim = SimConfig(
                 prior=rt.prior,
                 spec=rt.spec,
-                schedule=rt.schedule(5),
+                schedule=rt.schedules[5],
                 guidance=Guidance.dps_heuristic(zp, cap=3.0),
                 n_runs=16,
                 seed=int(np.random.SeedSequence([7, 202, 5 * 10 + zi]).generate_state(1)[0]),
@@ -248,6 +248,41 @@ class TestCliCommands:
             assert result.exit_code == 2, (command, result.output)
             assert "degradation.V" in result.output and "(3, 9)" in result.output
         assert not (tmp_path / "nh").exists()
+
+    @pytest.mark.parametrize(
+        "command, old, new, args, key",
+        [
+            pytest.param("optimize", "", "", ["--seed", "-1"], "experiment.seed", id="seed"),
+            pytest.param("optimize", "S = 5", "S = 80", [], "schedule.S", id="S"),
+            pytest.param("optimize", "T = 50", "T = 0", [], "schedule.T", id="T"),
+            pytest.param(
+                "optimize", "max_iters = 60", "max_iters = 0", [], "sampler.max_iters", id="max_iters"
+            ),
+            pytest.param(
+                "optimize", "max_iters = 60", "max_iters = 60\nbounds = 1, -1", [], "sampler.bounds",
+                id="bounds",
+            ),
+            pytest.param("simulate", "n_runs = 16", "n_runs = 1", [], "run.n_runs", id="n_runs"),
+            pytest.param(
+                "simulate", "n_realizations = 2", "n_realizations = 0", [], "run.n_realizations",
+                id="n_realizations-simulate",
+            ),
+            pytest.param(
+                "sweep-wasserstein", "n_realizations = 2", "n_realizations = 0", [],
+                "run.n_realizations", id="n_realizations-sweep",
+            ),
+        ],
+    )
+    def test_out_of_range_value_exits_2_naming_key(self, tmp_path, runner, command, old, new, args, key):
+        # These values used to fail as numerical failures (exit 3), crash, or
+        # (n_realizations = 0 in the sweep) exit 0 with an empty table.
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace("T = 200", "T = 50")
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(text.replace(old, new) if old else text)
+        result = runner.invoke(main, [command, "--config", str(cfg), *args])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {key}" in result.output
+        assert not list((tmp_path / "out").glob("*.csv"))
 
     def test_nonpositive_zeta_prime_exits_3(self, tmp_path, runner):
         text = BASE_CONFIG.format(out=tmp_path / "zp").replace(

@@ -176,12 +176,9 @@ class TestAveragedLoss:
         post_var = true_posterior(
             ctx.prior, ctx.spec, ctx.observations[0]
         ).var
-        from specdiff import triples_loss
-
         D1 = np.sqrt(post_var).astype(complex)
         D3 = 1.0 - A * ctx.spec.lambda_h
-        loss = triples_loss(D1[None], A[None], D3[None], ctx.prior, ctx.spec, None)
-        assert loss[0] < 1e-20
+        assert triples_loss(D1, A, D3, ctx.prior, ctx.spec, None) < 1e-20
 
     def test_analytic_matches_monte_carlo_average(self):
         rng = np.random.default_rng(8)
@@ -261,35 +258,9 @@ class TestAveragedLoss:
 
 
 class TestBatchLoss:
-    def test_batch_path_matches_public_losses(self):
-        rng = np.random.default_rng(13)
-        for kind in ("dps", "pigdm"):
-            for ctx_kind in ("single", "analytic", "empirical"):
-                ctx = _random_ctx(rng, kind=kind, K=3)
-                if ctx_kind == "single":
-                    ctx = LossContext(
-                        ctx.prior, ctx.spec, ctx.schedule, kind, ctx.observations[:1]
-                    )
-                elif ctx_kind == "analytic":
-                    ctx = LossContext(ctx.prior, ctx.spec, ctx.schedule, kind, None)
-                S = ctx.schedule.S
-                thetas = (
-                    rng.uniform(-1, 1, (4, S))
-                    if kind == "dps"
-                    else np.hstack([rng.uniform(-1, 1, (4, S)), rng.uniform(0, 1, (4, S))])
-                )
-                batched = batch_loss(kind, thetas, ctx)
-                for i in range(4):
-                    if kind == "dps":
-                        w = WeightSchedule.dps(thetas[i])
-                    else:
-                        w = WeightSchedule.pigdm(thetas[i, :S], thetas[i, S:])
-                    ref = weights_loss(w, ctx)
-                    assert np.isclose(batched[i], ref, rtol=1e-12, atol=1e-12)
-
     def test_pigdm_zero_covariance_bin_rejected(self):
         # Without measurement noise, r = 0 makes r^2 |h|^2 + sigma^2 vanish;
-        # the batched path must reject that like the single-schedule losses.
+        # the packed-vector path must reject that like the weight-schedule loss.
         rng = np.random.default_rng(14)
         mu_f, lam = random_prior_arrays(8, rng, lam_floor=0.05)
         prior = SpectralPrior(dim=8, mu_f=mu_f, lambda0=lam)
@@ -297,13 +268,13 @@ class TestBatchLoss:
         sched = ddim_subsequence(linear_ddpm_schedule(200), 6)
         obs = degrade(sample_prior(prior, rng), spec, rng)
         ctx = LossContext(prior, spec, sched, "pigdm", (obs,))
-        zero_r = np.concatenate([np.ones(6), np.zeros(6)])[None, :]
+        zero_r = np.concatenate([np.ones(6), np.zeros(6)])
         with pytest.raises(ValueError, match="zero likelihood-covariance"):
             batch_loss("pigdm", zero_r, ctx)
         with pytest.raises(ValueError, match="zero likelihood-covariance"):
             weights_loss(WeightSchedule.pigdm(np.ones(6), np.zeros(6)), ctx)
-        some_r = np.concatenate([np.ones(6), np.full(6, 0.1)])[None, :]
-        assert np.all(np.isfinite(batch_loss("pigdm", some_r, ctx)))
+        some_r = np.concatenate([np.ones(6), np.full(6, 0.1)])
+        assert np.isfinite(batch_loss("pigdm", some_r, ctx))
 
 
 class TestLossCotangents:
@@ -313,18 +284,19 @@ class TestLossCotangents:
         rng = np.random.default_rng(15)
         base = _random_ctx(rng, d=6, K=3)
         h = 1e-6
-        for ys in (None, np.stack([o.y_f for o in base.observations])):
-            D = [rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6)) for _ in range(3)]
+        # Two random triples per mode, each (d,).
+        for ys in (None, np.stack([o.y_f for o in base.observations])) * 2:
+            D = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(3)]
             cot = triples_loss_cotangents(*D, base.prior, base.spec, ys)
             for k in range(3):
                 for unit in (1.0, 1j):
-                    fd = np.empty((2, 6))
+                    fd = np.empty(6)
                     for b in range(6):
                         up = [X.copy() for X in D]
                         dn = [X.copy() for X in D]
-                        up[k][:, b] += h * unit
-                        dn[k][:, b] -= h * unit
-                        fd[:, b] = (
+                        up[k][b] += h * unit
+                        dn[k][b] -= h * unit
+                        fd[b] = (
                             triples_loss(*up, base.prior, base.spec, ys)
                             - triples_loss(*dn, base.prior, base.spec, ys)
                         ) / (2 * h)
@@ -334,6 +306,6 @@ class TestLossCotangents:
     def test_zero_d1_bin_has_zero_variance_cotangent(self):
         rng = np.random.default_rng(16)
         ctx = _random_ctx(rng, d=4)
-        D = [np.zeros((1, 4), complex), np.ones((1, 4), complex), np.ones((1, 4), complex)]
+        D = [np.zeros(4, complex), np.ones(4, complex), np.ones(4, complex)]
         c1, _, _ = triples_loss_cotangents(*D, ctx.prior, ctx.spec, None)
         np.testing.assert_array_equal(c1, 0.0)

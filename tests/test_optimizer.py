@@ -113,7 +113,7 @@ class TestFiniteDiffGradient:
             ctx = optimizer._reduced_context(ctx, keep)
         theta = _theta(rng, kind, ctx.schedule.S)
         f, g = _adjoint(ctx, theta)
-        assert f == batch_loss(kind, theta[None], ctx)[0]
+        assert f == batch_loss(kind, theta, ctx)
         public = _public_loss(kind, ctx)
         np.testing.assert_allclose(g, five_point_gradient(public, theta, 1e-4), rtol=1e-4, atol=1e-9)
         np.testing.assert_allclose(g, central_gradient(public, theta, 1e-6), rtol=1e-4, atol=1e-8)
@@ -146,7 +146,7 @@ class TestFiniteDiffGradient:
             ctx = replace(ctx, observations=None)
         theta = _theta(rng, kind, S)
         f, g = _adjoint(ctx, theta)
-        assert f == batch_loss(kind, theta[None], ctx)[0]
+        assert f == batch_loss(kind, theta, ctx)
         public = central_gradient(_public_loss(kind, ctx), theta, 1e-6)
         np.testing.assert_allclose(g, public, rtol=1e-4, atol=1e-8 * max(1.0, f))
 

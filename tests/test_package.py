@@ -44,6 +44,31 @@ guidance = heuristic
 """
 
 
+LADDER_CONFIG = """\
+[experiment]
+out = {out}
+
+[prior]
+d = 8
+l = 0.1
+
+[degradation]
+V = 0.4
+sigma_y = 0.1
+
+[schedule]
+T = 50
+S = 6
+
+[sampler]
+kind = dps
+weight_source = optimize-averaged
+ladder = 3 6
+keep_dims = 5
+max_iters = 20
+"""
+
+
 def _package_imports() -> dict[str, set[str]]:
     """{submodule: names} for every ``from .submodule import ...`` in __init__."""
     out: dict[str, set[str]] = {}
@@ -117,3 +142,46 @@ class TestBenchmarkHooks:
         metrics = hooks.layer_metrics(tracer, 1, 0.0)
         assert metrics["simulator.heuristic.ns_per_traj_step"] > 0
         assert metrics["serialize.writes"] > 0
+
+    def test_traced_optimize_records_loss_path_spans(self, tmp_path):
+        # A truncated (keep_dims < d) ladder solve scores its weights through
+        # the hooked optimizer.batch_loss -> objective.batch_triples path, one
+        # weight vector per call.
+        hooks = _load_hooks()
+        cfg = tmp_path / "ladder.cfg"
+        cfg.write_text(LADDER_CONFIG.format(out=tmp_path / "out"))
+        tracer = hooks.Tracer()
+        with hooks.installed(tracer.replacements()):
+            result = CliRunner().invoke(main, ["optimize", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        calls, _ = tracer.totals()
+        assert calls["optimizer.solve"] == 3  # one start on rung 1, two on rung 2
+        assert calls["objective.loss"] == 3
+        assert calls["objective.compose"] == 3
+        assert tracer.failed_solves == 0
+        metrics = hooks.layer_metrics(tracer, 1, 0.0)
+        assert metrics["objective.loss_rows"] == metrics["objective.loss_calls"] == 3
+        # S x d per call: rung 1 (S = 3) once, rung 2 (S = 6) twice.
+        assert metrics["objective.compose_bin_steps"] == (3 + 6 + 6) * 8
+
+
+class TestImports:
+    def test_no_module_imports_a_name_it_never_uses(self):
+        # A stand-in for a linter's unused-import check (F401).  A name kept
+        # for another tool's sake carries "# noqa: F401" on its import.
+        for path in sorted(INIT.parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            source = path.read_text()
+            lines = source.splitlines()
+            tree = ast.parse(source)
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+            for node in imports:
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    assert name in used, f"{path.name}:{node.lineno} imports {name} and never uses it"

@@ -10,6 +10,7 @@ from specdiff import (
     Schedule,
     SimConfig,
     SpectralPrior,
+    StepTable,
     TransferTriple,
     WeightSchedule,
     batch_triples,
@@ -25,7 +26,6 @@ from specdiff import (
     sample_prior,
     simulate_one,
     step_coeffs,
-    step_multipliers,
     transfer_triple,
     true_posterior,
     w2_diag,
@@ -54,10 +54,7 @@ def _random_setup(rng, d=8, sigma=None, lam_floor=0.0):
 
 def all_steps(kind, theta, prior, spec, sched):
     """Every step's (G, Q, M) for one packed weight vector, each (d,), s = S..1."""
-    return [
-        tuple(np.broadcast_to(X, (1, prior.dim))[0] for X in step)
-        for step in step_multipliers(kind, np.atleast_2d(theta), prior, spec, sched)
-    ]
+    return list(zip(*StepTable(kind, prior, spec, sched).step_arrays(theta)))
 
 
 def one_step(kind, theta, prior, spec, sched, s):
@@ -341,7 +338,7 @@ class TestCompose:
         prior = make_synthetic_prior(8, 0.2)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
         with pytest.raises(ValueError, match="must match the schedule"):
-            batch_triples("dps", np.empty((1, 0)), prior, make_lpf(8, 0.375, 0.1), sched)
+            batch_triples("dps", np.empty(0), prior, make_lpf(8, 0.375, 0.1), sched)
 
     def test_recursion_equals_closed_form_all_samplers(self):
         rng = np.random.default_rng(17)
@@ -381,17 +378,28 @@ class TestCompose:
             np.testing.assert_allclose(a, b, atol=1e-14)
         assert np.max(np.abs(dps0.D2)) == 0.0
 
-    def test_batch_rows_equal_single_compositions(self):
+    def test_batch_axis_rejected(self):
+        # Each call takes one packed weight vector; a (1, P) row is rejected,
+        # not broadcast into (1, d) triples.
         rng = np.random.default_rng(22)
         prior, spec, _ = _random_setup(rng)
         sched = ddim_subsequence(linear_ddpm_schedule(200), 7)
-        thetas = np.concatenate([rng.uniform(-1, 1, (5, 7)), rng.uniform(0, 1, (5, 7))], axis=1)
-        D1, D2, D3 = batch_triples("pigdm", thetas, prior, spec, sched)
-        for i, theta in enumerate(thetas):
-            triple = transfer_triple(WeightSchedule.pigdm(theta[:7], theta[7:]), prior, spec, sched)
-            np.testing.assert_array_equal(D1[i], triple.D1)
-            np.testing.assert_array_equal(D2[i], triple.D2)
-            np.testing.assert_array_equal(D3[i], triple.D3)
+        with pytest.raises(ValueError, match="must match the schedule"):
+            batch_triples("ideal", np.empty((1, 0)), prior, spec, sched)
+        for kind, width in (("dps", 7), ("pigdm", 14)):
+            table = StepTable(kind, prior, spec, sched)
+            row = rng.uniform(0, 1, (1, width))
+            calls = (
+                table.step_arrays,
+                table.compose,
+                table.compose_with_pullback,
+                lambda theta: batch_triples(kind, theta, prior, spec, sched),
+            )
+            for call in calls:
+                with pytest.raises(ValueError, match="must match the schedule"):
+                    call(row)
+            for D in table.compose(row[0]):
+                assert D.shape == (prior.dim,)
 
 
 class TestOutputDistribution:
