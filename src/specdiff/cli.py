@@ -78,6 +78,8 @@ class _Runtime:
 
     def __init__(self, cfg: ExperimentConfig, seed: int | None, out: str | None):
         self.cfg = cfg
+        if cfg.n_runs < 1:
+            raise ConfigError("run.n_runs: must be positive")
         self.seed = cfg.seed if seed is None else seed
         _config_value("experiment.seed", np.random.SeedSequence, self.seed)
         self.out = Path(out if out is not None else cfg.out)

@@ -17,6 +17,7 @@ the exact gradient over the weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,12 @@ class LossContext:
             if len(obs) < 1:
                 raise ValueError("need at least one observation")
             object.__setattr__(self, "observations", obs)
+
+    @cached_property
+    def _fixed(self):
+        """``_posterior_bins`` and the (K, d) stacked measurements or None, made once."""
+        ys = None if self.observations is None else np.stack([o.y_f for o in self.observations])
+        return _posterior_bins(self.prior, self.spec), ys
 
 
 def w2_diag(p: DiagGaussian, q: DiagGaussian) -> float:
@@ -116,6 +123,7 @@ def triples_loss(
     prior: SpectralPrior,
     spec: DegradationSpec,
     ys: np.ndarray | None,
+    bins=None,
 ) -> float:
     """Squared W2 to the true posterior of one (d,) sampler triple.
 
@@ -123,9 +131,9 @@ def triples_loss(
     closed-form average over the measurement law instead, the K -> infinity
     limit: the mean term then splits into the measurement covariance picked
     up by M = D2 - A (the per-bin power d * (lambda |h|^2 + sigma^2)) plus the
-    deterministic offset.
+    deterministic offset.  ``bins`` passes in ``_posterior_bins(prior, spec)``.
     """
-    A, std, power = _posterior_bins(prior, spec)
+    A, std, power = bins or _posterior_bins(prior, spec)
     var_term = np.sum((std - np.abs(D1)) ** 2)
     M, resid = _mean_residual(D2, D3, A, prior, spec, ys)
     if ys is None:
@@ -141,6 +149,7 @@ def triples_loss_cotangents(
     prior: SpectralPrior,
     spec: DegradationSpec,
     ys: np.ndarray | None,
+    bins=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cotangents dL/d conj(D_k), each (d,), of ``triples_loss`` L.
 
@@ -149,7 +158,7 @@ def triples_loss_cotangents(
     them into the gradient over the weights.  Where |D1| = 0 the variance
     term is not differentiable and its cotangent is taken as 0.
     """
-    A, std, power = _posterior_bins(prior, spec)
+    A, std, power = bins or _posterior_bins(prior, spec)
     absD1 = np.abs(D1)
     unit = np.divide(D1, absD1, out=np.zeros_like(D1), where=absD1 > 0)
     c1 = (absD1 - std) * unit
@@ -161,10 +170,6 @@ def triples_loss_cotangents(
     return c1, c2, np.mean(resid, axis=0) * np.conj(prior.mu_f)
 
 
-def _measurements(ctx: LossContext) -> np.ndarray | None:
-    return None if ctx.observations is None else np.stack([o.y_f for o in ctx.observations])
-
-
 def batch_loss(kind: str, theta: np.ndarray, ctx: LossContext) -> float:
     """The context's loss of one packed weight vector.
 
@@ -172,7 +177,8 @@ def batch_loss(kind: str, theta: np.ndarray, ctx: LossContext) -> float:
     hooks that wrap it move in a declared benchmark change.
     """
     D1, D2, D3 = batch_triples(kind, theta, ctx.prior, ctx.spec, ctx.schedule)
-    return triples_loss(D1, D2, D3, ctx.prior, ctx.spec, _measurements(ctx))
+    bins, ys = ctx._fixed
+    return triples_loss(D1, D2, D3, ctx.prior, ctx.spec, ys, bins)
 
 
 def loss_and_gradient(
@@ -185,9 +191,10 @@ def loss_and_gradient(
     bit), and one reverse sweep over its cotangents gives the gradient.
     """
     (D1, D2, D3), pullback = table.compose_with_pullback(theta)
-    ys = _measurements(ctx)
-    loss = triples_loss(D1, D2, D3, ctx.prior, ctx.spec, ys)
-    return loss, pullback(*triples_loss_cotangents(D1, D2, D3, ctx.prior, ctx.spec, ys))
+    bins, ys = ctx._fixed
+    args = (ctx.prior, ctx.spec, ys, bins)
+    loss = triples_loss(D1, D2, D3, *args)
+    return loss, pullback(*triples_loss_cotangents(D1, D2, D3, *args))
 
 
 def weights_loss(weights: WeightSchedule, ctx: LossContext) -> float:

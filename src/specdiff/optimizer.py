@@ -10,6 +10,7 @@ on the bins with the largest prior eigenvalues only.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,13 +61,31 @@ class OptimizeOptions:
             raise ValueError("max_iters must be positive")
         if self.f_tol <= 0:
             raise ValueError("f_tol must be positive")
+        if any(rung < 1 for rung in self.ladder or ()):
+            raise ValueError("ladder rungs must be positive")
+        if self.keep_dims is not None and self.keep_dims < 1:
+            raise ValueError("keep_dims must be positive")
 
 
 @dataclass(frozen=True)
 class WeightSolution:
+    """A solve's weights and loss, and how its L-BFGS-B run went.
+
+    ``success`` and ``message`` are L-BFGS-B's exit status, ``nfev`` and
+    ``njev`` its loss and gradient evaluations, ``wall_s`` the seconds the
+    whole solve took and ``grad_norm`` the 2-norm of the gradient at the
+    point where L-BFGS-B stopped (over the kept bins of a truncated solve).
+    """
+
     weights: WeightSchedule
     final_loss: float
     iterations: int
+    success: bool
+    message: str
+    nfev: int
+    njev: int
+    wall_s: float
+    grad_norm: float
 
 
 def default_init(ctx: LossContext) -> WeightSchedule:
@@ -147,6 +166,7 @@ def optimize_weights(
     kept bins only, but final_loss is the loss of the returned weights on
     all bins, so truncated and full solves report on the same basis.
     """
+    start = time.perf_counter()
     opts = opts or OptimizeOptions()
     if init.kind != ctx.sampler_kind:
         raise ValueError("initial weights do not match the context's sampler kind")
@@ -194,6 +214,12 @@ def optimize_weights(
         weights=_unpack(kind, theta_best, S),
         final_loss=f_best,
         iterations=int(result.nit),
+        success=bool(result.success),
+        message=str(result.message),
+        nfev=int(result.nfev),
+        njev=int(result.njev),
+        wall_s=time.perf_counter() - start,
+        grad_norm=float(np.linalg.norm(result.jac)),
     )
 
 

@@ -23,11 +23,13 @@ A ``StepTable`` holds those per-step arrays for one (sampler, prior,
 degradation, schedule), so a solve builds them once.  For one packed weight
 vector it gives every step's (S, d) multipliers (``step_arrays``), composes
 them into the triple (``compose``), and differentiates the composition in
-reverse mode: the forward sweep keeps each step's state, and one backward
-sweep over the suffix products of G turns the loss cotangents dL/d conj(D)
-into dL/dtheta in O(S d).  The theta-derivatives follow from the step form:
-a unit of w e moves (G, Q, M) by (-dG, dQ, -dM), DPS has w e = 2 zeta, and
-PiGDM has d(w e)/dg = e and d(w e)/dr = -2 g r |h|^2 e^2.
+reverse mode.  The forward sweep writes every running state (p, q, m) into
+one preallocated (S+1, 3, d) buffer, two in-place operations per step, and
+the triple is its last row; one backward sweep over the suffix products of
+G then reads the states from the buffer and turns the loss cotangents
+dL/d conj(D) into dL/dtheta in O(S d).  The theta-derivatives follow from
+the step form: a unit of w e moves (G, Q, M) by (-dG, dQ, -dM), DPS has
+w e = 2 zeta, and PiGDM has d(w e)/dg = e and d(w e)/dr = -2 g r |h|^2 e^2.
 """
 
 from __future__ import annotations
@@ -176,7 +178,8 @@ class StepTable:
     vector is then evaluated against it, so a solve builds one table.  The
     arrays are (S, d), in sampling order s = S..1: the ideal sampler keeps its
     multipliers (G, Q, M), the guided samplers the unguided step (G0, M0) and
-    the guidance directions (dG, dQ, dM).
+    the guidance directions (dG, dQ, dM).  Each composition sweeps one weight
+    vector's steps through a fresh (S+1, 3, d) state buffer (``_sweep``).
     """
 
     def __init__(self, kind: str, prior: SpectralPrior, spec: DegradationSpec, sched: Schedule):
@@ -206,31 +209,29 @@ class StepTable:
         self.G0, self.M0 = a + b * c, b * dd
         self.dG, self.dQ, self.dM = c**2 * self.habs2, c * hbar, c * self.habs2 * dd
 
-    def _gains(self, theta: np.ndarray):
-        """Per-step gain w, (S, 1), and likelihood weight e, (S, d) or None.
+    def _steps(self, theta):
+        """``step_arrays`` of theta, and its gains w, (S, 1), and e, (S, d) or None.
 
         Step j of the sampling order is s = S - j, whose weights sit in entry
         S - 1 - j (and, for PiGDM's r, S entries further on).
         """
-        S = self.S
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.width,):
+            raise ValueError(
+                f"weight vector shape {theta.shape} must match the schedule's ({self.width},)"
+            )
+        if self.kind == IDEAL:
+            return (self.G, self.Q, self.M), (None, None)
         if self.kind == DPS:
-            return 2.0 * theta[::-1, None], None
-        w, r = theta[:S][::-1, None], theta[S:][::-1, None]
+            w = 2.0 * theta[::-1, None]
+            return (self.G0 - w * self.dG, w * self.dQ, self.M0 - w * self.dM), (w, None)
+        w, r = theta[: self.S][::-1, None], theta[self.S :][::-1, None]
         # r^2 |h|^2 + sigma^2 can only vanish without measurement noise.
         if self.sig2 == 0 and np.any(r**2 * self.habs2 == 0):
             raise ValueError("zero likelihood-covariance bin")
-        return w, 1.0 / (r**2 * self.habs2 + self.sig2)
-
-    def _gain_gradient(self, theta: np.ndarray, U: np.ndarray) -> np.ndarray:
-        """dL/dtheta, (P,), from U = dL/d(w e), (S, d)."""
-        if self.kind == DPS:
-            return (2.0 * U.sum(axis=1))[::-1]
-        w, e = self._gains(theta)
-        r = theta[self.S :][::-1, None]
-        dg = np.sum(e * U, axis=1)
-        # de/dr = -2 r |h|^2 e^2
-        dr = np.sum(-2.0 * w * r * self.habs2 * e**2 * U, axis=1)
-        return np.concatenate([dg[::-1], dr[::-1]])
+        e = 1.0 / (r**2 * self.habs2 + self.sig2)
+        wdG, wdQ, wdM = w * self.dG * e, w * self.dQ * e, w * self.dM * e
+        return (self.G0 - wdG, wdQ, self.M0 - wdM), (w, e)
 
     def step_arrays(self, theta):
         """Every step's (G, Q, M), each (S, d), in sampling order s = S..1.
@@ -239,31 +240,21 @@ class StepTable:
         [g, r] for PiGDM (2S), none for the ideal sampler.  A guided step is
         G0 - (w dG) e, (w dQ) e, M0 - (w dM) e; DPS has no e.
         """
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.width,):
-            raise ValueError(
-                f"weight vector shape {theta.shape} must match the schedule's ({self.width},)"
-            )
-        if self.kind == IDEAL:
-            return self.G, self.Q, self.M
-        w, e = self._gains(theta)
-        wdG, wdQ, wdM = w * self.dG, w * self.dQ, w * self.dM
-        if e is not None:
-            wdG, wdQ, wdM = wdG * e, wdQ * e, wdM * e
-        return self.G0 - wdG, wdQ, self.M0 - wdM
+        return self._steps(theta)[0]
 
-    def _forward(self, G, Q, M, states: list | None = None):
-        p = np.ones(self.dim, dtype=complex)
-        q = np.zeros_like(p)
-        m = np.zeros_like(p)
+    def _sweep(self, G, Q, M) -> np.ndarray:
+        """The (S+1, 3, d) running states: row j is (p, q, m) before step j, row S the triple.
+
+        From (1, 0, 0), each step multiplies a row by G into the next row and
+        adds (Q, M) to that row's last two entries, in place.
+        """
+        x = np.empty((self.S + 1, 3, self.dim), dtype=complex)
+        x[0] = [[1.0], [0.0], [0.0]]
+        sources = np.stack((Q, M), axis=1)
         for j in range(self.S):
-            if states is not None:
-                states.append((p, q, m))
-            Gj = G[j]
-            p = Gj * p
-            q = Gj * q + Q[j]
-            m = Gj * m + M[j]
-        return p, q, m
+            np.multiply(G[j], x[j], out=x[j + 1])
+            x[j + 1, 1:] += sources[j]
+        return x
 
     def compose(self, theta):
         """Composed (D1, D2, D3), each (d,), of one packed weight vector.
@@ -272,34 +263,39 @@ class StepTable:
         (1, 0, 0) over the steps in sampling order, which reproduces the
         product-sum closed form because the per-bin factors commute.
         """
-        return self._forward(*self.step_arrays(theta))
+        return tuple(self._sweep(*self.step_arrays(theta))[-1])
 
     def compose_with_pullback(self, theta):
         """(D1, D2, D3) of one packed weight vector, each (d,), and its reverse sweep.
 
+        The forward sweep keeps every running state in one (S+1, 3, d) buffer.
         The reverse sweep maps the cotangents c_k = dL/d conj(D_k) of a real
         loss L to dL/dtheta.  D_k depends on step j's multipliers only through
-        suffix_j (G_j state_j + source_j), where state_j is the (p, q, m)
-        before step j and suffix_j the product of the later G, so one backward
+        suffix_j (G_j state_j + source_j), where state_j = (p, q, m) is row j
+        of the buffer and suffix_j the product of the later G, so one backward
         cumulative product gives every step's sensitivity at O(S d) cost.
         """
         if self.kind == IDEAL:
             raise ValueError("the ideal sampler has no weights to differentiate")
         theta = np.asarray(theta, dtype=float)
-        G, Q, M = self.step_arrays(theta)
-        states = []
-        triple = self._forward(G, Q, M, states)
+        (G, Q, M), (w, e) = self._steps(theta)
+        x = self._sweep(G, Q, M)
 
         def pullback(c1, c2, c3) -> np.ndarray:
-            p, q, m = (np.array(arrays) for arrays in zip(*states))
+            p, q, m = x[:-1, 0], x[:-1, 1], x[:-1, 2]
             suffix = np.ones_like(G)
             suffix[:-1] = np.cumprod(G[:0:-1], axis=0)[::-1]
             a1, a2, a3 = (suffix * np.conj(c) for c in (c1, c2, c3))
             # A unit of w e moves step j's multipliers by (-dG, dQ, -dM).
             U = 2.0 * np.real(a2 * self.dQ - (a1 * p + a2 * q + a3 * m) * self.dG - a3 * self.dM)
-            return self._gain_gradient(theta, U)
+            # U is dL/d(w e); DPS has w e = 2 zeta, PiGDM de/dr = -2 r |h|^2 e^2.
+            if self.kind == DPS:
+                return (2.0 * U.sum(axis=1))[::-1]
+            dg = np.sum(e * U, axis=1)
+            dr = np.sum(-2.0 * w * theta[self.S :][::-1, None] * self.habs2 * e**2 * U, axis=1)
+            return np.concatenate([dg[::-1], dr[::-1]])
 
-        return triple, pullback
+        return tuple(x[-1]), pullback
 
 
 def batch_triples(

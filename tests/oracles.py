@@ -72,6 +72,23 @@ def log_posterior(x0, mu0, Sigma0_inv, H, sigma_y, y, x_t, alpha_bar):
     )
 
 
+def running_states(G, Q, M):
+    """(S+1, 3, d) states (p, q, m) of the plain composition recurrence.
+
+    Row j holds the state before step j of the (S, d) step arrays, from
+    (1, 0, 0), under (p, q, m) <- (G p, G q + Q, G m + M); row S is the
+    composed triple.
+    """
+    p = np.ones(G.shape[1], dtype=complex)
+    q = np.zeros_like(p)
+    m = np.zeros_like(p)
+    rows = [(p, q, m)]
+    for Gj, Qj, Mj in zip(G, Q, M):
+        p, q, m = Gj * p, Gj * q + Qj, Gj * m + Mj
+        rows.append((p, q, m))
+    return np.array(rows)
+
+
 def central_gradient(f, x, h=1e-5):
     """Plain central-difference gradient."""
     g = np.empty_like(x, dtype=float)

@@ -284,6 +284,45 @@ class TestCliCommands:
         assert f"config error: {key}" in result.output
         assert not list((tmp_path / "out").glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "command, edits, key",
+        [
+            pytest.param(
+                "sweep-wasserstein", {"n_runs = 16": "n_runs = 0"}, "run.n_runs", id="n_runs-sweep"
+            ),
+            pytest.param(
+                "eval-loss",
+                {"n_runs = 16": "n_runs = 0", "optimize-k1": "heuristic"},
+                "run.n_runs",
+                id="n_runs-eval-loss",
+            ),
+            pytest.param(
+                "optimize", {"max_iters = 60": "max_iters = 60\nladder = 0 5"}, "sampler.ladder",
+                id="ladder",
+            ),
+            pytest.param(
+                "optimize",
+                {"max_iters = 60": "max_iters = 60\nkeep_dims = 0"},
+                "sampler.keep_dims",
+                id="keep_dims",
+            ),
+        ],
+    )
+    def test_value_rejected_when_config_loads(self, tmp_path, runner, command, edits, key):
+        # These values used to pass the config checks and fail mid-run as
+        # numerical failures (exit 3): n_runs = 0 in the heuristic profiles, a
+        # ladder rung of 0 in its rung schedule and keep_dims = 0 in the
+        # eigen-truncation.
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace("T = 200", "T = 50")
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(text)
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {key}" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_nonpositive_zeta_prime_exits_3(self, tmp_path, runner):
         text = BASE_CONFIG.format(out=tmp_path / "zp").replace(
             "zeta_prime = 0.1, 0.3", "zeta_prime = 0.1, 0"

@@ -30,7 +30,7 @@ from specdiff import (
     sample_prior,
     weights_loss,
 )
-from specdiff import optimizer, transfer
+from specdiff import objective, optimizer, transfer
 
 from oracles import central_gradient, five_point_gradient, random_prior_arrays
 
@@ -151,6 +151,38 @@ class TestFiniteDiffGradient:
         np.testing.assert_allclose(g, public, rtol=1e-4, atol=1e-8 * max(1.0, f))
 
 
+    @pytest.mark.parametrize("kind", ["dps", "pigdm"])
+    @pytest.mark.parametrize("mode", ["K=1", "K=3", "averaged"])
+    def test_loss_equals_batch_loss_bits_at_reference_size(self, kind, mode):
+        # The context computes its posterior bins and stacked measurements on
+        # its first loss; later calls, and either entry point, reuse them.
+        rng = np.random.default_rng(25)
+        ctx = _paper_ctx(rng, S=200, kind=kind)
+        obs = tuple(degrade(sample_prior(ctx.prior, rng), ctx.spec, rng) for _ in range(3))
+        ctx = replace(ctx, observations={"K=1": obs[:1], "K=3": obs, "averaged": None}[mode])
+        table = StepTable(kind, ctx.prior, ctx.spec, ctx.schedule)
+        for _ in range(3):
+            theta = _theta(rng, kind, ctx.schedule.S)
+            f, _ = loss_and_gradient(table, theta, ctx)
+            assert f == batch_loss(kind, theta, ctx)
+            assert f == batch_loss(kind, theta, replace(ctx))
+
+    def test_posterior_bins_computed_once_per_solve(self):
+        rng = np.random.default_rng(26)
+        ctx = _small_ctx(rng, d=10, S=6, K=2)
+        posterior_bins, calls = objective._posterior_bins, []
+
+        def counted(*args):
+            calls.append(1)
+            return posterior_bins(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(objective, "_posterior_bins", counted)
+            sol = optimize_weights(ctx, default_init(ctx))
+        assert sol.nfev > 1
+        assert len(calls) == 1
+
+
 class TestOptimizeWeights:
     def test_descends_and_respects_bounds(self):
         rng = np.random.default_rng(2)
@@ -222,6 +254,43 @@ class TestOptimizeWeights:
             mp.setattr(optimizer, "loss_and_gradient", poisoned)
             with pytest.raises(ValueError, match="non-finite loss or gradient"):
                 optimize_weights(ctx, default_init(ctx))
+
+    def test_solution_carries_solver_telemetry(self):
+        rng = np.random.default_rng(27)
+        ctx = _small_ctx(rng, d=12, S=6)
+        evaluate, calls = optimizer.loss_and_gradient, []
+
+        def counted(*args):
+            calls.append(1)
+            return evaluate(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "loss_and_gradient", counted)
+            sol = optimize_weights(ctx, default_init(ctx))
+        assert sol.success is True
+        assert sol.message.startswith("CONVERGENCE")
+        assert sol.nfev == sol.njev == len(calls) - 1
+        assert sol.iterations <= sol.nfev
+        assert 0.0 < sol.wall_s < 60.0
+        # The exit gradient is the one L-BFGS-B took at the returned point.
+        _, g = _adjoint(ctx, sol.weights.zeta)
+        assert sol.grad_norm == np.linalg.norm(g)
+
+    def test_diverging_pigdm_default_start_fails_as_before(self):
+        # The published PiGDM weighting diverges at S = 200 on the reference
+        # model (loss about 1e37, gradient about 1e51).  The solve is reported
+        # as failed, ABNORMAL, and returns a point no worse than the start.
+        rng = np.random.default_rng(0)
+        ctx = _paper_ctx(rng, S=200, kind="pigdm")
+        init = default_init(ctx)
+        f0 = weights_loss(init, ctx)
+        assert f0 > 1e30
+        sol = optimize_weights(ctx, init)
+        assert sol.success is False
+        assert sol.message.startswith("ABNORMAL")
+        assert sol.final_loss <= f0
+        assert sol.final_loss == weights_loss(sol.weights, ctx)
+        assert np.isfinite(sol.grad_norm)
 
     def test_restarting_at_optimum_is_a_fixed_point(self):
         rng = np.random.default_rng(3)

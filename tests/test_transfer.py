@@ -39,6 +39,7 @@ from oracles import (
     dense_prior_denoiser,
     log_posterior,
     random_prior_arrays,
+    running_states,
 )
 
 
@@ -50,6 +51,11 @@ def _random_setup(rng, d=8, sigma=None, lam_floor=0.0):
     spec = DegradationSpec(dim=d, lambda_h=lam_h, sigma_y=sigma)
     obs = degrade(sample_prior(prior, rng), spec, rng)
     return prior, spec, obs
+
+
+def _reference_model():
+    """Prior and degradation of the reference model: d = 50, l = 0.05, V = 0.5, sigma_y = 0.1."""
+    return make_synthetic_prior(50, 0.05), make_lpf(50, 0.5, 0.1)
 
 
 def all_steps(kind, theta, prior, spec, sched):
@@ -367,6 +373,34 @@ class TestCompose:
             np.testing.assert_allclose(
                 closed, direct, atol=1e-12 * max(1.0, np.max(np.abs(direct)))
             )
+
+    @pytest.mark.parametrize("kind", ["dps", "pigdm", "ideal"])
+    def test_state_buffer_rows_equal_plain_recurrence(self, kind):
+        # Row j of the forward sweep's buffer is the state before step j; every
+        # row carries the plain recurrence's bits, at the reference size too.
+        rng = np.random.default_rng(23)
+        for S, (prior, spec) in (
+            (1, _random_setup(rng)[:2]),
+            (13, _random_setup(rng)[:2]),
+            (200, _reference_model()),
+        ):
+            table = StepTable(kind, prior, spec, ddim_subsequence(linear_ddpm_schedule(1000), S))
+            steps = table.step_arrays(rng.uniform(0, 0.2, table.width))
+            assert table._sweep(*steps).tobytes() == running_states(*steps).tobytes()
+
+    @pytest.mark.parametrize("kind", ["dps", "pigdm"])
+    def test_compose_equals_pullback_triple(self, kind):
+        rng = np.random.default_rng(24)
+        for S, (prior, spec) in (
+            (1, _random_setup(rng)[:2]),
+            (9, _random_setup(rng, d=12)[:2]),
+            (200, _reference_model()),
+        ):
+            table = StepTable(kind, prior, spec, ddim_subsequence(linear_ddpm_schedule(1000), S))
+            theta = rng.uniform(0, 0.2, table.width)
+            triple, _ = table.compose_with_pullback(theta)
+            for composed, swept in zip(table.compose(theta), triple):
+                assert composed.tobytes() == swept.tobytes()
 
     def test_guidance_off_equivalence_across_samplers(self):
         rng = np.random.default_rng(18)
