@@ -6,12 +6,14 @@ frequency bin, in the package's DFT units (means in forward-transform units,
 variances as covariance eigenvalues), so the measurement-power term of the
 analytic average carries the factor d that relates the two.  Each function
 scores one sampler, given as a (d,) triple or as the packed weight vector
-that composes it.  ``triples_loss`` holds the one formula; ``batch_loss``
+that composes it.  ``triples_loss`` gives the one formula; ``batch_loss``
 feeds it a weight vector's triple, and ``weights_loss`` and
 ``triple_realization_loss`` are calls of those.  ``triples_loss_cotangents``
-holds the loss's derivatives dL/d conj(D) for the same two modes, and
+gives the loss's derivatives dL/d conj(D) for the same two modes, and
 ``loss_and_gradient`` chains them through a step table's reverse sweep into
-the exact gradient over the weights.
+the exact gradient over the weights.  Both share the private ``_loss`` and
+``_cotangents``, so a gradient call forms M = D2 - A and the mean residual
+once for both.
 """
 
 from __future__ import annotations
@@ -116,6 +118,27 @@ def _mean_residual(D2, D3, A, prior: SpectralPrior, spec: DegradationSpec, ys):
     return M, M * ys + bcoef * prior.mu_f
 
 
+def _loss(D1, std, power, M, resid, dim: int, ys) -> float:
+    """``triples_loss`` from |D1|'s target ``std``, ``power`` and ``_mean_residual``."""
+    var_term = np.sum((std - np.abs(D1)) ** 2)
+    if ys is None:
+        trace_term = dim * np.sum(np.abs(M) ** 2 * power)
+        return float(var_term + trace_term + np.sum(np.abs(resid) ** 2))
+    return float(var_term + np.mean(np.sum(np.abs(resid) ** 2, axis=1)))
+
+
+def _cotangents(D1, std, power, M, resid, prior: SpectralPrior, spec: DegradationSpec, ys):
+    """``triples_loss_cotangents`` from the same pieces as ``_loss``."""
+    absD1 = np.abs(D1)
+    unit = np.divide(D1, absD1, out=np.zeros_like(D1), where=absD1 > 0)
+    c1 = (absD1 - std) * unit
+    if ys is None:
+        c2 = prior.dim * power * M + resid * np.conj(spec.lambda_h * prior.mu_f)
+        return c1, c2, resid * np.conj(prior.mu_f)
+    c2 = np.mean(resid * np.conj(ys), axis=0)
+    return c1, c2, np.mean(resid, axis=0) * np.conj(prior.mu_f)
+
+
 def triples_loss(
     D1: np.ndarray,
     D2: np.ndarray,
@@ -134,12 +157,8 @@ def triples_loss(
     deterministic offset.  ``bins`` passes in ``_posterior_bins(prior, spec)``.
     """
     A, std, power = bins or _posterior_bins(prior, spec)
-    var_term = np.sum((std - np.abs(D1)) ** 2)
     M, resid = _mean_residual(D2, D3, A, prior, spec, ys)
-    if ys is None:
-        trace_term = prior.dim * np.sum(np.abs(M) ** 2 * power)
-        return float(var_term + trace_term + np.sum(np.abs(resid) ** 2))
-    return float(var_term + np.mean(np.sum(np.abs(resid) ** 2, axis=1)))
+    return _loss(D1, std, power, M, resid, prior.dim, ys)
 
 
 def triples_loss_cotangents(
@@ -159,15 +178,8 @@ def triples_loss_cotangents(
     term is not differentiable and its cotangent is taken as 0.
     """
     A, std, power = bins or _posterior_bins(prior, spec)
-    absD1 = np.abs(D1)
-    unit = np.divide(D1, absD1, out=np.zeros_like(D1), where=absD1 > 0)
-    c1 = (absD1 - std) * unit
     M, resid = _mean_residual(D2, D3, A, prior, spec, ys)
-    if ys is None:
-        c2 = prior.dim * power * M + resid * np.conj(spec.lambda_h * prior.mu_f)
-        return c1, c2, resid * np.conj(prior.mu_f)
-    c2 = np.mean(resid * np.conj(ys), axis=0)
-    return c1, c2, np.mean(resid, axis=0) * np.conj(prior.mu_f)
+    return _cotangents(D1, std, power, M, resid, prior, spec, ys)
 
 
 def batch_loss(kind: str, theta: np.ndarray, ctx: LossContext) -> float:
@@ -187,14 +199,15 @@ def loss_and_gradient(
     """The context's loss of one packed weight vector and its exact gradient.
 
     ``table`` is the context's StepTable.  One forward sweep composes the
-    triple, ``triples_loss`` gives the loss (equal to ``batch_loss`` bit for
-    bit), and one reverse sweep over its cotangents gives the gradient.
+    triple, the loss (equal to ``batch_loss`` bit for bit) and its
+    cotangents share one M = D2 - A and mean residual, and one reverse sweep
+    over the cotangents gives the gradient.
     """
     (D1, D2, D3), pullback = table.compose_with_pullback(theta)
-    bins, ys = ctx._fixed
-    args = (ctx.prior, ctx.spec, ys, bins)
-    loss = triples_loss(D1, D2, D3, *args)
-    return loss, pullback(*triples_loss_cotangents(D1, D2, D3, *args))
+    (A, std, power), ys = ctx._fixed
+    M, resid = _mean_residual(D2, D3, A, ctx.prior, ctx.spec, ys)
+    loss = _loss(D1, std, power, M, resid, ctx.prior.dim, ys)
+    return loss, pullback(*_cotangents(D1, std, power, M, resid, ctx.prior, ctx.spec, ys))
 
 
 def weights_loss(weights: WeightSchedule, ctx: LossContext) -> float:

@@ -61,8 +61,11 @@ class OptimizeOptions:
             raise ValueError("max_iters must be positive")
         if self.f_tol <= 0:
             raise ValueError("f_tol must be positive")
-        if any(rung < 1 for rung in self.ladder or ()):
+        ladder = self.ladder or ()
+        if any(rung < 1 for rung in ladder):
             raise ValueError("ladder rungs must be positive")
+        if any(b <= a for a, b in zip(ladder, ladder[1:])):
+            raise ValueError("ladder must be strictly increasing")
         if self.keep_dims is not None and self.keep_dims < 1:
             raise ValueError("keep_dims must be positive")
 
@@ -255,8 +258,6 @@ def iterative_ladder(ctx: LossContext, opts: OptimizeOptions) -> WeightSolution:
     if not opts.ladder:
         raise ValueError("empty ladder")
     ladder = list(opts.ladder)
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("ladder must be strictly increasing")
     if ladder[-1] != ctx.schedule.S:
         raise ValueError("ladder must end at the target step count")
 

@@ -25,11 +25,24 @@ vector it gives every step's (S, d) multipliers (``step_arrays``), composes
 them into the triple (``compose``), and differentiates the composition in
 reverse mode.  The forward sweep writes every running state (p, q, m) into
 one preallocated (S+1, 3, d) buffer, two in-place operations per step, and
-the triple is its last row; one backward sweep over the suffix products of
-G then reads the states from the buffer and turns the loss cotangents
-dL/d conj(D) into dL/dtheta in O(S d).  The theta-derivatives follow from
-the step form: a unit of w e moves (G, Q, M) by (-dG, dQ, -dM), DPS has
-w e = 2 zeta, and PiGDM has d(w e)/dg = e and d(w e)/dr = -2 g r |h|^2 e^2.
+the triple comes from its last row; one backward sweep over the suffix
+products of G then reads the states from the buffer and turns the loss
+cotangents dL/d conj(D) into dL/dtheta in O(S d).  The theta-derivatives
+follow from the step form: a unit of w e moves (G, Q, M) by (-dG, dQ, -dM),
+DPS has w e = 2 zeta, and PiGDM has d(w e)/dg = e and
+d(w e)/dr = -2 g r |h|^2 e^2.
+
+Both sweeps run in real float64 arithmetic, and that is exact, not an
+approximation.  lambda is a real spectrum, a, b, c, dd, |h|^2, sigma^2, w and
+e are real, so every sampler's G and M are real and its Q is conj(h) times a
+real array Q_r (the ideal sampler's as much as the guided ones').  Because G
+is real, q evolves as the real recurrence q_r <- G q_r + Q_r times the
+constant factor conj(h), so D2 = conj(h) q_r: the table composes Q_r and
+applies conj(h) once, to the last row.  In reverse, 2 Re(conj(c) dD) of a
+real dD only needs Re c, and D2's term needs Re(conj(c2) conj(h)).  None of
+this asks h to be Hermitian.  With h in {0, 1}, as in ``make_lpf``, the
+products by conj(h) are exact and the results keep the bits of the complex
+recurrence.
 """
 
 from __future__ import annotations
@@ -176,10 +189,15 @@ class StepTable:
 
     Building the table costs one ``step_coeffs`` call per step; every weight
     vector is then evaluated against it, so a solve builds one table.  The
-    arrays are (S, d), in sampling order s = S..1: the ideal sampler keeps its
-    multipliers (G, Q, M), the guided samplers the unguided step (G0, M0) and
-    the guidance directions (dG, dQ, dM).  Each composition sweeps one weight
-    vector's steps through a fresh (S+1, 3, d) state buffer (``_sweep``).
+    arrays are real float64 (S, d), in sampling order s = S..1: the ideal
+    sampler keeps its multipliers (G, Q, M), the guided samplers the unguided
+    step (G0, M0) and the guidance directions (dG, dQ, dM).  Every Q and dQ is
+    held without its factor conj(h), which ``step_arrays`` and the composed
+    D2 put back: the sampler's source is conj(h) Q, and the recurrence is
+    linear with real G, so composing Q and multiplying by conj(h) at the end
+    is the same triple (see the module docstring).  Each composition sweeps
+    one weight vector's steps through a fresh real (S+1, 3, d) state buffer
+    (``_sweep``).
     """
 
     def __init__(self, kind: str, prior: SpectralPrior, spec: DegradationSpec, sched: Schedule):
@@ -188,12 +206,12 @@ class StepTable:
         if kind not in widths:
             raise ValueError(f"unknown sampler kind: {kind}")
         self.kind, self.S, self.dim, self.width = kind, S, prior.dim, widths[kind]
+        self.hbar = np.conj(spec.lambda_h)
         self.habs2 = np.abs(spec.lambda_h) ** 2
         self.sig2 = spec.sigma_y**2
         coeffs = [step_coeffs(sched, s, prior) for s in range(S, 0, -1)]
         a = np.array([k.a_s for k in coeffs])[:, None]
         b = np.array([k.b_s for k in coeffs])[:, None]
-        hbar = np.conj(spec.lambda_h)
         if kind == IDEAL:
             lam = prior.lambda0
             ab = sched.alpha_bar[::-1, None]
@@ -201,16 +219,17 @@ class StepTable:
             if np.any(lam_sum == 0):
                 raise ValueError("zero denominator bin")
             self.G = a + b * self.sig2 * np.sqrt(ab) * lam / lam_sum
-            self.Q = b * (1.0 - ab) * lam * hbar / lam_sum
+            # Times the reciprocal: a complex numerator over the real lam_sum divides so.
+            self.Q = b * (1.0 - ab) * lam * (1.0 / lam_sum)
             self.M = b * self.sig2 * (1.0 - ab) / lam_sum
             return
         c = np.stack([k.c_s for k in coeffs])
         dd = np.stack([k.d_s for k in coeffs])
         self.G0, self.M0 = a + b * c, b * dd
-        self.dG, self.dQ, self.dM = c**2 * self.habs2, c * hbar, c * self.habs2 * dd
+        self.dG, self.dQ, self.dM = c**2 * self.habs2, c, c * self.habs2 * dd
 
     def _steps(self, theta):
-        """``step_arrays`` of theta, and its gains w, (S, 1), and e, (S, d) or None.
+        """Real (S, d) (G, Q / conj(h), M) of theta, and its gains w, (S, 1), and e, (S, d) or None.
 
         Step j of the sampling order is s = S - j, whose weights sit in entry
         S - 1 - j (and, for PiGDM's r, S entries further on).
@@ -238,23 +257,32 @@ class StepTable:
 
         ``theta`` is one packed weight vector: zeta for DPS (S entries),
         [g, r] for PiGDM (2S), none for the ideal sampler.  A guided step is
-        G0 - (w dG) e, (w dQ) e, M0 - (w dM) e; DPS has no e.
+        G0 - (w dG) e, (w dQ) e, M0 - (w dM) e; DPS has no e.  G and M are
+        real and Q complex, the table's real Q times conj(h).
         """
-        return self._steps(theta)[0]
+        G, Q, M = self._steps(theta)[0]
+        return G, Q * self.hbar, M
 
     def _sweep(self, G, Q, M) -> np.ndarray:
-        """The (S+1, 3, d) running states: row j is (p, q, m) before step j, row S the triple.
+        """The real (S+1, 3, d) running states: row j is (p, q, m) before step j, row S the last.
 
         From (1, 0, 0), each step multiplies a row by G into the next row and
-        adds (Q, M) to that row's last two entries, in place.
+        adds the sources (0, Q, M) to it, in place.  Q is the real source, so
+        q is D2 / conj(h) until ``_triple`` applies conj(h).
         """
-        x = np.empty((self.S + 1, 3, self.dim), dtype=complex)
+        x = np.empty((self.S + 1, 3, self.dim))
         x[0] = [[1.0], [0.0], [0.0]]
-        sources = np.stack((Q, M), axis=1)
-        for j in range(self.S):
-            np.multiply(G[j], x[j], out=x[j + 1])
-            x[j + 1, 1:] += sources[j]
+        rows = list(x)
+        sources = np.stack((np.zeros_like(Q), Q, M), axis=1)
+        for g, before, after, src in zip(G, rows, rows[1:], sources):
+            np.multiply(g, before, out=after)
+            np.add(after, src, out=after)
         return x
+
+    def _triple(self, x):
+        """Complex (D1, D2, D3), each (d,), from the last row of a sweep."""
+        p, q, m = x[-1]
+        return p.astype(complex), q * self.hbar, m.astype(complex)
 
     def compose(self, theta):
         """Composed (D1, D2, D3), each (d,), of one packed weight vector.
@@ -263,7 +291,7 @@ class StepTable:
         (1, 0, 0) over the steps in sampling order, which reproduces the
         product-sum closed form because the per-bin factors commute.
         """
-        return tuple(self._sweep(*self.step_arrays(theta))[-1])
+        return self._triple(self._sweep(*self._steps(theta)[0]))
 
     def compose_with_pullback(self, theta):
         """(D1, D2, D3) of one packed weight vector, each (d,), and its reverse sweep.
@@ -285,9 +313,11 @@ class StepTable:
             p, q, m = x[:-1, 0], x[:-1, 1], x[:-1, 2]
             suffix = np.ones_like(G)
             suffix[:-1] = np.cumprod(G[:0:-1], axis=0)[::-1]
-            a1, a2, a3 = (suffix * np.conj(c) for c in (c1, c2, c3))
+            # Everything but D2's conj(h) is real, so only these real parts reach U.
+            r2 = np.real(np.conj(c2) * self.hbar)
+            a1, a2, a3 = suffix * np.real(c1), suffix * r2, suffix * np.real(c3)
             # A unit of w e moves step j's multipliers by (-dG, dQ, -dM).
-            U = 2.0 * np.real(a2 * self.dQ - (a1 * p + a2 * q + a3 * m) * self.dG - a3 * self.dM)
+            U = 2.0 * (a2 * self.dQ - (a1 * p + a2 * q + a3 * m) * self.dG - a3 * self.dM)
             # U is dL/d(w e); DPS has w e = 2 zeta, PiGDM de/dr = -2 r |h|^2 e^2.
             if self.kind == DPS:
                 return (2.0 * U.sum(axis=1))[::-1]
@@ -295,7 +325,7 @@ class StepTable:
             dr = np.sum(-2.0 * w * theta[self.S :][::-1, None] * self.habs2 * e**2 * U, axis=1)
             return np.concatenate([dg[::-1], dr[::-1]])
 
-        return tuple(x[-1]), pullback
+        return self._triple(x), pullback
 
 
 def batch_triples(

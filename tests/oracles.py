@@ -77,9 +77,9 @@ def running_states(G, Q, M):
 
     Row j holds the state before step j of the (S, d) step arrays, from
     (1, 0, 0), under (p, q, m) <- (G p, G q + Q, G m + M); row S is the
-    composed triple.
+    composed triple.  The states take the dtype of the step arrays.
     """
-    p = np.ones(G.shape[1], dtype=complex)
+    p = np.ones(G.shape[1], dtype=np.result_type(G, Q, M))
     q = np.zeros_like(p)
     m = np.zeros_like(p)
     rows = [(p, q, m)]

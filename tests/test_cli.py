@@ -301,6 +301,14 @@ class TestCliCommands:
                 id="ladder",
             ),
             pytest.param(
+                "optimize", {"max_iters = 60": "max_iters = 60\nladder = 4 2"}, "sampler.ladder",
+                id="ladder-decreasing",
+            ),
+            pytest.param(
+                "optimize", {"max_iters = 60": "max_iters = 60\nladder = 2 2"}, "sampler.ladder",
+                id="ladder-repeated",
+            ),
+            pytest.param(
                 "optimize",
                 {"max_iters = 60": "max_iters = 60\nkeep_dims = 0"},
                 "sampler.keep_dims",
@@ -311,8 +319,8 @@ class TestCliCommands:
     def test_value_rejected_when_config_loads(self, tmp_path, runner, command, edits, key):
         # These values used to pass the config checks and fail mid-run as
         # numerical failures (exit 3): n_runs = 0 in the heuristic profiles, a
-        # ladder rung of 0 in its rung schedule and keep_dims = 0 in the
-        # eigen-truncation.
+        # ladder rung of 0 in its rung schedule, a ladder out of order in the
+        # ladder solve and keep_dims = 0 in the eigen-truncation.
         text = BASE_CONFIG.format(out=tmp_path / "out").replace("T = 200", "T = 50")
         for old, new in edits.items():
             text = text.replace(old, new)

@@ -118,6 +118,24 @@ class TestFiniteDiffGradient:
         np.testing.assert_allclose(g, five_point_gradient(public, theta, 1e-4), rtol=1e-4, atol=1e-9)
         np.testing.assert_allclose(g, central_gradient(public, theta, 1e-6), rtol=1e-4, atol=1e-8)
 
+    @pytest.mark.parametrize("kind", ["dps", "pigdm"])
+    @pytest.mark.parametrize("mode", ["K=1", "averaged"])
+    def test_non_hermitian_h(self, kind, mode):
+        # The reverse sweep reads D2's cotangent through conj(h); with a
+        # complex h that no real operator has, its phase reaches the gradient.
+        rng = np.random.default_rng(17)
+        d, S = 9, 6
+        ctx = _small_ctx(rng, d=d, S=S, kind=kind)
+        spec = replace(ctx.spec, lambda_h=rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        obs = None if mode == "averaged" else (degrade(sample_prior(ctx.prior, rng), spec, rng),)
+        ctx = replace(ctx, spec=spec, observations=obs)
+        theta = _theta(rng, kind, S)
+        f, g = _adjoint(ctx, theta)
+        assert f == batch_loss(kind, theta, ctx)
+        public = _public_loss(kind, ctx)
+        np.testing.assert_allclose(g, five_point_gradient(public, theta, 1e-4), rtol=1e-4, atol=1e-9)
+        np.testing.assert_allclose(g, central_gradient(public, theta, 1e-6), rtol=1e-4, atol=1e-8)
+
     def test_pigdm_at_zero_r(self):
         # pigdm_from_dps starts every r at 0, where the loss is even in r.
         rng = np.random.default_rng(16)

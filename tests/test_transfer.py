@@ -315,16 +315,18 @@ class TestCompose:
 
     def test_two_step_hand_example_pins_ordering(self):
         # Steps are applied s=2 then s=1, so D1 = G(1) G(2) and
-        # D2 = Q(1) + G(1) Q(2), not Q(2) + G(2) Q(1).
+        # D2 = Q(1) + G(1) Q(2), not Q(2) + G(2) Q(1).  The table composes its
+        # real multipliers, Q without conj(h), and applies conj(h) to D2 once.
         rng = np.random.default_rng(15)
         prior, spec, _ = _random_setup(rng)
         two = ddim_subsequence(linear_ddpm_schedule(100), 2)
         theta = np.array([0.7, 0.3])
-        (G2, Q2, M2), (G1, Q1, M1) = all_steps("dps", theta, prior, spec, two)
+        (G2, Q2, M2), (G1, Q1, M1) = zip(*StepTable("dps", prior, spec, two)._steps(theta)[0])
         triple = transfer_triple(WeightSchedule.dps(theta), prior, spec, two)
         np.testing.assert_array_equal(triple.D1, G1 * G2)
-        np.testing.assert_array_equal(triple.D2, G1 * Q2 + Q1)
+        np.testing.assert_array_equal(triple.D2, (G1 * Q2 + Q1) * np.conj(spec.lambda_h))
         np.testing.assert_array_equal(triple.D3, G1 * M2 + M1)
+        (G2, Q2, M2), (G1, Q1, M1) = all_steps("dps", theta, prior, spec, two)
         assert not np.allclose(triple.D2, G2 * Q1 + Q2)
 
     def test_pure_product_when_no_sources(self):
@@ -385,8 +387,39 @@ class TestCompose:
             (200, _reference_model()),
         ):
             table = StepTable(kind, prior, spec, ddim_subsequence(linear_ddpm_schedule(1000), S))
-            steps = table.step_arrays(rng.uniform(0, 0.2, table.width))
+            steps = table._steps(rng.uniform(0, 0.2, table.width))[0]
             assert table._sweep(*steps).tobytes() == running_states(*steps).tobytes()
+
+    @pytest.mark.parametrize("kind", ["dps", "pigdm", "ideal"])
+    def test_table_composes_in_float64(self, kind):
+        # Every multiplier but Q is real and Q is conj(h) times a real array,
+        # so the table and the state buffer are real even for a complex h;
+        # step_arrays still hands out the complex Q.
+        rng = np.random.default_rng(26)
+        prior, spec, _ = _random_setup(rng)
+        table = StepTable(kind, prior, spec, ddim_subsequence(linear_ddpm_schedule(1000), 9))
+        theta = rng.uniform(0, 0.2, table.width)
+        G, Q, M = table._steps(theta)[0]
+        assert (G.dtype, Q.dtype, M.dtype) == (np.float64,) * 3
+        assert table._sweep(G, Q, M).dtype == np.float64
+        _, Qc, _ = table.step_arrays(theta)
+        assert Qc.tobytes() == (Q * np.conj(spec.lambda_h)).tobytes()
+
+    @pytest.mark.parametrize("kind", ["dps", "pigdm", "ideal"])
+    def test_non_hermitian_h_matches_complex_recurrence(self, kind):
+        # No real operator has this h, and the LPF workloads never build one;
+        # the real factorization still holds, because conj(h) is the only
+        # complex factor whatever h is.
+        rng = np.random.default_rng(27)
+        for d, S in ((7, 1), (10, 12), (16, 60)):
+            prior, spec, _ = _random_setup(rng, d=d)
+            spec = replace(spec, lambda_h=rng.standard_normal(d) + 1j * rng.standard_normal(d))
+            assert not np.allclose(spec.lambda_h, np.conj(np.roll(spec.lambda_h[::-1], 1)))
+            table = StepTable(kind, prior, spec, ddim_subsequence(linear_ddpm_schedule(1000), S))
+            theta = rng.uniform(0, 0.2, table.width)
+            want = running_states(*table.step_arrays(theta))[-1]
+            for got, ref in zip(table.compose(theta), want):
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("kind", ["dps", "pigdm"])
     def test_compose_equals_pullback_triple(self, kind):
