@@ -193,11 +193,9 @@ class StepTable:
     sampler keeps its multipliers (G, Q, M), the guided samplers the unguided
     step (G0, M0) and the guidance directions (dG, dQ, dM).  Every Q and dQ is
     held without its factor conj(h), which ``step_arrays`` and the composed
-    D2 put back: the sampler's source is conj(h) Q, and the recurrence is
-    linear with real G, so composing Q and multiplying by conj(h) at the end
-    is the same triple (see the module docstring).  Each composition sweeps
-    one weight vector's steps through a fresh real (S+1, 3, d) state buffer
-    (``_sweep``).
+    D2 put back; the module docstring says why that is exact.  Each
+    composition sweeps one weight vector's steps through a fresh real
+    (S+1, 3, d) state buffer (``_sweep``).
     """
 
     def __init__(self, kind: str, prior: SpectralPrior, spec: DegradationSpec, sched: Schedule):
@@ -219,7 +217,7 @@ class StepTable:
             if np.any(lam_sum == 0):
                 raise ValueError("zero denominator bin")
             self.G = a + b * self.sig2 * np.sqrt(ab) * lam / lam_sum
-            # Times the reciprocal: a complex numerator over the real lam_sum divides so.
+            # Times 1 / lam_sum, which rounds as dividing the complex source by lam_sum did.
             self.Q = b * (1.0 - ab) * lam * (1.0 / lam_sum)
             self.M = b * self.sig2 * (1.0 - ab) / lam_sum
             return
@@ -264,7 +262,7 @@ class StepTable:
         return G, Q * self.hbar, M
 
     def _sweep(self, G, Q, M) -> np.ndarray:
-        """The real (S+1, 3, d) running states: row j is (p, q, m) before step j, row S the last.
+        """The real (S+1, 3, d) running states: row j is (p, q, m) before step j, row S the end.
 
         From (1, 0, 0), each step multiplies a row by G into the next row and
         adds the sources (0, Q, M) to it, in place.  Q is the real source, so
