@@ -6,14 +6,12 @@ __version__ = "0.1.0"
 from .spectral import (
     SpectralPrior,
     DegradationSpec,
-    DiagGaussian,
     Observation,
     circulant_eigenvalues,
     make_synthetic_prior,
     make_lpf,
     sample_prior,
     degrade,
-    true_posterior,
     estimate_spectral_prior,
     hermitian_mismatch,
 )
@@ -33,18 +31,13 @@ from .transfer import (
     WeightSchedule,
     TransferTriple,
     StepTable,
-    prior_optimal_denoise,
-    posterior_optimal_denoise,
     batch_triples,
-    output_distribution,
     transfer_triple,
     ideal_triple,
     pigdm_heuristic_weights,
 )
 from .objective import (
     LossContext,
-    w2_diag,
-    wiener_gain,
     triples_loss,
     triples_loss_cotangents,
     batch_loss,
@@ -66,7 +59,6 @@ from .simulator import (
     Guidance,
     SimConfig,
     RunStats,
-    simulate_one,
     monte_carlo,
     heuristic_weight_profile,
     heuristic_zeta,

@@ -66,10 +66,10 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
 
 
 def _config_value(key: str, build, *args, **kwargs):
-    """build(*args, **kwargs), with its ValueError re-raised as a ConfigError naming key."""
+    """build(*args, **kwargs); its ValueError or OSError becomes a ConfigError naming key."""
     try:
         return build(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
@@ -83,10 +83,18 @@ class _Runtime:
         self.seed = cfg.seed if seed is None else seed
         _config_value("experiment.seed", np.random.SeedSequence, self.seed)
         self.out = Path(out if out is not None else cfg.out)
+        for zp in cfg.zeta_primes:
+            _config_value("sampler.zeta_prime", Guidance.dps_heuristic, zp)
         if cfg.prior_file:
-            self.prior = prior_from_file(cfg.prior_file)
+            self.prior = _config_value("prior.file", prior_from_file, cfg.prior_file)
         else:
-            self.prior = make_synthetic_prior(cfg.prior_d, cfg.prior_l, cfg.prior_mu_const)
+            try:
+                self.prior = make_synthetic_prior(cfg.prior_d, cfg.prior_l, cfg.prior_mu_const)
+            except ValueError as exc:
+                # Each message opens with the argument's name, which is its prior key.
+                raise ConfigError(f"prior.{exc}") from exc
+        if cfg.sigma_y < 0:
+            raise ConfigError("degradation.sigma_y: must be nonnegative")
         self.spec = _config_value("degradation.V", make_lpf, self.prior.dim, cfg.V, cfg.sigma_y)
         full = _config_value("schedule.T", linear_ddpm_schedule, cfg.T)
         self.schedules = {
@@ -321,8 +329,8 @@ def cmd_estimate_prior(rt: _Runtime):
     """Estimate a stationary prior from a CSV of time-domain samples."""
     if not rt.cfg.samples_file:
         raise ConfigError("estimate.samples must point to a sample CSV")
-    samples = read_samples_csv(rt.cfg.samples_file)
-    prior = estimate_spectral_prior(samples)
+    samples = _config_value("estimate.samples", read_samples_csv, rt.cfg.samples_file)
+    prior = _config_value("estimate.samples", estimate_spectral_prior, samples)
     out_path = rt.out / f"{rt.cfg.name}_prior.txt"
     prior_to_file(prior, out_path)
     click.echo(f"wrote estimated prior ({prior.dim} bins) to {out_path}")

@@ -27,13 +27,11 @@ import numpy as np
 # these two are no longer called here; perfbench/hooks.py still wraps them
 # under this module's name.
 from .schedule import Schedule, denoiser_coeffs, step_coeffs_scalar  # noqa: F401
-from .spectral import DegradationSpec, DiagGaussian, Observation, SpectralPrior
+from .spectral import DegradationSpec, Observation, SpectralPrior, _require_same_dim
 from .transfer import DPS, PIGDM, StepTable, TransferTriple, WeightSchedule, batch_triples
 
 __all__ = [
     "LossContext",
-    "w2_diag",
-    "wiener_gain",
     "triples_loss",
     "triples_loss_cotangents",
     "batch_loss",
@@ -67,21 +65,13 @@ class LossContext:
             if len(obs) < 1:
                 raise ValueError("need at least one observation")
             object.__setattr__(self, "observations", obs)
+        _require_same_dim(self.prior, self.spec, *(self.observations or ()))
 
     @cached_property
     def _fixed(self):
         """``_posterior_bins`` and the (K, d) stacked measurements or None, made once."""
         ys = None if self.observations is None else np.stack([o.y_f for o in self.observations])
         return _posterior_bins(self.prior, self.spec), ys
-
-
-def w2_diag(p: DiagGaussian, q: DiagGaussian) -> float:
-    """Wasserstein-2 distance between two commuting-diagonal Gaussians."""
-    if p.dim != q.dim:
-        raise ValueError("dimension mismatch")
-    mean_term = np.sum(np.abs(p.mean - q.mean) ** 2)
-    std_term = np.sum((np.sqrt(p.var) - np.sqrt(q.var)) ** 2)
-    return float(np.sqrt(mean_term + std_term))
 
 
 def _posterior_bins(prior: SpectralPrior, spec: DegradationSpec):
@@ -97,11 +87,6 @@ def _posterior_bins(prior: SpectralPrior, spec: DegradationSpec):
     gain = lam * np.conj(spec.lambda_h) / power
     std = np.sqrt(np.maximum(lam - lam**2 * habs2 / power, 0.0))
     return gain, std, power
-
-
-def wiener_gain(prior: SpectralPrior, spec: DegradationSpec) -> np.ndarray:
-    """Per-bin Wiener coefficient lambda * conj(h) / (lambda |h|^2 + sigma^2)."""
-    return _posterior_bins(prior, spec)[0]
 
 
 def _mean_residual(D2, D3, A, prior: SpectralPrior, spec: DegradationSpec, ys):
@@ -223,4 +208,5 @@ def triple_realization_loss(
     triple: TransferTriple, prior: SpectralPrior, spec: DegradationSpec, obs: Observation
 ) -> float:
     """Squared W2 between a sampler triple's output law and the true posterior."""
+    _require_same_dim(prior, spec, obs)
     return triples_loss(triple.D1, triple.D2, triple.D3, prior, spec, obs.y_f[None])

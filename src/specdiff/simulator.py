@@ -41,14 +41,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .schedule import Schedule, step_coeffs_scalar
-from .spectral import DegradationSpec, Observation, SpectralPrior, _require_hermitian
+from .spectral import (
+    DegradationSpec,
+    Observation,
+    SpectralPrior,
+    _require_hermitian,
+    _require_same_dim,
+)
 from .transfer import PIGDM, WeightSchedule
 
 __all__ = [
     "Guidance",
     "SimConfig",
     "RunStats",
-    "simulate_one",
     "monte_carlo",
     "heuristic_weight_profile",
     "heuristic_zeta",
@@ -115,6 +120,7 @@ class SimConfig:
             raise ValueError("guidance weights must match the schedule length")
         if self.n_runs < 1:
             raise ValueError("n_runs must be positive")
+        _require_same_dim(self.prior, self.spec)
         _require_hermitian(self.spec.lambda_h, "lambda_h")
         _require_hermitian(self.prior.mu_f, "mu_f")
         _require_hermitian(self.prior.lambda0, "lambda0")
@@ -235,17 +241,6 @@ def _run_batch(
         if not np.isfinite(Xf.view(np.float64)).all():
             raise ValueError(f"diverged at step {s}")
     return np.fft.irfft(Xf, n=d, axis=-1), realized
-
-
-def simulate_one(
-    cfg: SimConfig, obs: Observation, x_start: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run one deterministic trajectory from a given starting state."""
-    x_start = np.asarray(x_start, dtype=float)
-    if x_start.shape != (cfg.prior.dim,):
-        raise ValueError("starting state length mismatch")
-    X, realized = _run_batch(cfg, obs, x_start[None, :])
-    return X[0], realized[:, 0]
 
 
 def _start_states(cfg: SimConfig) -> np.ndarray:

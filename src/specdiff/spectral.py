@@ -16,14 +16,12 @@ import numpy as np
 __all__ = [
     "SpectralPrior",
     "DegradationSpec",
-    "DiagGaussian",
     "Observation",
     "circulant_eigenvalues",
     "make_synthetic_prior",
     "make_lpf",
     "sample_prior",
     "degrade",
-    "true_posterior",
     "estimate_spectral_prior",
     "hermitian_mismatch",
 ]
@@ -47,6 +45,15 @@ def _require_hermitian(v: np.ndarray, name: str) -> None:
     scale = max(1.0, float(np.max(np.abs(v))))
     if hermitian_mismatch(v) > 1e-12 * scale:
         raise ValueError(f"{name} is not Hermitian: it is not the DFT of a real signal or operator")
+
+
+def _require_same_dim(
+    prior: SpectralPrior, spec: DegradationSpec, *observations: Observation
+) -> None:
+    """Reject a degradation or measurement whose length is not the prior's."""
+    for what, dim in [("degradation", spec.dim)] + [("measurement", o.dim) for o in observations]:
+        if dim != prior.dim:
+            raise ValueError(f"{what} has length {dim} but the prior has length {prior.dim}")
 
 
 @dataclass(frozen=True)
@@ -87,28 +94,6 @@ class DegradationSpec:
             raise ValueError("lambda_h must have length dim")
         if self.sigma_y < 0:
             raise ValueError("sigma_y must be nonnegative")
-
-
-@dataclass(frozen=True)
-class DiagGaussian:
-    """Gaussian with per-frequency complex mean and nonnegative variance."""
-
-    mean: np.ndarray
-    var: np.ndarray
-
-    def __post_init__(self):
-        mean = _freeze(np.asarray(self.mean, dtype=complex))
-        var = _freeze(np.asarray(self.var, dtype=float))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "var", var)
-        if mean.shape != var.shape:
-            raise ValueError("mean and var must have the same length")
-        if np.any(var < 0):
-            raise ValueError("variances must be nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return len(self.mean)
 
 
 @dataclass(frozen=True)
@@ -195,28 +180,6 @@ def degrade(x0: np.ndarray, spec: DegradationSpec, rng: np.random.Generator) -> 
     if spec.sigma_y > 0:
         y_f = y_f + np.fft.fft(spec.sigma_y * rng.standard_normal(spec.dim))
     return Observation(y_f=y_f)
-
-
-def true_posterior(prior: SpectralPrior, spec: DegradationSpec, obs: Observation) -> DiagGaussian:
-    """Exact Gaussian conditional of the signal given the measurement, per bin.
-
-    Bins where lambda0*|h|^2 + sigma^2 vanishes carry no usable data and fall
-    back to the prior (zero variance when the prior is deterministic there).
-    """
-    if obs.dim != prior.dim or spec.dim != prior.dim:
-        raise ValueError("dimension mismatch")
-    lam = prior.lambda0
-    h = spec.lambda_h
-    habs2 = np.abs(h) ** 2
-    denom = lam * habs2 + spec.sigma_y**2
-    num_mean = lam * np.conj(h) * (obs.y_f - h * prior.mu_f)
-    dead = denom == 0
-    if np.any(dead & (num_mean != 0)):
-        raise ValueError("degenerate posterior bin")
-    safe = np.where(dead, 1.0, denom)
-    mean = np.where(dead, prior.mu_f, prior.mu_f + num_mean / safe)
-    var = np.where(dead, lam, lam - lam**2 * habs2 / safe)
-    return DiagGaussian(mean=mean, var=np.maximum(var, 0.0))
 
 
 def estimate_spectral_prior(samples: np.ndarray) -> SpectralPrior:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import Schedule, step_coeffs
-from .spectral import DegradationSpec, DiagGaussian, Observation, SpectralPrior
+from .spectral import DegradationSpec, SpectralPrior, _require_same_dim
 
 __all__ = [
     "DPS",
@@ -61,10 +61,7 @@ __all__ = [
     "WeightSchedule",
     "TransferTriple",
     "StepTable",
-    "prior_optimal_denoise",
-    "posterior_optimal_denoise",
     "batch_triples",
-    "output_distribution",
     "transfer_triple",
     "ideal_triple",
     "pigdm_heuristic_weights",
@@ -132,58 +129,6 @@ class TransferTriple:
     D3: np.ndarray
 
 
-def prior_optimal_denoise(
-    prior: SpectralPrior, x_t_f: np.ndarray, alpha_bar_t: float
-) -> np.ndarray:
-    """MMSE denoiser under the prior alone, applied per frequency.
-
-    At alpha_bar = 1 the dead bins (lambda = 0) pass the input through,
-    which is the correct noise-free limit.
-    """
-    if not 0.0 <= alpha_bar_t <= 1.0:
-        raise ValueError("alpha_bar_t must lie in [0, 1]")
-    lam = prior.lambda0
-    den = alpha_bar_t * lam + (1.0 - alpha_bar_t)
-    dead = den == 0
-    safe = np.where(dead, 1.0, den)
-    num = np.sqrt(alpha_bar_t) * lam * x_t_f + (1.0 - alpha_bar_t) * prior.mu_f
-    return np.where(dead, x_t_f, num / safe)
-
-
-def posterior_optimal_denoise(
-    prior: SpectralPrior,
-    spec: DegradationSpec,
-    y_f: np.ndarray,
-    x_t_f: np.ndarray,
-    alpha_bar_t: float,
-) -> np.ndarray:
-    """MAP (= Wiener) denoiser given both the noisy state and the measurement."""
-    if spec.sigma_y <= 0:
-        raise ValueError("posterior denoiser requires sigma_y > 0")
-    lam = prior.lambda0
-    h = spec.lambda_h
-    sig2 = spec.sigma_y**2
-    ab = alpha_bar_t
-    den = (1.0 - ab) * lam * np.abs(h) ** 2 + sig2 * ab * lam + sig2 * (1.0 - ab)
-    if np.any(den == 0):
-        raise ValueError("zero denominator bin")
-    num = (
-        (1.0 - ab) * lam * np.conj(h) * y_f
-        + sig2 * np.sqrt(ab) * lam * x_t_f
-        + sig2 * (1.0 - ab) * prior.mu_f
-    )
-    return num / den
-
-
-def output_distribution(
-    triple: TransferTriple, obs: Observation, prior: SpectralPrior
-) -> DiagGaussian:
-    """Gaussian law of the sampler output for a fixed measurement."""
-    mean = triple.D2 * obs.y_f + triple.D3 * prior.mu_f
-    var = np.abs(triple.D1) ** 2
-    return DiagGaussian(mean=mean, var=var)
-
-
 class StepTable:
     """One sampler's per-step arrays over a fixed prior, degradation and schedule.
 
@@ -203,6 +148,7 @@ class StepTable:
         widths = {DPS: S, PIGDM: 2 * S, IDEAL: 0}
         if kind not in widths:
             raise ValueError(f"unknown sampler kind: {kind}")
+        _require_same_dim(prior, spec)
         self.kind, self.S, self.dim, self.width = kind, S, prior.dim, widths[kind]
         self.hbar = np.conj(spec.lambda_h)
         self.habs2 = np.abs(spec.lambda_h) ** 2

@@ -1,8 +1,20 @@
-"""Independent dense-matrix and stencil oracles used across the test suite.
+"""Independent oracles used across the test suite.
 
-Everything here works on explicit matrices or brute-force evaluations and
-never calls the per-frequency code paths it is used to check.
+Three kinds of check live here: dense-matrix forms of the circulant
+operators, conditioning and denoisers; finite-difference stencils and the
+plain composition recurrence; and per-bin reference formulas of the exact
+posterior, its Wiener gain, the W2 distance between diagonal Gaussians, the
+prior MMSE and MAP denoisers and a sampler triple's output law.  The per-bin
+formulas restate the paper's closed forms one bin at a time, as written in
+the textbook, and the tests check each of them against the dense forms.
+
+Nothing here imports specdiff or calls the code paths it is used to check.
+The per-bin formulas read the package's prior, degradation, measurement and
+triple objects only through their attributes (``mu_f``, ``lambda0``,
+``lambda_h``, ``sigma_y``, ``y_f``, ``D1``..``D3``).
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,3 +135,106 @@ def random_prior_arrays(d: int, rng: np.random.Generator, lam_floor=0.0):
     mu_f = np.fft.fft(rng.standard_normal(d))
     lam = np.abs(np.fft.fft(rng.standard_normal(d))) ** 2 + lam_floor
     return mu_f, lam
+
+
+@dataclass(frozen=True)
+class DiagGaussian:
+    """Gaussian with per-frequency complex mean and nonnegative variance."""
+
+    mean: np.ndarray
+    var: np.ndarray
+
+    def __post_init__(self):
+        mean = np.asarray(self.mean, dtype=complex)
+        var = np.asarray(self.var, dtype=float)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "var", var)
+        if mean.shape != var.shape:
+            raise ValueError("mean and var must have the same length")
+        if np.any(var < 0):
+            raise ValueError("variances must be nonnegative")
+
+    @property
+    def dim(self) -> int:
+        return len(self.mean)
+
+
+def true_posterior(prior, spec, obs) -> DiagGaussian:
+    """Exact Gaussian conditional of the signal given the measurement, per bin.
+
+    Bins where lambda0*|h|^2 + sigma^2 vanishes carry no usable data and fall
+    back to the prior (zero variance when the prior is deterministic there).
+    """
+    if obs.dim != prior.dim or spec.dim != prior.dim:
+        raise ValueError("dimension mismatch")
+    lam = prior.lambda0
+    h = spec.lambda_h
+    habs2 = np.abs(h) ** 2
+    denom = lam * habs2 + spec.sigma_y**2
+    num_mean = lam * np.conj(h) * (obs.y_f - h * prior.mu_f)
+    dead = denom == 0
+    if np.any(dead & (num_mean != 0)):
+        raise ValueError("degenerate posterior bin")
+    safe = np.where(dead, 1.0, denom)
+    mean = np.where(dead, prior.mu_f, prior.mu_f + num_mean / safe)
+    var = np.where(dead, lam, lam - lam**2 * habs2 / safe)
+    return DiagGaussian(mean=mean, var=np.maximum(var, 0.0))
+
+
+def wiener_gain(prior, spec) -> np.ndarray:
+    """Per-bin Wiener coefficient lambda * conj(h) / (lambda |h|^2 + sigma^2)."""
+    lam, h = prior.lambda0, spec.lambda_h
+    return lam * np.conj(h) / (lam * np.abs(h) ** 2 + spec.sigma_y**2)
+
+
+def w2_diag(p: DiagGaussian, q: DiagGaussian) -> float:
+    """Wasserstein-2 distance between two commuting-diagonal Gaussians."""
+    if p.dim != q.dim:
+        raise ValueError("dimension mismatch")
+    mean_term = np.sum(np.abs(p.mean - q.mean) ** 2)
+    std_term = np.sum((np.sqrt(p.var) - np.sqrt(q.var)) ** 2)
+    return float(np.sqrt(mean_term + std_term))
+
+
+def prior_optimal_denoise(prior, x_t_f: np.ndarray, alpha_bar_t: float) -> np.ndarray:
+    """MMSE denoiser under the prior alone, applied per frequency.
+
+    At alpha_bar = 1 the dead bins (lambda = 0) pass the input through,
+    which is the correct noise-free limit.
+    """
+    if not 0.0 <= alpha_bar_t <= 1.0:
+        raise ValueError("alpha_bar_t must lie in [0, 1]")
+    lam = prior.lambda0
+    den = alpha_bar_t * lam + (1.0 - alpha_bar_t)
+    dead = den == 0
+    safe = np.where(dead, 1.0, den)
+    num = np.sqrt(alpha_bar_t) * lam * x_t_f + (1.0 - alpha_bar_t) * prior.mu_f
+    return np.where(dead, x_t_f, num / safe)
+
+
+def posterior_optimal_denoise(
+    prior, spec, y_f: np.ndarray, x_t_f: np.ndarray, alpha_bar_t: float
+) -> np.ndarray:
+    """MAP (= Wiener) denoiser given both the noisy state and the measurement."""
+    if spec.sigma_y <= 0:
+        raise ValueError("posterior denoiser requires sigma_y > 0")
+    lam = prior.lambda0
+    h = spec.lambda_h
+    sig2 = spec.sigma_y**2
+    ab = alpha_bar_t
+    den = (1.0 - ab) * lam * np.abs(h) ** 2 + sig2 * ab * lam + sig2 * (1.0 - ab)
+    if np.any(den == 0):
+        raise ValueError("zero denominator bin")
+    num = (
+        (1.0 - ab) * lam * np.conj(h) * y_f
+        + sig2 * np.sqrt(ab) * lam * x_t_f
+        + sig2 * (1.0 - ab) * prior.mu_f
+    )
+    return num / den
+
+
+def output_distribution(triple, obs, prior) -> DiagGaussian:
+    """Gaussian law of the sampler output for a fixed measurement."""
+    mean = triple.D2 * obs.y_f + triple.D3 * prior.mu_f
+    var = np.abs(triple.D1) ** 2
+    return DiagGaussian(mean=mean, var=var)

@@ -271,11 +271,18 @@ class TestCliCommands:
                 "sweep-wasserstein", "n_realizations = 2", "n_realizations = 0", [],
                 "run.n_realizations", id="n_realizations-sweep",
             ),
+            pytest.param("optimize", "d = 12", "d = 1", [], "prior.d", id="d"),
+            pytest.param("optimize", "l = 0.1", "l = 0", [], "prior.l", id="l"),
+            pytest.param(
+                "optimize", "sigma_y = 0.1", "sigma_y = -0.1", [], "degradation.sigma_y",
+                id="sigma_y",
+            ),
         ],
     )
     def test_out_of_range_value_exits_2_naming_key(self, tmp_path, runner, command, old, new, args, key):
-        # These values used to fail as numerical failures (exit 3), crash, or
-        # (n_realizations = 0 in the sweep) exit 0 with an empty table.
+        # These values used to fail as numerical failures (exit 3), crash,
+        # (n_realizations = 0 in the sweep) exit 0 with an empty table, or
+        # (sigma_y < 0) exit 2 naming degradation.V.
         text = BASE_CONFIG.format(out=tmp_path / "out").replace("T = 200", "T = 50")
         cfg = tmp_path / "range.cfg"
         cfg.write_text(text.replace(old, new) if old else text)
@@ -314,13 +321,31 @@ class TestCliCommands:
                 "sampler.keep_dims",
                 id="keep_dims",
             ),
+            pytest.param(
+                "simulate",
+                {"0.1, 0.3": "0.1, 0", "n_runs = 16": "n_runs = 16\nguidance = heuristic"},
+                "sampler.zeta_prime",
+                id="zeta_prime-simulate",
+            ),
+            pytest.param(
+                "sweep-wasserstein", {"0.1, 0.3": "0.1, 0"}, "sampler.zeta_prime",
+                id="zeta_prime-sweep",
+            ),
+            pytest.param(
+                "eval-loss",
+                {"0.1, 0.3": "0.1, -0.3", "optimize-k1": "heuristic"},
+                "sampler.zeta_prime",
+                id="zeta_prime-eval-loss",
+            ),
         ],
     )
     def test_value_rejected_when_config_loads(self, tmp_path, runner, command, edits, key):
         # These values used to pass the config checks and fail mid-run as
         # numerical failures (exit 3): n_runs = 0 in the heuristic profiles, a
         # ladder rung of 0 in its rung schedule, a ladder out of order in the
-        # ladder solve and keep_dims = 0 in the eigen-truncation.
+        # ladder solve, keep_dims = 0 in the eigen-truncation and a zeta' <= 0
+        # in the heuristic guidance, after simulate had written the outputs of
+        # the zeta' before it.
         text = BASE_CONFIG.format(out=tmp_path / "out").replace("T = 200", "T = 50")
         for old, new in edits.items():
             text = text.replace(old, new)
@@ -331,16 +356,39 @@ class TestCliCommands:
         assert f"config error: {key}" in result.output
         assert not (tmp_path / "out").exists()
 
-    def test_nonpositive_zeta_prime_exits_3(self, tmp_path, runner):
-        text = BASE_CONFIG.format(out=tmp_path / "zp").replace(
-            "zeta_prime = 0.1, 0.3", "zeta_prime = 0.1, 0"
-        ).replace("n_runs = 16", "n_runs = 16\nguidance = heuristic")
-        cfg = tmp_path / "zp.cfg"
+    @pytest.mark.parametrize(
+        "command, key, contents",
+        [
+            pytest.param("optimize", "prior.file", None, id="prior-missing"),
+            pytest.param("optimize", "prior.file", "dim = 12\n", id="prior-without-lambda0"),
+            pytest.param("estimate-prior", "estimate.samples", None, id="samples-missing"),
+            pytest.param(
+                "estimate-prior", "estimate.samples", "sample,index,value\n0,0,1.0\n1,0,abc\n",
+                id="samples-not-numeric",
+            ),
+            pytest.param(
+                "estimate-prior", "estimate.samples", "sample,index,value\n0,0,1.0\n",
+                id="samples-one-row",
+            ),
+        ],
+    )
+    def test_bad_input_file_exits_2_naming_key(self, tmp_path, runner, command, key, contents):
+        # A missing file used to end in a FileNotFoundError traceback (exit 1),
+        # and an unreadable one, or a single sample, in a numerical failure
+        # (exit 3).
+        data = tmp_path / "input.txt"
+        if contents is not None:
+            data.write_text(contents)
+        text = BASE_CONFIG.format(out=tmp_path / "out")
+        if key == "prior.file":
+            text = text.replace("l = 0.1", f"l = 0.1\nfile = {data}")
+        else:
+            text += f"\n[estimate]\nsamples = {data}\n"
+        cfg = tmp_path / "in.cfg"
         cfg.write_text(text)
-        for command in ("simulate", "sweep-wasserstein"):
-            result = runner.invoke(main, [command, "--config", str(cfg)])
-            assert result.exit_code == 3, (command, result.output)
-            assert "zeta_prime must be positive" in result.output
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {key}" in result.output
 
     def test_estimate_prior_roundtrip(self, tmp_path, runner):
         rng = np.random.default_rng(0)

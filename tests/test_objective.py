@@ -5,7 +5,6 @@ import pytest
 
 from specdiff import (
     DegradationSpec,
-    DiagGaussian,
     LossContext,
     Observation,
     SpectralPrior,
@@ -16,20 +15,23 @@ from specdiff import (
     linear_ddpm_schedule,
     make_lpf,
     make_synthetic_prior,
-    output_distribution,
     sample_prior,
     transfer_triple,
     triple_realization_loss,
     triples_loss,
     triples_loss_cotangents,
-    true_posterior,
-    w2_diag,
     weights_loss,
-    wiener_gain,
 )
 from specdiff.objective import batch_loss
 
-from oracles import random_prior_arrays
+from oracles import (
+    DiagGaussian,
+    output_distribution,
+    random_prior_arrays,
+    true_posterior,
+    w2_diag,
+    wiener_gain,
+)
 
 
 def _random_ctx(rng, d=8, S=6, kind="dps", sigma=None, K=1):
@@ -105,10 +107,41 @@ class TestWienerGain:
             assert np.all(np.abs(A * spec.lambda_h) <= 1 + 1e-12)
 
     def test_degenerate_bin_rejected(self):
+        # A bin with no prior variance, no signal and no noise has no Wiener
+        # gain; the package's losses refuse it rather than divide by zero.
         prior = SpectralPrior(dim=2, mu_f=np.zeros(2, complex), lambda0=np.zeros(2))
         spec = DegradationSpec(dim=2, lambda_h=np.zeros(2, complex), sigma_y=0.0)
+        D = np.ones(2, complex)
         with pytest.raises(ValueError, match="degenerate"):
-            wiener_gain(prior, spec)
+            triples_loss(D, D, D, prior, spec, None)
+        ctx = LossContext(prior, spec, ddim_subsequence(linear_ddpm_schedule(100), 3))
+        with pytest.raises(ValueError, match="degenerate"):
+            weights_loss(WeightSchedule.dps(np.zeros(3)), ctx)
+
+
+class TestDimensionChecks:
+    # Each of these used to broadcast over the bins and return a loss: with
+    # zero weights, 2.34 for the length-1 measurement and 8.81 for the
+    # length-1 operator.
+    def _model(self):
+        prior = make_synthetic_prior(8, 0.2)
+        sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
+        return prior, make_lpf(8, 0.375, sigma_y=0.1), sched
+
+    def test_measurement_of_another_length_rejected(self):
+        prior, spec, sched = self._model()
+        short = Observation(y_f=np.ones(1, complex))
+        with pytest.raises(ValueError, match="measurement has length 1 but the prior has length 8"):
+            LossContext(prior, spec, sched, "dps", (short,))
+        triple = transfer_triple(WeightSchedule.dps(np.zeros(4)), prior, spec, sched)
+        with pytest.raises(ValueError, match="measurement has length 1 but the prior has length 8"):
+            triple_realization_loss(triple, prior, spec, short)
+
+    def test_degradation_of_another_length_rejected(self):
+        prior, _, sched = self._model()
+        spec = DegradationSpec(dim=1, lambda_h=np.ones(1, complex), sigma_y=0.1)
+        with pytest.raises(ValueError, match="degradation has length 1 but the prior has length 8"):
+            LossContext(prior, spec, sched, "dps", None)
 
 
 class TestRealizationLoss:

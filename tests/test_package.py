@@ -15,6 +15,21 @@ from specdiff.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 INIT = Path(specdiff.__file__)
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+
+# Names only tests use, kept out of the package: the per-bin reference
+# formulas live in tests/oracles.py, and the tests that ran one trajectory
+# through simulate_one call simulator._run_batch with a batch of one.
+TEST_ONLY_NAMES = (
+    "DiagGaussian",
+    "true_posterior",
+    "wiener_gain",
+    "w2_diag",
+    "prior_optimal_denoise",
+    "posterior_optimal_denoise",
+    "output_distribution",
+    "simulate_one",
+)
 
 
 TOY_CONFIG = """\
@@ -102,6 +117,26 @@ class TestExports:
             for attr in module.__all__:
                 assert hasattr(module, attr), f"specdiff.{name}.{attr}"
                 assert hasattr(specdiff, attr), attr
+
+
+class TestOracles:
+    def test_oracles_import_nothing_from_the_package(self):
+        # An oracle that calls package code checks that code against itself.
+        for node in ast.walk(ast.parse(ORACLES.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = ["." * node.level + (node.module or "")]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] not in ("specdiff", ""), f"oracles.py imports {module}"
+
+    def test_test_only_names_stay_out_of_the_package(self):
+        for name in TEST_ONLY_NAMES:
+            assert not hasattr(specdiff, name), name
+            for module in _package_imports():
+                assert not hasattr(importlib.import_module(f"specdiff.{module}"), name), (module, name)
 
 
 class TestStartUp:

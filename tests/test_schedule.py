@@ -7,10 +7,11 @@ from specdiff import (
     denoiser_coeffs,
     linear_ddpm_schedule,
     make_synthetic_prior,
-    prior_optimal_denoise,
     step_coeffs,
     step_coeffs_scalar,
 )
+
+from oracles import prior_optimal_denoise
 
 
 class TestLinearSchedule:

@@ -21,9 +21,7 @@ from specdiff import (
     make_lpf,
     make_synthetic_prior,
     monte_carlo,
-    output_distribution,
     sample_prior,
-    simulate_one,
     transfer_triple,
 )
 
@@ -33,6 +31,7 @@ from oracles import (
     dense_map_denoiser,
     dense_operator_from_multiplier,
     dense_prior_denoiser,
+    output_distribution,
     random_prior_arrays,
 )
 
@@ -102,10 +101,10 @@ class TestSimulateOne:
         prior, spec, sched, obs = _setup(rng)
         x_start = rng.standard_normal(8)
         cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=Guidance.none())
-        x0, realized = simulate_one(cfg, obs, x_start)
+        X, realized = _run_batch(cfg, obs, x_start[None])
         triple = transfer_triple(WeightSchedule.dps(np.zeros(sched.S)), prior, spec, sched)
         want = triple.D1 * np.fft.fft(x_start) + triple.D3 * prior.mu_f
-        np.testing.assert_allclose(np.fft.fft(x0), want, atol=1e-10 * max(1, np.max(np.abs(want))))
+        np.testing.assert_allclose(np.fft.fft(X[0]), want, atol=1e-10 * max(1, np.max(np.abs(want))))
         assert np.all(realized == 0)
 
     def test_fixed_weight_trajectory_matches_composed_triple(self):
@@ -120,13 +119,13 @@ class TestSimulateOne:
                 schedule=sched,
                 guidance=Guidance.fixed(WeightSchedule.dps(zeta)),
             )
-            x0, realized = simulate_one(cfg, obs, x_start)
+            X, realized = _run_batch(cfg, obs, x_start[None])
             triple = transfer_triple(WeightSchedule.dps(zeta), prior, spec, sched)
             want = triple.D1 * np.fft.fft(x_start) + triple.D2 * obs.y_f + triple.D3 * prior.mu_f
             np.testing.assert_allclose(
-                np.fft.fft(x0), want, atol=1e-10 * max(1, np.max(np.abs(want)))
+                np.fft.fft(X[0]), want, atol=1e-10 * max(1, np.max(np.abs(want)))
             )
-            np.testing.assert_array_equal(realized, zeta)
+            np.testing.assert_array_equal(realized[:, 0], zeta)
 
     def test_pigdm_trajectory_matches_composed_triple(self):
         rng = np.random.default_rng(2)
@@ -137,28 +136,28 @@ class TestSimulateOne:
             x_start = rng.standard_normal(prior.dim)
             guide = Guidance.fixed(WeightSchedule.pigdm(g, r))
             cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
-            x0, realized = simulate_one(cfg, obs, x_start)
+            X, realized = _run_batch(cfg, obs, x_start[None])
             triple = transfer_triple(WeightSchedule.pigdm(g, r), prior, spec, sched)
             want = triple.D1 * np.fft.fft(x_start) + triple.D2 * obs.y_f + triple.D3 * prior.mu_f
             np.testing.assert_allclose(
-                np.fft.fft(x0), want, atol=1e-10 * max(1, np.max(np.abs(want)))
+                np.fft.fft(X[0]), want, atol=1e-10 * max(1, np.max(np.abs(want)))
             )
-            np.testing.assert_array_equal(realized, g)
+            np.testing.assert_array_equal(realized[:, 0], g)
 
     def test_optimal_guidance_with_huge_noise_follows_prior_trajectory(self):
         rng = np.random.default_rng(3)
         prior, spec, sched, obs = _setup(rng)
         big = replace(spec, sigma_y=1e7)
         x_start = rng.standard_normal(8)
-        x_opt, _ = simulate_one(
+        x_opt, _ = _run_batch(
             SimConfig(prior=prior, spec=big, schedule=sched, guidance=Guidance.optimal()),
             obs,
-            x_start,
+            x_start[None],
         )
-        x_none, _ = simulate_one(
+        x_none, _ = _run_batch(
             SimConfig(prior=prior, spec=big, schedule=sched, guidance=Guidance.none()),
             obs,
-            x_start,
+            x_start[None],
         )
         np.testing.assert_allclose(x_opt, x_none, atol=1e-6 * max(1, np.max(np.abs(x_none))))
 
@@ -174,7 +173,7 @@ class TestSimulateOne:
             guide = Guidance.fixed(weights)
             cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
             with pytest.raises(ValueError, match=f"diverged at step {step}$"):
-                simulate_one(cfg, obs, rng.standard_normal(8))
+                _run_batch(cfg, obs, rng.standard_normal(8)[None])
 
     def test_unvaried_weights_are_not_allocated(self):
         # Only the DPS heuristic realizes weights that differ between runs;
@@ -278,13 +277,21 @@ class TestGuidance:
         with pytest.raises(ValueError, match="must be positive"):
             Guidance.dps_heuristic(0.0)
 
+    def test_degradation_of_another_length_rejected(self):
+        # SimConfig used to accept a length-1 operator next to a d = 8 prior.
+        prior = make_synthetic_prior(8, 0.2)
+        spec = DegradationSpec(dim=1, lambda_h=np.ones(1, complex), sigma_y=0.1)
+        sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
+        with pytest.raises(ValueError, match="degradation has length 1 but the prior has length 8"):
+            SimConfig(prior=prior, spec=spec, schedule=sched, guidance=Guidance.none())
+
 
 class TestRealOperators:
     def test_lpf_with_a_broken_conjugate_pair_rejected(self):
         # DC, the pairs (1, 49) and (2, 48), and bin 3 without its mirror 47:
         # the mask make_lpf(50, 0.12) used to build.  Keeping the real part of
-        # each matvec moved simulate_one off the composed triple by 0.41 on
-        # outputs of size 7.4 (S=20, constant zeta=0.1).
+        # each matvec moved a simulated trajectory off the composed triple by
+        # 0.41 on outputs of size 7.4 (S=20, constant zeta=0.1).
         prior = make_synthetic_prior(50, 0.05)
         mask = np.zeros(50, complex)
         mask[[0, 1, 2, 3, 48, 49]] = 1.0

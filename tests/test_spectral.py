@@ -12,7 +12,6 @@ from specdiff import (
     make_lpf,
     make_synthetic_prior,
     sample_prior,
-    true_posterior,
 )
 
 from oracles import (
@@ -20,6 +19,7 @@ from oracles import (
     dense_circulant_from_row,
     dense_gaussian_condition,
     dense_operator_from_multiplier,
+    true_posterior,
 )
 
 

@@ -20,15 +20,9 @@ from specdiff import (
     linear_ddpm_schedule,
     make_lpf,
     make_synthetic_prior,
-    output_distribution,
-    posterior_optimal_denoise,
-    prior_optimal_denoise,
     sample_prior,
-    simulate_one,
     step_coeffs,
     transfer_triple,
-    true_posterior,
-    w2_diag,
 )
 from specdiff.objective import triple_realization_loss
 
@@ -38,6 +32,9 @@ from oracles import (
     dense_operator_from_multiplier,
     dense_prior_denoiser,
     log_posterior,
+    output_distribution,
+    posterior_optimal_denoise,
+    prior_optimal_denoise,
     random_prior_arrays,
     running_states,
 )
@@ -261,6 +258,14 @@ class TestStepTransfers:
         sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
         with pytest.raises(ValueError, match="unknown sampler kind"):
             batch_triples("ddpm", np.zeros(4), prior, make_lpf(8, 0.375, 0.1), sched)
+
+    def test_degradation_of_another_length_rejected(self):
+        # A length-1 operator used to broadcast over the d = 8 bins.
+        prior = make_synthetic_prior(8, 0.2)
+        spec = DegradationSpec(dim=1, lambda_h=np.ones(1, complex), sigma_y=0.1)
+        sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
+        with pytest.raises(ValueError, match="degradation has length 1 but the prior has length 8"):
+            StepTable("dps", prior, spec, sched)
 
 
 class TestTimeDomainOracle:
