@@ -158,4 +158,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"invalid config value: {exc}") from exc
     if not cfg.S_list:
         raise ConfigError("schedule.S must list at least one step count")
+    if not cfg.zeta_primes:
+        raise ConfigError("sampler.zeta_prime must list at least one value")
     return cfg

@@ -55,13 +55,25 @@ def _data_rows(path) -> list[list[str]]:
 
 
 def read_samples_csv(path) -> np.ndarray:
-    """Long-format sample matrix: columns sample, index, value."""
+    """Long-format sample matrix: columns sample, index, value.
+
+    Every (sample, index) cell of the n x d matrix must appear exactly once.
+    """
     rows = _data_rows(path)[1:]
-    n = max(int(r[0]) for r in rows) + 1
-    d = max(int(r[1]) for r in rows) + 1
-    out = np.zeros((n, d))
-    for r in rows:
-        out[int(r[0]), int(r[1])] = float(r[2])
+    if not rows:
+        raise ValueError("no sample rows")
+    cells = np.array([(int(r[0]), int(r[1])) for r in rows])
+    if np.any(cells < 0):
+        raise ValueError("sample and index must be nonnegative")
+    n, d = cells.max(axis=0) + 1
+    counts = np.zeros((n, d), dtype=int)
+    np.add.at(counts, (cells[:, 0], cells[:, 1]), 1)
+    for bad, what in [(counts > 1, "is repeated"), (counts == 0, "is missing")]:
+        if bad.any():
+            k, i = np.argwhere(bad)[0]
+            raise ValueError(f"cell (sample {k}, index {i}) {what}")
+    out = np.empty((n, d))
+    out[cells[:, 0], cells[:, 1]] = [float(r[2]) for r in rows]
     return out
 
 

@@ -337,6 +337,16 @@ class TestCliCommands:
                 "sampler.zeta_prime",
                 id="zeta_prime-eval-loss",
             ),
+            pytest.param(
+                "simulate",
+                {"0.1, 0.3": "", "n_runs = 16": "n_runs = 16\nguidance = heuristic"},
+                "sampler.zeta_prime",
+                id="zeta_prime-empty-simulate",
+            ),
+            pytest.param(
+                "sweep-wasserstein", {"0.1, 0.3": ""}, "sampler.zeta_prime",
+                id="zeta_prime-empty-sweep",
+            ),
         ],
     )
     def test_value_rejected_when_config_loads(self, tmp_path, runner, command, edits, key):
@@ -345,7 +355,9 @@ class TestCliCommands:
         # ladder rung of 0 in its rung schedule, a ladder out of order in the
         # ladder solve, keep_dims = 0 in the eigen-truncation and a zeta' <= 0
         # in the heuristic guidance, after simulate had written the outputs of
-        # the zeta' before it.
+        # the zeta' before it.  An empty zeta' list used to pass: simulate
+        # exited 0 without writing a file and the sweep dropped its heuristic
+        # rows.
         text = BASE_CONFIG.format(out=tmp_path / "out").replace("T = 200", "T = 50")
         for old, new in edits.items():
             text = text.replace(old, new)
@@ -370,12 +382,34 @@ class TestCliCommands:
                 "estimate-prior", "estimate.samples", "sample,index,value\n0,0,1.0\n",
                 id="samples-one-row",
             ),
+            pytest.param(
+                "estimate-prior", "estimate.samples",
+                "sample,index,value\n0,0,1.0\n1,1,2.0\n2,0,3.0\n",
+                id="samples-missing-cell",
+            ),
+            pytest.param(
+                "estimate-prior", "estimate.samples",
+                "sample,index,value\n0,0,1.0\n0,1,2.0\n1,0,3.0\n1,1,4.0\n1,1,5.0\n",
+                id="samples-repeated-cell",
+            ),
+            pytest.param(
+                "estimate-prior", "estimate.samples",
+                "sample,index,value\n0,0,1.0\n1,0,2.0\n-1,0,3.0\n",
+                id="samples-negative-sample",
+            ),
+            pytest.param(
+                "estimate-prior", "estimate.samples",
+                "sample,index,value\n0,0,1.0\n1,0,2.0\n0,-1,3.0\n1,-1,4.0\n",
+                id="samples-negative-index",
+            ),
         ],
     )
     def test_bad_input_file_exits_2_naming_key(self, tmp_path, runner, command, key, contents):
         # A missing file used to end in a FileNotFoundError traceback (exit 1),
         # and an unreadable one, or a single sample, in a numerical failure
-        # (exit 3).
+        # (exit 3).  A missing cell used to read as 0.0, a repeated one as its
+        # last value and a negative one from the other end of its row or
+        # column, each with exit 0.
         data = tmp_path / "input.txt"
         if contents is not None:
             data.write_text(contents)

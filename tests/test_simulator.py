@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -43,6 +44,26 @@ def _setup(rng, d=8, S=6, sigma=0.2, lam_floor=0.0):
     sched = ddim_subsequence(linear_ddpm_schedule(200), S)
     obs = degrade(sample_prior(prior, rng), spec, rng)
     return prior, spec, sched, obs
+
+
+def _restricted_setups(rng, S, lam_floor=0.0):
+    """Labelled setups whose h is zero on some of the d // 2 + 1 half-spectrum bins.
+
+    For odd and even d: an LPF, an h that is nonzero on bins 0 and 2 only (an
+    interior zero at bin 1 and a zero tail), and h = 0; each with mu = 0 and
+    with a random mu.
+    """
+    for d in (7, 8):
+        base, spec, sched, _ = _setup(rng, d=d, S=S, lam_floor=lam_floor)
+        dist = np.minimum(np.arange(d), d - np.arange(d))
+        gapped = np.where((dist == 0) | (dist == 2), spec.lambda_h, 0.0)
+        operators = {"lpf": make_lpf(d, 3 / d).lambda_h, "interior-zero": gapped, "zero": np.zeros(d)}
+        for name, h in operators.items():
+            op = replace(spec, lambda_h=h)
+            for mean, mu_f in [("mu=0", np.zeros(d)), ("mu!=0", base.mu_f)]:
+                prior = SpectralPrior(dim=d, mu_f=mu_f, lambda0=base.lambda0)
+                obs = degrade(sample_prior(prior, rng), op, rng)
+                yield f"d={d} {name} {mean}", prior, op, sched, obs
 
 
 def _every_guidance(rng, S):
@@ -195,18 +216,21 @@ class TestSimulateOne:
     def test_steps_match_dense_time_domain_loop(self):
         # The state stays on the half spectrum between steps; check it there
         # against dense matrices applied in the time domain, step by step.
+        # The random h have full support; the restricted setups make the
+        # guidance and the offset skip bins where they are zero.
         rng = np.random.default_rng(15)
         steps = 3
-        for d in (4, 5):
-            prior, spec, sched, obs = _setup(rng, d=d, S=6, lam_floor=0.1)
+        setups = (("full", *_setup(rng, d=d, S=6, lam_floor=0.1)) for d in (4, 5))
+        for label, prior, spec, sched, obs in chain(setups, _restricted_setups(rng, 6, 0.1)):
             for guide in _every_guidance(rng, sched.S):
                 cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
-                x_s = rng.standard_normal((4, d))
+                x_s = rng.standard_normal((4, prior.dim))
                 got, realized = _run_batch(cfg, obs, x_s, stop_at_s=sched.S - steps)
                 want, want_w = _dense_steps(cfg, obs, x_s, steps)
                 scale = max(1.0, np.max(np.abs(want)))
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * scale, err_msg=guide.kind)
-                np.testing.assert_allclose(realized[-steps:][::-1], want_w, rtol=1e-10)
+                msg = f"{label} {guide.kind}"
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * scale, err_msg=msg)
+                np.testing.assert_allclose(realized[-steps:][::-1], want_w, rtol=1e-10, err_msg=msg)
                 assert np.all(realized[:-steps] == 0)
 
     def test_one_real_fft_pair_per_batch(self, monkeypatch):
@@ -425,9 +449,12 @@ class TestHeuristicProfile:
     def test_heuristic_norm_matches_dense_residual(self):
         # The norm comes from the half spectrum by Parseval, where DC and, for
         # even d, Nyquist count once and every other bin twice.
+        # Past the last bin where h is nonzero the residual is y, whose part
+        # of the norm comes from a table built before the loop.
         rng = np.random.default_rng(14)
-        for d in range(2, 12):
-            prior, spec, sched, obs = _setup(rng, d=d, S=3)
+        setups = ((f"full d={d}", *_setup(rng, d=d, S=3)) for d in range(2, 12))
+        for label, prior, spec, sched, obs in chain(setups, _restricted_setups(rng, 3)):
+            d = prior.dim
             guide = Guidance.dps_heuristic(0.7, cap=1e6)
             cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
             x_s = rng.standard_normal((4, d))
@@ -438,7 +465,7 @@ class TestHeuristicProfile:
             ab = sched.at(sched.S)
             x0 = [dense_prior_denoiser(prior.mu_time(), Sigma0, x, ab) for x in x_s]
             norms = np.array([np.linalg.norm(y - H @ x) for x in x0])
-            np.testing.assert_allclose(realized[-1], 0.7 / norms, rtol=1e-10)
+            np.testing.assert_allclose(realized[-1], 0.7 / norms, rtol=1e-10, err_msg=label)
             assert np.all(realized[:-1] == 0)
 
     def test_replay_is_exactly_linear_in_the_constant(self):
