@@ -1,9 +1,12 @@
 """Box-constrained minimization of the weight-schedule losses.
 
 The solve itself is delegated to L-BFGS-B.  A solve builds its context's
-step table once; every point the solver requests is then one forward sweep
-for the loss and one reverse sweep for its exact gradient, both returned by
-one call (``jac=True``).  Warm-starting across step counts (the ladder) keeps
+step table once, with its workspace; every point the solver requests is then
+one forward sweep for the loss and one reverse sweep for its exact gradient,
+both returned by one call (``jac=True``) and both reusing that workspace.
+The start is evaluated once: it is checked before the solve, and the
+solver's first request, the same clipped vector, is answered from that
+evaluation.  Warm-starting across step counts (the ladder) keeps
 long schedules in a good basin, and eigen-truncation (``keep_dims``) solves
 on the bins with the largest prior eigenvalues only.
 """
@@ -189,12 +192,17 @@ def optimize_weights(
         theta0[S:] = np.maximum(theta0[S:], 0.0)
 
     table = StepTable(kind, work_ctx.prior, work_ctx.spec, work_ctx.schedule)
-    f0, _ = loss_and_gradient(table, theta0, work_ctx)
+    f0, grad0 = loss_and_gradient(table, theta0, work_ctx)
     if not np.isfinite(f0):
         raise ValueError("invalid starting point")
+    theta0_bytes = theta0.tobytes()
 
     def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        f, grad = loss_and_gradient(table, theta, work_ctx)
+        # L-BFGS-B's first request is theta0 itself, evaluated above.
+        if theta.tobytes() == theta0_bytes:
+            f, grad = f0, grad0.copy()
+        else:
+            f, grad = loss_and_gradient(table, theta, work_ctx)
         if not (np.isfinite(f) and np.all(np.isfinite(grad))):
             raise ValueError("non-finite loss or gradient")
         return f, grad

@@ -1,4 +1,10 @@
-"""DDPM noise schedules, DDIM subsequences, and per-step coefficients."""
+"""DDPM noise schedules, DDIM subsequences, and per-step coefficients.
+
+The coefficient functions take one step or an array of steps.  A step table
+and a Monte-Carlo batch each pass every step they run in one call; the
+formulas are elementwise, so a row of the array result has the bits of the
+single-step call.
+"""
 
 from __future__ import annotations
 
@@ -51,22 +57,32 @@ class Schedule:
     def S(self) -> int:
         return len(self.alpha_bar)
 
-    def at(self, s: int) -> float:
-        if not 1 <= s <= self.S:
-            raise ValueError(f"step index {s} out of range 1..{self.S}")
-        return float(self.alpha_bar[s - 1])
+    def at(self, s):
+        """Noise level at step s: a float, or an array for an integer array of steps."""
+        return self._level(s, self.alpha_bar)
 
-    def before(self, s: int) -> float:
-        """Noise level of the step that follows s in sampling order."""
-        return 1.0 if s == 1 else float(self.alpha_bar[s - 2])
+    def before(self, s):
+        """Noise level of the step that follows s in sampling order, as ``at``."""
+        return self._level(s, np.concatenate(([1.0], self.alpha_bar[:-1])))
+
+    def _level(self, s, levels: np.ndarray):
+        """levels[s - 1] for a step or an array of steps, range-checked."""
+        idx = np.asarray(s)
+        if np.any((idx < 1) | (idx > self.S)):
+            raise ValueError(f"step index {s} out of range 1..{self.S}")
+        return float(levels[idx - 1]) if idx.ndim == 0 else levels[idx - 1]
 
 
 @dataclass(frozen=True)
 class StepCoeffs:
-    """Scalar DDIM coefficients and per-frequency denoiser coefficients."""
+    """DDIM update scalars and per-frequency denoiser gains.
 
-    a_s: float
-    b_s: float
+    For one step, a_s and b_s are floats and c_s and d_s (d,) arrays; for an
+    array of n steps they are (n,) and (n, d) arrays, one row per step.
+    """
+
+    a_s: float | np.ndarray
+    b_s: float | np.ndarray
     c_s: np.ndarray
     d_s: np.ndarray
 
@@ -90,20 +106,26 @@ def ddim_subsequence(full: np.ndarray, S: int) -> Schedule:
     return Schedule(alpha_bar=full[idx - 1], T_full=T)
 
 
-def step_coeffs_scalar(sched: Schedule, s: int) -> tuple[float, float]:
-    """DDIM update scalars (a_s, b_s) at step s."""
+def step_coeffs_scalar(sched: Schedule, s):
+    """DDIM update scalars (a_s, b_s) at step s, or elementwise over an array of steps.
+
+    One step gives two floats, an array of steps two arrays of its shape.  The
+    arithmetic is the same elementwise either way, so the bits agree.
+    """
     ab_s = sched.at(s)
     ab_prev = sched.before(s)
-    if ab_s >= 1.0:
+    if np.any(ab_s >= 1.0):
         raise ValueError("division by zero noise")
     a = np.sqrt((1.0 - ab_prev) / (1.0 - ab_s))
     b = np.sqrt(ab_prev) - np.sqrt(ab_s) * a
-    return float(a), float(b)
+    return (float(a), float(b)) if np.ndim(s) == 0 else (a, b)
 
 
-def denoiser_coeffs(sched: Schedule, s: int, prior: SpectralPrior) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frequency denoiser gains (c_s, d_s) at step s."""
+def denoiser_coeffs(sched: Schedule, s, prior: SpectralPrior) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frequency denoiser gains (c_s, d_s) at step s: (d,), or (n, d) for n steps."""
     ab = sched.at(s)
+    if np.ndim(ab):
+        ab = ab[:, None]
     lam = prior.lambda0
     den = ab * lam + (1.0 - ab)
     if np.any(den == 0):
@@ -113,8 +135,12 @@ def denoiser_coeffs(sched: Schedule, s: int, prior: SpectralPrior) -> tuple[np.n
     return c, d
 
 
-def step_coeffs(sched: Schedule, s: int, prior: SpectralPrior) -> StepCoeffs:
-    """All coefficients a step's transfer functions consume."""
+def step_coeffs(sched: Schedule, s, prior: SpectralPrior) -> StepCoeffs:
+    """All coefficients a step's transfer functions consume.
+
+    ``s`` is one step or a 1-D array of steps; a step table passes all of its
+    steps in sampling order, so one call builds every row.
+    """
     a, b = step_coeffs_scalar(sched, s)
     c, d = denoiser_coeffs(sched, s, prior)
     return StepCoeffs(a_s=a, b_s=b, c_s=c, d_s=d)

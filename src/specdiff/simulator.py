@@ -32,9 +32,9 @@ changes nothing.  A low-pass h keeps 13 of the 26 bins at d = 50, V = 0.5,
 and a zero-mean prior sampler adds no offset at all.
 
 This stays an independent check on ``transfer.py``.  Its tables are built
-here from ``step_coeffs_scalar`` and the prior and degradation multipliers,
-in the operator terms above; nothing is taken from the step tables or the
-composition of ``transfer.py``.  Each trajectory carries its own state and
+here from one ``step_coeffs_scalar`` call over the batch's steps and the
+prior and degradation multipliers, in the operator terms above; nothing is
+taken from the step tables or the composition of ``transfer.py``.  Each trajectory carries its own state and
 residual through every step, so the heuristic weights are the ones each
 trajectory realizes, which no closed form gives.  The tests check the
 half-spectrum steps against dense matrices applied in the time domain.
@@ -236,7 +236,7 @@ def _run_batch(
     y = obs.y_f[:m]
     sig2 = spec.sigma_y**2
     steps = np.arange(sched.S, stop_at_s, -1)
-    a, b = np.array([step_coeffs_scalar(sched, s) for s in steps]).T[:, :, None]
+    a, b = (v[:, None] for v in step_coeffs_scalar(sched, steps))
     ab = sched.alpha_bar[steps - 1][:, None]  # (steps, 1), broadcast over the bins
     if guide.kind == GUIDANCE_OPTIMAL:
         # MAP denoiser x0hat = K^-1 ((1 - ab) Sigma H^T y + sig2 sqrt(ab) Sigma x

@@ -216,8 +216,9 @@ class TestOptimizeWeights:
                 assert np.all(sol.weights.r >= 0)
 
     def test_loss_calls_are_the_start_plus_the_solver_requests(self):
-        # One evaluation of the starting point, then one combined loss and
-        # gradient evaluation per L-BFGS-B request; no iterate is re-evaluated.
+        # One combined loss and gradient evaluation per L-BFGS-B request; the
+        # first request is the clipped start, which the solve evaluated
+        # already, so that point is not computed twice.
         rng = np.random.default_rng(14)
         ctx = _small_ctx(rng, d=12, S=6)
         evaluate, minimize = optimizer.loss_and_gradient, optimizer.minimize
@@ -237,11 +238,12 @@ class TestOptimizeWeights:
             optimize_weights(ctx, default_init(ctx))
         (result,) = results
         assert result.nfev == result.njev
-        assert len(calls) == 1 + result.nfev
+        assert len(calls) == result.nfev
 
     def test_step_table_is_built_once_per_solve(self):
         # Regression: the S-step coefficient table used to be rebuilt on every
-        # loss call, S * (1 + nfev + njev) step_coeffs calls per solve.
+        # loss call, S * (1 + nfev + njev) step_coeffs calls per solve.  A
+        # table now takes all S steps' coefficients from one call.
         rng = np.random.default_rng(20)
         for kind in ("dps", "pigdm"):
             ctx = _small_ctx(rng, d=10, S=9, kind=kind)
@@ -255,7 +257,7 @@ class TestOptimizeWeights:
                 mp.setattr(transfer, "step_coeffs", counted)
                 sol = optimize_weights(ctx, default_init(ctx))
             assert sol.iterations > 1
-            assert len(calls) == ctx.schedule.S
+            assert len(calls) == 1
 
     def test_non_finite_gradient_raises(self):
         rng = np.random.default_rng(21)
@@ -287,7 +289,8 @@ class TestOptimizeWeights:
             sol = optimize_weights(ctx, default_init(ctx))
         assert sol.success is True
         assert sol.message.startswith("CONVERGENCE")
-        assert sol.nfev == sol.njev == len(calls) - 1
+        # The solver's first request reuses the start's evaluation.
+        assert sol.nfev == sol.njev == len(calls)
         assert sol.iterations <= sol.nfev
         assert 0.0 < sol.wall_s < 60.0
         # The exit gradient is the one L-BFGS-B took at the returned point.

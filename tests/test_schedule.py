@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,46 @@ class TestStepCoeffs:
         sched = Schedule(alpha_bar=np.array([1.0, 0.5]), T_full=2)
         with pytest.raises(ValueError, match="division by zero noise"):
             step_coeffs_scalar(sched, 1)
+
+    @pytest.mark.parametrize("S", [1, 2, 20, 1000])
+    def test_vectorized_coeffs_equal_per_step_formulas_bit_for_bit(self, S):
+        # One call over every step, in a step table's sampling order, gives
+        # each step's rows with the bits of the per-step formulas, including
+        # s = 1, where the level before the step is 1.
+        prior = make_synthetic_prior(12, 0.3)
+        sched = ddim_subsequence(linear_ddpm_schedule(1000), S)
+        steps = np.arange(S, 0, -1)
+        got = step_coeffs(sched, steps, prior)
+        a_vec, b_vec = step_coeffs_scalar(sched, steps)
+        assert got.a_s.shape == got.b_s.shape == (S,)
+        assert got.c_s.shape == got.d_s.shape == (S, 12)
+        assert a_vec.tobytes() == got.a_s.tobytes() and b_vec.tobytes() == got.b_s.tobytes()
+        for j, s in enumerate(steps):
+            ab = float(sched.alpha_bar[s - 1])
+            ab_prev = 1.0 if s == 1 else float(sched.alpha_bar[s - 2])
+            a = math.sqrt((1.0 - ab_prev) / (1.0 - ab))
+            b = math.sqrt(ab_prev) - math.sqrt(ab) * a
+            den = ab * prior.lambda0 + (1.0 - ab)
+            assert (got.a_s[j], got.b_s[j]) == (a, b)
+            assert got.c_s[j].tobytes() == (math.sqrt(ab) * prior.lambda0 / den).tobytes()
+            assert got.d_s[j].tobytes() == ((1.0 - ab) / den).tobytes()
+            one = step_coeffs(sched, int(s), prior)
+            assert (one.a_s, one.b_s) == (a, b)
+            assert one.c_s.tobytes() == got.c_s[j].tobytes()
+        assert (got.a_s[-1], got.b_s[-1]) == (0.0, 1.0)
+
+    def test_vectorized_saturated_step_rejected(self):
+        sched = Schedule(alpha_bar=np.array([1.0, 0.5]), T_full=2)
+        prior = make_synthetic_prior(4, 0.3)
+        with pytest.raises(ValueError, match="division by zero noise"):
+            step_coeffs_scalar(sched, np.array([2, 1]))
+        with pytest.raises(ValueError, match="division by zero noise"):
+            step_coeffs(sched, np.array([2, 1]), prior)
+        a, b = step_coeffs_scalar(sched, np.array([2]))
+        assert np.isfinite(a).all() and np.isfinite(b).all()
+
+    def test_vectorized_step_out_of_range_rejected(self):
+        sched = ddim_subsequence(linear_ddpm_schedule(100), 5)
+        for steps in (np.array([5, 0]), np.array([6, 1])):
+            with pytest.raises(ValueError, match="out of range"):
+                step_coeffs_scalar(sched, steps)

@@ -26,6 +26,7 @@ from specdiff import (
     transfer_triple,
 )
 
+from specdiff import simulator
 from specdiff.simulator import _run_batch
 
 from oracles import (
@@ -287,6 +288,31 @@ class TestSimulateOne:
                 scale = max(1.0, np.max(np.abs(want)))
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * scale, err_msg=guide.kind)
                 np.testing.assert_allclose(got_w, want_w, rtol=1e-10)
+
+    def test_batch_takes_every_step_coefficient_from_one_call(self):
+        # A batch tabulates its steps' (a, b) from one array call, whose rows
+        # equal the per-step scalars.
+        rng = np.random.default_rng(31)
+        prior, spec, sched, obs = _setup(rng, S=9)
+        scalars, calls = simulator.step_coeffs_scalar, []
+
+        def counted(sched_arg, s):
+            calls.append(np.ndim(s))
+            return scalars(sched_arg, s)
+
+        cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=Guidance.none())
+        x_s = rng.standard_normal((3, prior.dim))
+        want, _ = _run_batch(cfg, obs, x_s)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "step_coeffs_scalar", counted)
+            _run_batch(cfg, obs, x_s, stop_at_s=2)
+            assert calls == [1]
+            got, _ = _run_batch(cfg, obs, x_s)
+        assert calls == [1, 1]
+        assert got.tobytes() == want.tobytes()
+        a, b = scalars(sched, np.arange(sched.S, 0, -1))
+        for j, s in enumerate(range(sched.S, 0, -1)):
+            assert (a[j], b[j]) == scalars(sched, s)
 
 
 class TestGuidance:

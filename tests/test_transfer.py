@@ -393,7 +393,7 @@ class TestCompose:
         ):
             table = StepTable(kind, prior, spec, ddim_subsequence(linear_ddpm_schedule(1000), S))
             steps = table._steps(rng.uniform(0, 0.2, table.width))[0]
-            assert table._sweep(*steps).tobytes() == running_states(*steps).tobytes()
+            assert table._sweep().tobytes() == running_states(*steps).tobytes()
 
     @pytest.mark.parametrize("kind", ["dps", "pigdm", "ideal"])
     def test_table_composes_in_float64(self, kind):
@@ -406,7 +406,7 @@ class TestCompose:
         theta = rng.uniform(0, 0.2, table.width)
         G, Q, M = table._steps(theta)[0]
         assert (G.dtype, Q.dtype, M.dtype) == (np.float64,) * 3
-        assert table._sweep(G, Q, M).dtype == np.float64
+        assert table._sweep().dtype == np.float64
         _, Qc, _ = table.step_arrays(theta)
         assert Qc.tobytes() == (Q * np.conj(spec.lambda_h)).tobytes()
 
@@ -439,6 +439,69 @@ class TestCompose:
             triple, _ = table.compose_with_pullback(theta)
             for composed, swept in zip(table.compose(theta), triple):
                 assert composed.tobytes() == swept.tobytes()
+
+    @pytest.mark.parametrize("kind", ["dps", "pigdm", "ideal"])
+    @pytest.mark.parametrize("S", [1, 200])
+    def test_reused_table_matches_fresh_tables_bit_for_bit(self, kind, S):
+        # One table evaluates A, then B, then A again; every composition,
+        # step array and gradient equals a fresh table's, so nothing a
+        # composition leaves in the workspace reaches the next one.
+        rng = np.random.default_rng(28)
+        prior, spec = _reference_model()
+        sched = ddim_subsequence(linear_ddpm_schedule(1000), S)
+        table = StepTable(kind, prior, spec, sched)
+        A, B = (rng.uniform(0, 0.2, table.width) for _ in range(2))
+
+        def evaluate(t, theta, cots):
+            out = [*t.compose(theta), *t.step_arrays(theta)]
+            if kind != "ideal":
+                triple, pullback = t.compose_with_pullback(theta)
+                out += [*triple, pullback(*cots)]
+            return [x.tobytes() for x in out]
+
+        for theta in (A, B, A):
+            cots = rng.standard_normal((3, prior.dim)) + 1j * rng.standard_normal((3, prior.dim))
+            fresh = evaluate(StepTable(kind, prior, spec, sched), theta, cots)
+            assert evaluate(table, theta, cots) == fresh
+
+    @pytest.mark.parametrize("kind", ["dps", "pigdm", "ideal"])
+    def test_handed_out_arrays_survive_later_compositions(self, kind):
+        # step_arrays, triples and gradients are new arrays, never views of
+        # the workspace that the next composition overwrites.
+        rng = np.random.default_rng(29)
+        prior, spec, _ = _random_setup(rng, d=10)
+        table = StepTable(kind, prior, spec, ddim_subsequence(linear_ddpm_schedule(1000), 12))
+        A, B = (rng.uniform(0, 0.2, table.width) for _ in range(2))
+        cots = [rng.standard_normal(10) + 1j * rng.standard_normal(10) for _ in range(3)]
+        handed = [*table.step_arrays(A), *table.compose(A)]
+        if kind != "ideal":
+            triple, pullback = table.compose_with_pullback(A)
+            handed += [*triple, pullback(*cots)]
+        before = [x.tobytes() for x in handed]
+        for theta in (B, A + 1.0):
+            table.step_arrays(theta)
+            table.compose(theta)
+            if kind != "ideal":
+                table.compose_with_pullback(theta)[1](*cots)
+        assert [x.tobytes() for x in handed] == before
+
+    @pytest.mark.parametrize("kind", ["dps", "pigdm"])
+    def test_stale_pullback_raises(self, kind):
+        rng = np.random.default_rng(30)
+        prior, spec, _ = _random_setup(rng)
+        sched = ddim_subsequence(linear_ddpm_schedule(1000), 7)
+        table = StepTable(kind, prior, spec, sched)
+        A, B = (rng.uniform(0, 0.2, table.width) for _ in range(2))
+        cots = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(3)]
+        for later in (table.compose, table.step_arrays, table.compose_with_pullback):
+            _, pullback = table.compose_with_pullback(A)
+            later(B)
+            with pytest.raises(RuntimeError, match="stale pullback"):
+                pullback(*cots)
+        # The newest pullback stays valid, and agrees with a fresh table's.
+        _, pullback = table.compose_with_pullback(A)
+        _, fresh = StepTable(kind, prior, spec, sched).compose_with_pullback(A)
+        assert pullback(*cots).tobytes() == fresh(*cots).tobytes()
 
     def test_guidance_off_equivalence_across_samplers(self):
         rng = np.random.default_rng(18)
