@@ -140,6 +140,16 @@ class _Runtime:
         """Monte-Carlo seed of the batch with the given tag."""
         return int(np.random.SeedSequence([self.seed, _SIM_TAG, tag]).generate_state(1)[0])
 
+    def zeta_tag(self, group: int, zi: int) -> int:
+        """Seed tag of the batch of zeta' number zi in the batch group tagged group.
+
+        Mixed radix: the zeta' digit is as wide as the config's zeta' list,
+        so distinct (group, zi) never share a tag.  It is at least 10 wide,
+        the fixed decimal digit it once was, so every config with at most ten
+        zeta' values keeps its seeds.
+        """
+        return group * max(10, len(self.cfg.zeta_primes)) + zi
+
     def sim_config(self, S: int, guidance: Guidance, tag: int) -> SimConfig:
         return SimConfig(
             prior=self.prior,
@@ -165,8 +175,10 @@ class _Runtime:
         the DPS schedule that is then scored in closed form.
         """
         out = []
+        # The realization digit is at least 1000 wide, as the zeta' digit is 10.
+        group = S * max(1000, self.cfg.n_realizations) + r
         for zi, zp in enumerate(self.cfg.zeta_primes):
-            sim = self.sim_config(S, self.heuristic_guidance(zp), (S * 1000 + r) * 10 + zi)
+            sim = self.sim_config(S, self.heuristic_guidance(zp), self.zeta_tag(group, zi))
             zetas = heuristic_weight_profile(zp, sim, obs)
             loss = self.weights_loss(WeightSchedule.dps(zetas.mean(axis=1)), sim.schedule, obs)
             out.append((f"dps-heuristic-{zp:g}", loss))
@@ -311,7 +323,8 @@ def cmd_simulate(rt: _Runtime):
             # One batch gives both outputs: the realized weights for the
             # profile and the output moments for the statistics.
             for zi, zp in enumerate(cfg.zeta_primes):
-                stats = monte_carlo(rt.sim_config(S, rt.heuristic_guidance(zp), S * 10 + zi), obs)
+                sim = rt.sim_config(S, rt.heuristic_guidance(zp), rt.zeta_tag(S, zi))
+                stats = monte_carlo(sim, obs)
                 profile_path = rt.out / f"profile_S{S}_zp{zp:g}.csv"
                 profile_to_csv(stats.per_step_zeta, profile_path, rt.header())
                 runstats_to_csv(stats, rt.out / f"stats_S{S}_zp{zp:g}.csv", rt.header())

@@ -26,10 +26,23 @@ row and numpy's inner loops run over the n trajectories, not the few bins.
 Two terms vanish on bins the inputs fix.  The guidance carries a factor
 conj(h), so it is exactly zero wherever the degradation multiplier h is; the
 offset B is exactly zero wherever mu is (and, for the MAP step, h y too).
-Each step scales and checks every bin but forms and adds these terms only up
-to their last nonzero bin, which is exact: adding a zero to a finite state
-changes nothing.  A low-pass h keeps 13 of the 26 bins at d = 50, V = 0.5,
+Each step scales every bin but forms and adds these terms only up to their
+last nonzero bin, which is exact: adding a zero to a finite state changes
+nothing.  A low-pass h keeps 13 of the 26 bins at d = 50, V = 0.5,
 and a zero-mean prior sampler adds no offset at all.
+
+A batch checks its states for divergence once, after its last step.  That
+is exact because a non-finite entry of the state stays non-finite through
+every later step: inf times a multiplier is inf or nan, inf - inf and
+inf * 0 are nan, and a trajectory whose heuristic norm is inf gets zeta = 0,
+so its inf residual scales to nan.  The steps run under
+``np.errstate(over="ignore", invalid="ignore")``, scoped to the loop, so a
+diverging batch warns nothing on the way, and with numpy's ufunc buffer cut
+to one row of trajectories, which keeps numpy from buffering the per-bin
+multipliers that broadcast along the rows.  Only a diverged batch pays to
+locate the step: it takes a fresh real FFT of its starting states and replays
+the same steps with a check after each, which repeats the same arithmetic and
+so raises ``ValueError("diverged at step s")`` at the first non-finite step.
 
 This stays an independent check on ``transfer.py``.  Its tables are built
 here from one ``step_coeffs_scalar`` call over the batch's steps and the
@@ -151,10 +164,21 @@ class RunStats:
     per_step_zeta: np.ndarray | None = None
 
 
-def heuristic_zeta(zeta_prime: float, norms: np.ndarray, cap: float) -> np.ndarray:
-    """DPS heuristic weights zeta' / ||y - H x0hat||; cap where a norm is zero."""
+def heuristic_zeta(
+    zeta_prime: float, norms: np.ndarray, cap: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """DPS heuristic weights zeta' / ||y - H x0hat||; cap where a norm is zero.
+
+    Divides once, into out if given, and returns the weights; only where a
+    norm is zero is the quotient replaced by cap.
+    """
     norms = np.asarray(norms, dtype=float)
-    return np.where(norms == 0, cap, zeta_prime / np.where(norms == 0, 1.0, norms))
+    if norms.all():
+        return np.divide(zeta_prime, norms, out=out)
+    with np.errstate(divide="ignore"):
+        out = np.divide(zeta_prime, norms, out=out)
+    out[norms == 0] = cap
+    return out
 
 
 def _parseval_weights(d: int) -> np.ndarray:
@@ -201,12 +225,22 @@ def _run_batch(
     Only the DPS heuristic realizes weights that differ between runs; for the
     other kinds the weights are a read-only broadcast of one column.
 
-    Each step scales all d // 2 + 1 bins by A and checks all of them for
-    overflow.  The guidance G (C - HJ X) is formed and added on bins [0, nh)
-    and the offset B added on [0, nb), nh and nb one past the last bin where
-    h, respectively any step's B, is nonzero: past them both terms are exact
-    zeros.  Past nh the residual C - HJ X is C = y whatever the state, so
-    that part of the heuristic's norm comes from a per-step table.
+    Each step scales all d // 2 + 1 bins by A.  The guidance G (C - HJ X) is
+    formed and added on bins [0, nh) and the offset B added on [0, nb), nh
+    and nb one past the last bin where h, respectively any step's B, is
+    nonzero: past them both terms are exact zeros.  Past nh the residual
+    C - HJ X is C = y whatever the state, so that part of the heuristic's
+    norm comes from a per-step table.  The heuristic's sums, norms, realized
+    weights and interleaved 2 zeta pairs go to buffers made before the loop,
+    not to new arrays at every step.
+
+    The loop runs under an errstate that silences overflow and invalid
+    values and with a ufunc buffer no longer than a row of trajectories
+    (both restored on exit), and one ``np.isfinite`` check of the final
+    states finds any
+    divergence (the module docstring says why that is exact).  A diverged
+    batch is replayed from a fresh real FFT of x_start with a check after
+    every step, and raises ValueError naming the first non-finite step.
     """
     prior, spec, sched, guide = cfg.prior, cfg.spec, cfg.schedule, cfg.guidance
     d = prior.dim
@@ -268,32 +302,58 @@ def _run_batch(
         w_fixed = column[steps - 1] if pigdm else 2.0 * column[steps - 1]
         R = _aligned_empty((nh, n), complex)
         Rv = R.view(np.float64)  # (nh, 2n): the re and im parts of each trajectory
+    if heuristic:
+        sums, norms, w_pairs = np.empty(2 * n), np.empty(n), np.empty(2 * n)
 
     Xf = _aligned_empty((m, n), complex)
-    Xf[...] = np.fft.rfft(X, axis=-1).T
     Xv = Xf.view(np.float64)  # (m, 2n), as Rv
-    for i, s in enumerate(steps):
-        if guided:
-            np.multiply(HJ[i], Xf[:nh], out=R)
-            np.subtract(C[i], R, out=R)
-            if heuristic:
-                np.multiply(Rv, Rv, out=squares)
-                sums = parseval @ squares
-                norms = np.sqrt(sums[0::2] + sums[1::2] + tail[i])
-                realized[s - 1] = heuristic_zeta(guide.zeta_prime, norms, guide.cap)
-                w = np.repeat(2.0 * realized[s - 1], 2)
-            else:
-                w = w_fixed[i]
-            R *= G[i]
-            # Scale the real view: an overflow gives inf, never inf * 0 = nan.
-            Rv *= w
-        Xv *= A[i]  # A is real
-        if nb:
-            Xf[:nb] += B[i]
-        if guided:
-            Xf[:nh] += R
-        if not np.isfinite(Xv).all():
-            raise ValueError(f"diverged at step {s}")
+
+    def advance(check: bool) -> None:
+        """Run every step from the starting states; with check, raise at the first non-finite one."""
+        Xf[...] = np.fft.rfft(X, axis=-1).T
+        for i, s in enumerate(steps):
+            if guided:
+                np.multiply(HJ[i], Xf[:nh], out=R)
+                np.subtract(C[i], R, out=R)
+                if heuristic:
+                    np.multiply(Rv, Rv, out=squares)
+                    np.matmul(parseval, squares, out=sums)
+                    np.add(sums[0::2], sums[1::2], out=norms)
+                    np.add(norms, tail[i], out=norms)
+                    np.sqrt(norms, out=norms)
+                    zeta = heuristic_zeta(guide.zeta_prime, norms, guide.cap, out=realized[s - 1])
+                    # 2 zeta once for the re and once for the im part of each trajectory.
+                    np.multiply(zeta, 2.0, out=w_pairs[0::2])
+                    np.multiply(zeta, 2.0, out=w_pairs[1::2])
+                    w = w_pairs
+                else:
+                    w = w_fixed[i]
+                np.multiply(R, G[i], out=R)
+                # Scale the real view: an overflow gives inf, never inf * 0 = nan.
+                np.multiply(Rv, w, out=Rv)
+            np.multiply(Xv, A[i], out=Xv)  # A is real
+            if nb:
+                Xf[:nb] += B[i]
+            if guided:
+                Xf[:nh] += R
+            if check and not np.isfinite(Xv).all():
+                raise ValueError(f"diverged at step {s}")
+
+    # One check of the final states; only a diverged batch replays to name its step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Each per-bin multiplier broadcasts along a row of n trajectories.
+        # When the ufunc buffer holds two rows or more, numpy 2.4 buffers such
+        # an op to run several rows per inner loop, which made it 2-3 times
+        # slower at n = 1000 and 2000.  A buffer of at most one row (numpy
+        # wants a multiple of 16) runs them row by row.
+        bufsize = np.setbufsize(min(np.getbufsize(), max(16, n - n % 16)))
+        try:
+            advance(check=False)
+            if not np.isfinite(Xv).all():
+                advance(check=True)
+                raise AssertionError("the replay of a diverged batch stayed finite")
+        finally:
+            np.setbufsize(bufsize)
     # irfft of the transposed state would return F-ordered states; C order
     # keeps the order in which monte_carlo sums over the runs.
     return np.fft.irfft(np.ascontiguousarray(Xf.T), n=d, axis=-1), realized

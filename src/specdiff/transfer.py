@@ -252,8 +252,9 @@ class StepTable:
             np.multiply(w, direction, out=t)
             return np.multiply(t, e, out=out)
 
-        np.subtract(self.G0, gained(self.dG, t), out=G)
-        np.copyto(self._g[:, 1:], G[:, None])
+        # G is formed in t and written over its three rows in one pass.
+        np.subtract(self.G0, gained(self.dG, t), out=t)
+        np.copyto(self._g, t[:, None])
         gained(self.dQ, Q)
         np.subtract(self.M0, gained(self.dM, t), out=M)
         return (G, Q, M), (w, e)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -162,6 +164,20 @@ class TestCliCommands:
         assert result.exit_code == 3
         assert "numerical failure" in result.output
 
+    def test_diverging_simulation_exits_3_naming_the_step(self, tmp_path, runner):
+        # zeta' = 1e308 overflows the heuristic weight at the first step; the
+        # run reports that step and nothing else, no numpy warning.
+        text = (
+            BASE_CONFIG.format(out=tmp_path / "div")
+            .replace("zeta_prime = 0.1, 0.3", "zeta_prime = 1e308\nbounds = -1e308, 1e308")
+            .replace("n_runs = 16", "n_runs = 16\nguidance = heuristic")
+        )
+        cfg = tmp_path / "div.cfg"
+        cfg.write_text(text)
+        result = runner.invoke(main, ["simulate", "--config", str(cfg)])
+        assert result.exit_code == 3, result.output
+        assert result.output == "numerical failure: diverged at step 5\n"
+
     def test_simulate_writes_stats(self, tmp_path, runner):
         cfg = _write_config(tmp_path)
         result = runner.invoke(main, ["simulate", "--config", str(cfg)])
@@ -214,6 +230,65 @@ class TestCliCommands:
             got = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
             np.testing.assert_array_equal(got[:, 0], zetas.mean(axis=1))
             np.testing.assert_array_equal(got[:, 1], zetas.std(axis=1))
+
+    def test_monte_carlo_seeds_do_not_collide(self, tmp_path, runner, monkeypatch):
+        # Seed tags once packed the zeta' index in one decimal digit and the
+        # realization in three, so at S = 4 and 5 the eleventh zeta' of S = 4
+        # drew the starting states of the first zeta' of S = 5.
+        import specdiff.cli as cli
+
+        seeds = []
+
+        def recorded(original, pos):
+            def call(*args, **kwargs):
+                seeds.append(args[pos].seed)
+                return original(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(cli, "monte_carlo", recorded(cli.monte_carlo, 0))
+        monkeypatch.setattr(cli, "heuristic_weight_profile", recorded(cli.heuristic_weight_profile, 1))
+        zeta_primes = ", ".join(f"{0.1 * (k + 1):.1f}" for k in range(11))
+        text = (
+            BASE_CONFIG.format(out=tmp_path / "sim")
+            .replace("d = 12", "d = 13")
+            .replace("T = 200", "T = 50")
+            .replace("S = 5", "S = 4 5")
+            .replace("zeta_prime = 0.1, 0.3", f"zeta_prime = {zeta_primes}")
+            .replace("n_runs = 16", "n_runs = 16\nguidance = heuristic")
+        )
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(text)
+        result = runner.invoke(main, ["simulate", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert len(seeds) == 22 and len(set(seeds)) == 22
+        # The realization slot: realization 1000 at S = 4 against realization 0 at S = 5.
+        rt = cli._Runtime(load_config(cfg), None, None)
+        rt.cfg = replace(rt.cfg, n_realizations=1001, zeta_primes=(0.1, 0.3))
+        obs = rt.observations()[0]
+        seeds.clear()
+        rt.heuristic_losses(4, 1000, obs)
+        rt.heuristic_losses(5, 0, obs)
+        assert len(set(seeds)) == 4
+
+    def test_monte_carlo_seeds_of_small_configs_unchanged(self, tmp_path, monkeypatch):
+        # Configs with at most ten zeta' values and fewer than 1000
+        # realizations keep the seeds of the fixed decimal slots.
+        import specdiff.cli as cli
+
+        seeds = []
+
+        def recorded(zp, sim, obs):
+            seeds.append(sim.seed)
+            return np.zeros((sim.schedule.S, sim.n_runs))
+
+        monkeypatch.setattr(cli, "heuristic_weight_profile", recorded)
+        rt = cli._Runtime(load_config(_write_config(tmp_path)), None, None)
+        obs = rt.observations()
+        for r in range(2):
+            rt.heuristic_losses(5, r, obs[r])
+        tags = [(5 * 1000 + r) * 10 + zi for r in range(2) for zi in range(2)]
+        assert seeds == [rt.sim_seed(tag) for tag in tags]
 
     def test_optimize_rejects_weight_sources_it_does_not_optimize(self, tmp_path, runner):
         for source in ("heuristic", "pigdm-heuristic", "ideal"):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from itertools import chain
 
@@ -23,6 +24,7 @@ from specdiff import (
     make_synthetic_prior,
     monte_carlo,
     sample_prior,
+    step_coeffs_scalar,
     transfer_triple,
 )
 
@@ -115,6 +117,53 @@ def _dense_steps(cfg, obs, x, steps):
             w = realized[i, n] if pigdm else 2 * realized[i, n]
             x[n] = a * x_s + b * x0 + w * J.T @ H.T @ E @ residual
     return x, realized
+
+
+def _first_nonfinite_step(cfg, obs, x, stop_at_s=0):
+    """Per-step-checked reference: the first step whose states are not all finite, or None.
+
+    Each trajectory's full spectrum takes the guided step
+    X <- a X + b x0hat + w (J conj(h) E R), R = y - h x0hat, as written out per
+    bin, and every step is checked.  Non-finite values only arise here past
+    overflow, so the order of the finite arithmetic does not move the step.
+    """
+    prior, spec, sched, guide = cfg.prior, cfg.spec, cfg.schedule, cfg.guidance
+    lam, h, mu, y = prior.lambda0, spec.lambda_h, prior.mu_f, obs.y_f
+    weights = guide.weights
+    X = np.fft.fft(np.atleast_2d(x), axis=-1)
+    with np.errstate(all="ignore"):
+        for s in range(sched.S, stop_at_s, -1):
+            a, b = step_coeffs_scalar(sched, s)
+            ab = sched.at(s)
+            reg = ab * lam + 1.0 - ab
+            J = np.sqrt(ab) * lam / reg
+            x0hat = J * X + (1.0 - ab) * mu / reg
+            R = y - h * x0hat
+            E = 1.0
+            if guide.kind == "dps-heuristic":
+                norms = np.sqrt(np.sum(R.real**2 + R.imag**2, axis=-1) / prior.dim)
+                w = 2.0 * heuristic_zeta(guide.zeta_prime, norms, guide.cap)[:, None]
+            elif weights.kind == "pigdm":
+                w = weights.g[s - 1]
+                E = 1.0 / (weights.r[s - 1] ** 2 * np.abs(h) ** 2 + spec.sigma_y**2)
+            else:
+                w = 2.0 * weights.zeta[s - 1]
+            X = a * X + b * x0hat + w * (J * np.conj(h) * E * R)
+            if not np.isfinite(X).all():
+                return s
+    return None
+
+
+def _near_fit_start(cfg, obs, rel=1e-12):
+    """A start whose first-step residual y - H x0hat is rel times y - H offset.
+
+    Its DPS heuristic norm is tiny, so a huge zeta' overflows its weight.
+    """
+    prior, spec, ab = cfg.prior, cfg.spec, cfg.schedule.at(cfg.schedule.S)
+    reg = ab * prior.lambda0 + 1.0 - ab
+    J = np.sqrt(ab) * prior.lambda0 / reg
+    C = obs.y_f - spec.lambda_h * (1.0 - ab) * prior.mu_f / reg
+    return np.fft.ifft(C / (spec.lambda_h * J) * (1.0 - rel)).real
 
 
 class TestSimulateOne:
@@ -315,6 +364,92 @@ class TestSimulateOne:
             assert (a[j], b[j]) == scalars(sched, s)
 
 
+class TestDivergence:
+    """A batch checks its final states once and replays a diverged batch step by step."""
+
+    S = 6
+
+    def _cases(self):
+        """(label, cfg, obs, starts, stop_at_s, step): the batch diverges first at step."""
+        S = self.S
+        rng = np.random.default_rng(41)
+        prior, spec, sched, obs = _setup(rng, S=S)
+        d = prior.dim
+        last_only = np.zeros(S)
+        last_only[0] = 1e30
+        fixed = {
+            "dps": lambda z: WeightSchedule.dps(z),
+            "pigdm": lambda z: WeightSchedule.pigdm(z, np.ones(S)),
+        }
+        for kind, weights in fixed.items():
+            every = Guidance.fixed(weights(np.full(S, 1e30)))
+            # Each step scales a state by about 1e30: an unscaled one stays finite.
+            for label, guide, scale, stop, step in [
+                ("first step", every, 1e300, 0, S),
+                ("later step", every, 1e250, 0, S - 1),
+                ("last step", Guidance.fixed(weights(last_only)), 1e290, 0, 1),
+                ("stop_at_s > 0", every, 1e250, 3, S - 1),
+            ]:
+                starts = rng.standard_normal((4, d))
+                starts[2] *= scale
+                cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
+                yield f"{kind} {label}", cfg, obs, starts, stop, step
+        # The heuristic steps a trajectory by about zeta' whatever its
+        # residual, unless the norm is so small that 2 zeta overflows.
+        guide = Guidance.dps_heuristic(1e300, cap=1e300)
+        cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
+        for stop in (0, 3):
+            starts = rng.standard_normal((4, d))
+            starts[1] = _near_fit_start(cfg, obs)
+            yield f"heuristic stop_at_s={stop}", cfg, obs, starts, stop, S
+
+    def test_reports_the_first_diverging_step_without_warnings(self):
+        for label, cfg, obs, starts, stop, step in self._cases():
+            assert _first_nonfinite_step(cfg, obs, starts, stop) == step, label
+            # Only the scaled or fitted trajectory diverges.
+            alone = [_first_nonfinite_step(cfg, obs, x, stop) for x in starts]
+            assert sum(s is not None for s in alone) == 1, (label, alone)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^diverged at step {step}$"):
+                    _run_batch(cfg, obs, starts, stop_at_s=stop)
+
+    def test_batch_restores_numpy_error_state_and_buffer_size(self):
+        before = (np.geterr(), np.getbufsize())
+        rng = np.random.default_rng(43)
+        prior, spec, sched, obs = _setup(rng, S=self.S)
+        cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=Guidance.none())
+        _run_batch(cfg, obs, rng.standard_normal((40, prior.dim)))
+        assert (np.geterr(), np.getbufsize()) == before
+        label, cfg, obs, starts, stop, step = next(self._cases())
+        with pytest.raises(ValueError):
+            _run_batch(cfg, obs, starts, stop_at_s=stop)
+        assert (np.geterr(), np.getbufsize()) == before
+
+    def test_one_finiteness_check_per_batch_and_one_replay(self, monkeypatch):
+        calls = {"isfinite": 0, "rfft": 0, "irfft": 0}
+        for module, name in [(np, "isfinite"), (np.fft, "rfft"), (np.fft, "irfft")]:
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        rng = np.random.default_rng(42)
+        prior, spec, sched, obs = _setup(rng, S=self.S)
+        for guide in _every_guidance(rng, sched.S):
+            cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
+            calls.update(isfinite=0, rfft=0, irfft=0)
+            _run_batch(cfg, obs, rng.standard_normal((3, prior.dim)))
+            assert calls == {"isfinite": 1, "rfft": 1, "irfft": 1}, guide.kind
+        # A diverged batch replays once, checking each step up to the first
+        # non-finite one, and returns no states.
+        for label, cfg, obs, starts, stop, step in self._cases():
+            calls.update(isfinite=0, rfft=0, irfft=0)
+            with pytest.raises(ValueError):
+                _run_batch(cfg, obs, starts, stop_at_s=stop)
+            assert calls == {"isfinite": 1 + self.S - step + 1, "rfft": 2, "irfft": 0}, label
+
+
 class TestGuidance:
     def test_malformed_guidance_rejected_at_construction(self):
         # Each used to construct, then fail mid-loop with a TypeError.
@@ -500,6 +635,19 @@ class TestHeuristicProfile:
         once = heuristic_zeta(0.3, norms, cap=5.0)
         np.testing.assert_allclose(once, 0.3 / norms, rtol=1e-15)
         np.testing.assert_allclose(heuristic_zeta(0.6, norms, cap=5.0), 2.0 * once, rtol=1e-15)
+
+    def test_out_is_filled_and_returned_bit_for_bit(self):
+        # Only the exact zeros are capped: a tiny norm gives a huge weight
+        # and a nan norm stays nan.
+        norms = np.array([0.0, 1e-300, 0.7, 2.0, -0.0, np.inf, np.nan])
+        capped = [5.0, 0.3 / 1e-300, 0.3 / 0.7, 0.15, 5.0, 0.0, np.nan]
+        for picked in (norms, norms[1:4]):  # with and without zeros
+            want = heuristic_zeta(0.3, picked, cap=5.0)
+            out = np.full(picked.shape, -1.0)
+            got = heuristic_zeta(0.3, picked, cap=5.0, out=out)
+            assert got is out
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(heuristic_zeta(0.3, norms, cap=5.0), capped)
 
     def test_zero_residual_caps_at_bound(self):
         norms = np.array([[0.0, 2.0]])
