@@ -20,6 +20,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .objective import LossContext, triple_realization_loss
 from .optimizer import (
     OptimizeOptions,
+    WeightSolution,
     default_init,
     iterative_ladder,
     optimize_weights,
@@ -78,8 +79,6 @@ class _Runtime:
 
     def __init__(self, cfg: ExperimentConfig, seed: int | None, out: str | None):
         self.cfg = cfg
-        if cfg.n_runs < 1:
-            raise ConfigError("run.n_runs: must be positive")
         self.seed = cfg.seed if seed is None else seed
         _config_value("experiment.seed", np.random.SeedSequence, self.seed)
         self.out = Path(out if out is not None else cfg.out)
@@ -93,8 +92,6 @@ class _Runtime:
             except ValueError as exc:
                 # Each message opens with the argument's name, which is its prior key.
                 raise ConfigError(f"prior.{exc}") from exc
-        if cfg.sigma_y < 0:
-            raise ConfigError("degradation.sigma_y: must be nonnegative")
         self.spec = _config_value("degradation.V", make_lpf, self.prior.dim, cfg.V, cfg.sigma_y)
         full = _config_value("schedule.T", linear_ddpm_schedule, cfg.T)
         self.schedules = {
@@ -129,12 +126,27 @@ class _Runtime:
             obs.append(degrade(x0, self.spec, rng))
         return obs
 
-    def solve(self, ctx: LossContext):
+    def solve(self, ctx: LossContext, *extra_starts: WeightSchedule, realization: int) -> WeightSolution:
+        """The best of the configured solve and one solve from each extra start.
+
+        The configured solve is the ladder when the config sets one and the
+        default start otherwise.  Each solve that L-BFGS-B reports as failed
+        prints one line to stderr, naming the context's realization, or
+        "averaged" for the loss averaged over the measurement law.
+        """
         opts = self.opts
         if opts.ladder:
             ladder = tuple(r for r in opts.ladder if r < ctx.schedule.S) + (ctx.schedule.S,)
-            return iterative_ladder(ctx, replace(opts, ladder=ladder))
-        return optimize_weights(ctx, default_init(ctx), opts)
+            sols = [iterative_ladder(ctx, replace(opts, ladder=ladder))]
+        else:
+            sols = [optimize_weights(ctx, default_init(ctx), opts)]
+        sols += [optimize_weights(ctx, start, opts) for start in extra_starts]
+        label = realization if ctx.observations else "averaged"
+        where = f"{ctx.sampler_kind} S={ctx.schedule.S} realization={label}"
+        for sol in sols:
+            if not sol.success:
+                click.echo(f"solve failed: {where}: {sol.message}", err=True)
+        return min(sols, key=lambda sol: sol.final_loss)
 
     def sim_seed(self, tag: int) -> int:
         """Monte-Carlo seed of the batch with the given tag."""
@@ -246,8 +258,8 @@ def cmd_optimize(rt: _Runtime):
     for S in sorted(cfg.S_list):
         sched = rt.schedules[S]
         sols = [
-            rt.solve(LossContext(rt.prior, rt.spec, sched, cfg.sampler_kind, obs))
-            for obs in ([None] if averaged else [(o,) for o in observations])
+            rt.solve(LossContext(rt.prior, rt.spec, sched, cfg.sampler_kind, obs), realization=k)
+            for k, obs in enumerate([None] if averaged else [(o,) for o in observations])
         ]
         fields = ("g", "r") if cfg.sampler_kind == PIGDM else ("zeta",)
         stacks = [
@@ -286,20 +298,13 @@ def cmd_sweep_wasserstein(rt: _Runtime):
         rows = [
             (method, S, r, float(np.sqrt(loss))) for method, loss in rt.heuristic_losses(S, r, obs)
         ]
-        dps_ctx = LossContext(rt.prior, rt.spec, sched, "dps", (obs,))
-        dps_sol = rt.solve(dps_ctx)
+        dps_sol = rt.solve(LossContext(rt.prior, rt.spec, sched, "dps", (obs,)), realization=r)
         rows.append(("dps-optimized", S, r, float(np.sqrt(dps_sol.final_loss))))
         # The PiGDM family contains every DPS schedule (g = 2 sigma^2 zeta,
-        # r = 0), so the mapped DPS optimum is a second warm start the PiGDM
-        # solve can only improve on; keep the better of the two basins.
-        pig_ctx = LossContext(rt.prior, rt.spec, sched, "pigdm", (obs,))
-        pig_inits = [default_init(pig_ctx)]
-        if rt.spec.sigma_y > 0:
-            pig_inits.append(pigdm_from_dps(dps_sol.weights.zeta, rt.spec.sigma_y))
-        pig_sol = min(
-            (optimize_weights(pig_ctx, init, rt.opts) for init in pig_inits),
-            key=lambda sol: sol.final_loss,
-        )
+        # r = 0), so the mapped DPS optimum is a second start the PiGDM solve
+        # can only improve on.
+        mapped = [pigdm_from_dps(dps_sol.weights.zeta, rt.spec.sigma_y)] if rt.spec.sigma_y > 0 else []
+        pig_sol = rt.solve(LossContext(rt.prior, rt.spec, sched, "pigdm", (obs,)), *mapped, realization=r)
         rows.append(("pigdm-optimized", S, r, float(np.sqrt(pig_sol.final_loss))))
         rows.append(("ideal", S, r, float(np.sqrt(rt.ideal_loss(sched, obs)))))
         return rows
@@ -375,7 +380,7 @@ def cmd_eval_loss(rt: _Runtime):
                 rows += [(method, S, 1, loss, rt.seed) for method, loss in losses]
             else:
                 ctx = LossContext(rt.prior, rt.spec, sched, cfg.sampler_kind, (obs,))
-                sol = rt.solve(ctx)
+                sol = rt.solve(ctx, realization=r)
                 rows.append((f"{cfg.sampler_kind}-optimized", S, 1, sol.final_loss, rt.seed))
     write_csv(rt.out / "eval_loss.csv", ["sampler", "S", "K", "loss", "seed"], rows, rt.header())
     click.echo(f"wrote {len(rows)} loss rows to {rt.out / 'eval_loss.csv'}")

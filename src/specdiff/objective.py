@@ -115,6 +115,11 @@ def _loss(D1, std, power, M, resid, dim: int, ys) -> float:
 def _cotangents(D1, std, power, M, resid, prior: SpectralPrior, spec: DegradationSpec, ys):
     """``triples_loss_cotangents`` from the same pieces as ``_loss``."""
     absD1 = np.abs(D1)
+    # The unit D1/|D1| must stay a complex division, which numpy rounds as
+    # D1 * (1/|D1|).  A real np.sign changed the last bit of c1 in all 600
+    # evaluations tried on the reference model, and so where solves stop:
+    # sweep's S=20 dps-optimized W2 0.6406427646966131 -> 0.6407687634102257,
+    # ladder-avg's S=200 DPS loss 0.020148829994948533 -> 0.020221708796690167.
     unit = np.divide(D1, absD1, out=np.zeros_like(D1), where=absD1 > 0)
     c1 = (absD1 - std) * unit
     if ys is None:

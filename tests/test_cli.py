@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from specdiff import SpectralPrior, make_synthetic_prior
+from specdiff import SpectralPrior, cli, iterative_ladder, make_synthetic_prior, optimize_weights
 from specdiff.cli import main
 from specdiff.config import ConfigError, load_config
 from specdiff.serialize import (
@@ -422,6 +422,11 @@ class TestCliCommands:
                 "sweep-wasserstein", {"0.1, 0.3": ""}, "sampler.zeta_prime",
                 id="zeta_prime-empty-sweep",
             ),
+            pytest.param(
+                "sweep-wasserstein", {"0.1, 0.3": "0.3, 0.3"}, "sampler.zeta_prime",
+                id="zeta_prime-repeated",
+            ),
+            pytest.param("sweep-wasserstein", {"S = 5": "S = 3 3"}, "schedule.S", id="S-repeated"),
         ],
     )
     def test_value_rejected_when_config_loads(self, tmp_path, runner, command, edits, key):
@@ -432,7 +437,8 @@ class TestCliCommands:
         # in the heuristic guidance, after simulate had written the outputs of
         # the zeta' before it.  An empty zeta' list used to pass: simulate
         # exited 0 without writing a file and the sweep dropped its heuristic
-        # rows.
+        # rows.  A repeated S or zeta' used to write sweep rows whose
+        # (method, S, realization) keys repeat, with different values.
         text = BASE_CONFIG.format(out=tmp_path / "out").replace("T = 200", "T = 50")
         for old, new in edits.items():
             text = text.replace(old, new)
@@ -574,3 +580,67 @@ class TestCliCommands:
             "pigdm-optimized",
             "ideal",
         }
+
+    @pytest.mark.parametrize(
+        "command, source, expected",
+        [
+            pytest.param(
+                "optimize", "optimize-k1", ["dps S=5 realization=0", "dps S=5 realization=1"],
+                id="optimize",
+            ),
+            pytest.param(
+                "optimize", "optimize-averaged", ["dps S=5 realization=averaged"], id="optimize-averaged"
+            ),
+            pytest.param(
+                "sweep-wasserstein", "optimize-k1",
+                # DPS, then PiGDM from its default start and from the mapped DPS optimum.
+                [f"{kind} S=5 realization={r}" for r in (0, 1) for kind in ("dps", "pigdm", "pigdm")],
+                id="sweep",
+            ),
+            pytest.param(
+                "eval-loss", "optimize-k1", ["dps S=5 realization=0", "dps S=5 realization=1"],
+                id="eval-loss",
+            ),
+        ],
+    )
+    def test_failed_solves_reported_on_stderr(self, tmp_path, runner, command, source, expected):
+        # Every solve stops at max_iters = 1, which L-BFGS-B reports as a
+        # failure.  Such solves used to pass without a word.
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace("max_iters = 60", "max_iters = 1")
+        cfg = tmp_path / "stop.cfg"
+        cfg.write_text(text.replace("optimize-k1", source).replace("T = 200", "T = 50"))
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        reached = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+        assert result.stderr.splitlines() == [f"solve failed: {where}: {reached}" for where in expected]
+        for path in (tmp_path / "out").glob("*.csv"):
+            assert "solve failed" not in path.read_text()
+
+    def test_sweep_solves_both_samplers_on_the_ladder(self, tmp_path, runner, monkeypatch):
+        # The sweep used to run the ladder for DPS only, and cold solves from
+        # the default start for PiGDM.
+        ladders, solves = [], []
+
+        def ladder(ctx, opts):
+            ladders.append((ctx.sampler_kind, opts.ladder))
+            return iterative_ladder(ctx, opts)
+
+        def solve(ctx, init, opts):
+            solves.append((ctx.sampler_kind, init))
+            return optimize_weights(ctx, init, opts)
+
+        monkeypatch.setattr(cli, "iterative_ladder", ladder)
+        monkeypatch.setattr(cli, "optimize_weights", solve)
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace("S = 5", "S = 6").replace("T = 200", "T = 50")
+        cfg = tmp_path / "ladder.cfg"
+        cfg.write_text(text.replace("max_iters = 60", "max_iters = 60\nladder = 3 6"))
+        result = runner.invoke(main, ["sweep-wasserstein", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert ladders == [("dps", (3, 6)), ("pigdm", (3, 6))] * 2
+        # Outside the ladder, PiGDM solves once more, from the mapped DPS optimum (r = 0).
+        assert [kind for kind, _ in solves] == ["pigdm"] * 2
+        assert all(np.all(init.r == 0) for _, init in solves)
+        rows = [line.split(",") for line in (tmp_path / "out" / "sweep.csv").read_text().splitlines()[4:]]
+        w2 = {(method, r): float(v) for method, _, r, v in rows}
+        for r in ("0", "1"):
+            assert w2[("pigdm-optimized", r)] <= w2[("dps-optimized", r)] * (1 + 1e-12)

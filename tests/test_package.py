@@ -84,12 +84,13 @@ max_iters = 20
 """
 
 
-def _package_imports() -> dict[str, set[str]]:
-    """{submodule: names} for every ``from .submodule import ...`` in __init__."""
-    out: dict[str, set[str]] = {}
+def _package_imports() -> list[str]:
+    """Submodules __init__ re-exports, in import order; each by ``from .x import *``."""
+    out = []
     for node in ast.parse(INIT.read_text()).body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-            out.setdefault(node.module, set()).update(a.name for a in node.names)
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            assert [a.name for a in node.names] == ["*"], f"from .{node.module} names its imports"
+            out.append(node.module)
     return out
 
 
@@ -104,11 +105,19 @@ def _load_hooks():
 
 class TestExports:
     def test_package_exports_exactly_each_submodules_all(self):
-        imports = _package_imports()
-        assert imports, "no relative imports found in specdiff/__init__.py"
-        for name, names in imports.items():
+        # specdiff.__all__ is the union of the re-exported submodules' __all__,
+        # in import order; no name is exported by two submodules, so no star
+        # import shadows another, and each is the submodule's own object.
+        modules = _package_imports()
+        assert modules, "no star imports found in specdiff/__init__.py"
+        expected = []
+        for name in modules:
             module = importlib.import_module(f"specdiff.{name}")
-            assert set(module.__all__) == names, name
+            expected += module.__all__
+            for attr in module.__all__:
+                assert getattr(specdiff, attr) is getattr(module, attr), f"specdiff.{attr}"
+        assert specdiff.__all__ == expected
+        assert len(set(specdiff.__all__)) == len(specdiff.__all__)
 
     def test_every_all_name_exists(self):
         for name in _package_imports():
