@@ -51,6 +51,7 @@ from .spectral import (
     sample_prior,
 )
 from .transfer import (
+    DPS,
     PIGDM,
     WeightSchedule,
     ideal_triple,
@@ -60,6 +61,7 @@ from .transfer import (
 
 _OBS_TAG = 101
 _SIM_TAG = 202
+_SWEEP_METHODS = ("heuristic", "dps-optimized", "pigdm-optimized", "ideal")
 
 
 def _rng(seed: int, *tags: int) -> np.random.Generator:
@@ -130,22 +132,26 @@ class _Runtime:
         """The best of the configured solve and one solve from each extra start.
 
         The configured solve is the ladder when the config sets one and the
-        default start otherwise.  Each solve that L-BFGS-B reports as failed
-        prints one line to stderr, naming the context's realization, or
-        "averaged" for the loss averaged over the measurement law.
+        default start otherwise.  Each solve that L-BFGS-B reports as failed,
+        ladder rungs included, prints one line to stderr naming its S and the
+        context's realization, or "averaged" for the loss averaged over the
+        measurement law.
         """
-        opts = self.opts
-        if opts.ladder:
-            ladder = tuple(r for r in opts.ladder if r < ctx.schedule.S) + (ctx.schedule.S,)
-            sols = [iterative_ladder(ctx, replace(opts, ladder=ladder))]
-        else:
-            sols = [optimize_weights(ctx, default_init(ctx), opts)]
-        sols += [optimize_weights(ctx, start, opts) for start in extra_starts]
         label = realization if ctx.observations else "averaged"
-        where = f"{ctx.sampler_kind} S={ctx.schedule.S} realization={label}"
-        for sol in sols:
+
+        def report(S: int, sol: WeightSolution) -> WeightSolution:
             if not sol.success:
+                where = f"{ctx.sampler_kind} S={S} realization={label}"
                 click.echo(f"solve failed: {where}: {sol.message}", err=True)
+            return sol
+
+        opts, S = self.opts, ctx.schedule.S
+        if opts.ladder:
+            ladder = tuple(r for r in opts.ladder if r < S) + (S,)
+            sols = [iterative_ladder(ctx, replace(opts, ladder=ladder), on_solve=report)]
+        else:
+            sols = [report(S, optimize_weights(ctx, default_init(ctx), opts))]
+        sols += [report(S, optimize_weights(ctx, start, opts)) for start in extra_starts]
         return min(sols, key=lambda sol: sol.final_loss)
 
     def sim_seed(self, tag: int) -> int:
@@ -175,31 +181,42 @@ class _Runtime:
     def heuristic_guidance(self, zeta_prime: float) -> Guidance:
         return Guidance.dps_heuristic(zeta_prime, cap=max(abs(b) for b in self.cfg.bounds))
 
-    def weights_loss(self, weights: WeightSchedule, sched, obs: Observation) -> float:
-        """Squared W2 of a fixed weight schedule on one observation."""
-        triple = transfer_triple(weights, self.prior, self.spec, sched)
-        return triple_realization_loss(triple, self.prior, self.spec, obs)
+    def losses(self, S: int, r: int, obs: Observation, methods) -> list[tuple[str, float]]:
+        """(method, squared W2) on observation r at S of each method asked for.
 
-    def heuristic_losses(self, S: int, r: int, obs: Observation) -> list[tuple[str, float]]:
-        """(method, squared W2) of each zeta' heuristic on observation r.
-
-        The realized weights of a Monte-Carlo batch, averaged per step, give
-        the DPS schedule that is then scored in closed form.
+        Methods are named as weight sources: "heuristic" (a row
+        "dps-heuristic-<zeta'>" per zeta', scoring the per-step mean of the
+        weights its Monte-Carlo batch realizes), "pigdm-heuristic",
+        "dps-optimized", "pigdm-optimized" and "ideal".  PiGDM also solves from
+        the mapped DPS optimum, since its family holds every DPS schedule
+        (g = 2 sigma^2 zeta, r = 0).
         """
-        out = []
-        # The realization digit is at least 1000 wide, as the zeta' digit is 10.
-        group = S * max(1000, self.cfg.n_realizations) + r
-        for zi, zp in enumerate(self.cfg.zeta_primes):
-            sim = self.sim_config(S, self.heuristic_guidance(zp), self.zeta_tag(group, zi))
-            zetas = heuristic_weight_profile(zp, sim, obs)
-            loss = self.weights_loss(WeightSchedule.dps(zetas.mean(axis=1)), sim.schedule, obs)
-            out.append((f"dps-heuristic-{zp:g}", loss))
-        return out
-
-    def ideal_loss(self, sched, obs: Observation) -> float:
-        """Squared W2 of the MAP-denoiser sampler on one observation."""
-        triple = ideal_triple(self.prior, self.spec, sched)
-        return triple_realization_loss(triple, self.prior, self.spec, obs)
+        prior, spec, sched = self.prior, self.spec, self.schedules[S]
+        weights = []
+        if "heuristic" in methods:
+            # The realization digit is at least 1000 wide, as the zeta' digit is 10.
+            group = S * max(1000, self.cfg.n_realizations) + r
+            for zi, zp in enumerate(self.cfg.zeta_primes):
+                sim = self.sim_config(S, self.heuristic_guidance(zp), self.zeta_tag(group, zi))
+                zeta = heuristic_weight_profile(zp, sim, obs).mean(axis=1)
+                weights.append((f"dps-heuristic-{zp:g}", WeightSchedule.dps(zeta)))
+        if "pigdm-heuristic" in methods:
+            weights.append(("pigdm-heuristic", pigdm_heuristic_weights(sched)))
+        triples = [(method, transfer_triple(w, prior, spec, sched)) for method, w in weights]
+        if "ideal" in methods:
+            triples.append(("ideal", ideal_triple(prior, spec, sched)))
+        rows = [(method, triple_realization_loss(t, prior, spec, obs)) for method, t in triples]
+        mapped = []
+        if "dps-optimized" in methods or ("pigdm-optimized" in methods and spec.sigma_y > 0):
+            dps = self.solve(LossContext(prior, spec, sched, DPS, (obs,)), realization=r)
+            if "dps-optimized" in methods:
+                rows.append(("dps-optimized", dps.final_loss))
+            if spec.sigma_y > 0:
+                mapped = [pigdm_from_dps(dps.weights.zeta, spec.sigma_y)]
+        if "pigdm-optimized" in methods:
+            pig = self.solve(LossContext(prior, spec, sched, PIGDM, (obs,)), *mapped, realization=r)
+            rows.append(("pigdm-optimized", pig.final_loss))
+        return rows
 
 
 def _common_options(fn):
@@ -289,27 +306,13 @@ def cmd_optimize(rt: _Runtime):
 @_cli_command
 def cmd_sweep_wasserstein(rt: _Runtime):
     """Wasserstein-2 sweep: heuristics, optimized weights, and the ideal sampler."""
-    cfg = rt.cfg
     observations = rt.observations()
-
-    def rows_for(S: int, r: int):
-        sched = rt.schedules[S]
-        obs = observations[r]
-        rows = [
-            (method, S, r, float(np.sqrt(loss))) for method, loss in rt.heuristic_losses(S, r, obs)
-        ]
-        dps_sol = rt.solve(LossContext(rt.prior, rt.spec, sched, "dps", (obs,)), realization=r)
-        rows.append(("dps-optimized", S, r, float(np.sqrt(dps_sol.final_loss))))
-        # The PiGDM family contains every DPS schedule (g = 2 sigma^2 zeta,
-        # r = 0), so the mapped DPS optimum is a second start the PiGDM solve
-        # can only improve on.
-        mapped = [pigdm_from_dps(dps_sol.weights.zeta, rt.spec.sigma_y)] if rt.spec.sigma_y > 0 else []
-        pig_sol = rt.solve(LossContext(rt.prior, rt.spec, sched, "pigdm", (obs,)), *mapped, realization=r)
-        rows.append(("pigdm-optimized", S, r, float(np.sqrt(pig_sol.final_loss))))
-        rows.append(("ideal", S, r, float(np.sqrt(rt.ideal_loss(sched, obs)))))
-        return rows
-
-    all_rows = [row for S in cfg.S_list for r in range(cfg.n_realizations) for row in rows_for(S, r)]
+    all_rows = [
+        (method, S, r, float(np.sqrt(loss)))
+        for S in rt.cfg.S_list
+        for r, obs in enumerate(observations)
+        for method, loss in rt.losses(S, r, obs, _SWEEP_METHODS)
+    ]
     all_rows.sort(key=lambda row: (row[1], row[2], row[0]))
     write_csv(rt.out / "sweep.csv", ["method", "S", "realization", "w2"], all_rows, rt.header())
     click.echo(f"wrote {len(all_rows)} sweep rows to {rt.out / 'sweep.csv'}")
@@ -366,22 +369,13 @@ def cmd_eval_loss(rt: _Runtime):
             "sampler.weight_source = optimize-averaged is only supported by optimize"
         )
     observations = rt.observations()
-    rows = []
-    for S in cfg.S_list:
-        sched = rt.schedules[S]
-        for r, obs in enumerate(observations):
-            if cfg.weight_source == "ideal":
-                rows.append(("ideal", S, 1, rt.ideal_loss(sched, obs), rt.seed))
-            elif cfg.weight_source == "pigdm-heuristic":
-                loss = rt.weights_loss(pigdm_heuristic_weights(sched), sched, obs)
-                rows.append(("pigdm-heuristic", S, 1, loss, rt.seed))
-            elif cfg.weight_source == "heuristic":
-                losses = rt.heuristic_losses(S, r, obs)
-                rows += [(method, S, 1, loss, rt.seed) for method, loss in losses]
-            else:
-                ctx = LossContext(rt.prior, rt.spec, sched, cfg.sampler_kind, (obs,))
-                sol = rt.solve(ctx, realization=r)
-                rows.append((f"{cfg.sampler_kind}-optimized", S, 1, sol.final_loss, rt.seed))
+    method = f"{cfg.sampler_kind}-optimized" if cfg.weight_source == "optimize-k1" else cfg.weight_source
+    rows = [
+        (name, S, 1, loss, rt.seed)
+        for S in cfg.S_list
+        for r, obs in enumerate(observations)
+        for name, loss in rt.losses(S, r, obs, {method})
+    ]
     write_csv(rt.out / "eval_loss.csv", ["sampler", "S", "K", "loss", "seed"], rows, rt.header())
     click.echo(f"wrote {len(rows)} loss rows to {rt.out / 'eval_loss.csv'}")
 

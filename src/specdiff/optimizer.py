@@ -255,13 +255,15 @@ def interpolate_weights(weights: WeightSchedule, S_new: int) -> WeightSchedule:
     return WeightSchedule.pigdm(scale * _interp_to(weights.g, S_new), _interp_to(weights.r, S_new))
 
 
-def iterative_ladder(ctx: LossContext, opts: OptimizeOptions) -> WeightSolution:
+def iterative_ladder(ctx: LossContext, opts: OptimizeOptions, on_solve=None) -> WeightSolution:
     """Solve progressively over increasing step counts, warm-starting each rung.
 
     Every rung solves from the interpolated previous solution and from the
     default initialization, keeping the better result: warm starts converge
     fast when the basin transfers across step counts but can drift into worse
-    local minima, and retrying the default start caps that risk.
+    local minima, and retrying the default start caps that risk.  Returns the
+    best solution of the final rung; on_solve(S, solution), if given, is
+    called with every solve of every rung.
     """
     if not opts.ladder:
         raise ValueError("empty ladder")
@@ -281,6 +283,9 @@ def iterative_ladder(ctx: LossContext, opts: OptimizeOptions) -> WeightSolution:
         if weights is not None:
             inits.append(interpolate_weights(weights, sched_r.S))
         candidates = [optimize_weights(rung_ctx, init, opts) for init in inits]
+        if on_solve is not None:
+            for candidate in candidates:
+                on_solve(sched_r.S, candidate)
         solution = min(candidates, key=lambda sol: sol.final_loss)
         weights = solution.weights
     return solution

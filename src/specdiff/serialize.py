@@ -113,15 +113,13 @@ def prior_from_file(path) -> SpectralPrior:
 
 
 def runstats_to_csv(stats: RunStats, path, header: dict | None = None) -> None:
-    rows = [
-        (i, stats.emp_mean[i].real, stats.emp_mean[i].imag, float(stats.emp_var[i]))
-        for i in range(len(stats.emp_mean))
-    ]
+    mean = stats.emp_mean
+    rows = zip(range(len(mean)), mean.real.tolist(), mean.imag.tolist(), stats.emp_var.tolist())
     write_csv(path, ["bin", "emp_mean_re", "emp_mean_im", "emp_var"], rows, header)
 
 
 def profile_to_csv(zetas: np.ndarray, path, header: dict | None = None) -> None:
     """Per-step mean and spread of realized heuristic weights, (S, n_runs)."""
-    mean, std = zetas.mean(axis=1), zetas.std(axis=1)
-    rows = [(s + 1, float(mean[s]), float(std[s])) for s in range(len(mean))]
+    mean, std = zetas.mean(axis=1).tolist(), zetas.std(axis=1).tolist()
+    rows = zip(range(1, len(mean) + 1), mean, std)
     write_csv(path, ["step", "mean_zeta", "std_zeta"], rows, header)

@@ -1,13 +1,13 @@
 """Time-domain Monte-Carlo engine for guided DDIM sampling.
 
-A batch enters and leaves as a real (n, d) array of time-domain states.  In
-between it lives on the d // 2 + 1 bins of the half spectrum: one real FFT
-of the starting states, every step as per-bin arithmetic, and one inverse
-real FFT of the final states.  Every operator here (prior covariance,
-degradation, their regularized inverses) is a real circulant matrix, so its
-multiplier is Hermitian (bin d - k is the conjugate of bin k) and the half
-spectrum holds all of it; a round trip to the time domain between steps
-would change nothing but rounding.
+A batch enters as a real (n, d) array of time-domain states and stays on the
+d // 2 + 1 bins of the half spectrum: one real FFT of the starting states,
+every step as per-bin arithmetic, and the output moments taken from the
+final half spectrum, with no inverse FFT.  Every operator here (prior
+covariance, degradation, their regularized inverses) is a real circulant
+matrix, so its multiplier is Hermitian (bin d - k is the conjugate of bin k)
+and the half spectrum holds all of it; a round trip to the time domain
+between steps would change nothing but rounding.
 
 The unguided DDIM step is a x + b x0hat with the prior denoiser
 x0hat = J x + (1 - ab) (ab Sigma + (1 - ab) I)^-1 mu, where
@@ -214,13 +214,14 @@ def _support_end(table: np.ndarray) -> int:
     return int(live[-1]) + 1 if live.size else 0
 
 
-def _run_batch(
+def _run_spectrum(
     cfg: SimConfig, obs: Observation, x_start: np.ndarray, stop_at_s: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Advance a (n, d) batch of starting states through the sampler.
 
     Runs steps s = S down to stop_at_s + 1 (the full trajectory by default).
-    Returns the resulting states and the realized per-step weights (S, n):
+    Returns the resulting states' half spectrum, (d // 2 + 1, n) bins by
+    trajectories (None if no step ran), and the realized weights (S, n):
     zeta for DPS, g for PiGDM, zero without guidance or for steps not run.
     Only the DPS heuristic realizes weights that differ between runs; for the
     other kinds the weights are a read-only broadcast of one column.
@@ -237,10 +238,10 @@ def _run_batch(
     The loop runs under an errstate that silences overflow and invalid
     values and with a ufunc buffer no longer than a row of trajectories
     (both restored on exit), and one ``np.isfinite`` check of the final
-    states finds any
-    divergence (the module docstring says why that is exact).  A diverged
-    batch is replayed from a fresh real FFT of x_start with a check after
-    every step, and raises ValueError naming the first non-finite step.
+    states finds any divergence (the module docstring says why that is
+    exact).  A diverged batch is replayed from a fresh real FFT of x_start
+    with a check after every step, and raises ValueError naming the first
+    non-finite step.
     """
     prior, spec, sched, guide = cfg.prior, cfg.spec, cfg.schedule, cfg.guidance
     d = prior.dim
@@ -259,7 +260,7 @@ def _run_batch(
     else:
         realized = np.broadcast_to(column[:, None], (sched.S, n))
     if stop_at_s == sched.S:
-        return X, realized
+        return None, realized
 
     # Per-step multiplier tables, one row per step in run order s = S, S-1, ...
     _require_hermitian(obs.y_f, "y_f")
@@ -316,7 +317,7 @@ def _run_batch(
                 np.multiply(HJ[i], Xf[:nh], out=R)
                 np.subtract(C[i], R, out=R)
                 if heuristic:
-                    np.multiply(Rv, Rv, out=squares)
+                    np.square(Rv, out=squares)
                     np.matmul(parseval, squares, out=sums)
                     np.add(sums[0::2], sums[1::2], out=norms)
                     np.add(norms, tail[i], out=norms)
@@ -354,9 +355,7 @@ def _run_batch(
                 raise AssertionError("the replay of a diverged batch stayed finite")
         finally:
             np.setbufsize(bufsize)
-    # irfft of the transposed state would return F-ordered states; C order
-    # keeps the order in which monte_carlo sums over the runs.
-    return np.fft.irfft(np.ascontiguousarray(Xf.T), n=d, axis=-1), realized
+    return Xf, realized
 
 
 def _start_states(cfg: SimConfig) -> np.ndarray:
@@ -374,14 +373,16 @@ def _require_stat_runs(n_runs: int) -> None:
 def monte_carlo(cfg: SimConfig, obs: Observation) -> RunStats:
     """Empirical output moments over i.i.d. standard-normal starting states."""
     _require_stat_runs(cfg.n_runs)
-    X0, realized = _run_batch(cfg, obs, _start_states(cfg))
-    spectra = np.fft.fft(X0, axis=-1)
-    emp_mean = spectra.mean(axis=0)
-    emp_var = np.mean(np.abs(spectra - emp_mean) ** 2, axis=0) / cfg.prior.dim
+    Xf, realized = _run_spectrum(cfg, obs, _start_states(cfg))
+    d = cfg.prior.dim
+    # DC and, for even d, Nyquist are their own mirror: real, as irfft reads them.
+    Xf.imag[[0, d // 2] if d % 2 == 0 else [0]] = 0.0
+    mean = Xf.mean(axis=1)
+    var = np.mean(np.abs(Xf - mean[:, None]) ** 2, axis=1) / d
+    # Bin d - k of a real signal's spectrum is the conjugate of bin k.
+    emp_mean, emp_var = (np.concatenate([v, v[(d - 1) // 2 : 0 : -1].conj()]) for v in (mean, var))
     zeta = realized if cfg.guidance.kind == GUIDANCE_DPS_HEURISTIC else None
-    return RunStats(
-        emp_mean=emp_mean, emp_var=emp_var, n_runs=cfg.n_runs, per_step_zeta=zeta
-    )
+    return RunStats(emp_mean=emp_mean, emp_var=emp_var, n_runs=cfg.n_runs, per_step_zeta=zeta)
 
 
 def heuristic_weight_profile(
@@ -389,4 +390,4 @@ def heuristic_weight_profile(
 ) -> np.ndarray:
     """Realized (S, n_runs) heuristic weights, as monte_carlo's per_step_zeta."""
     run_cfg = replace(cfg, guidance=Guidance.dps_heuristic(zeta_prime, cap=cfg.guidance.cap))
-    return _run_batch(run_cfg, obs, _start_states(run_cfg))[1]
+    return _run_spectrum(run_cfg, obs, _start_states(run_cfg))[1]

@@ -267,8 +267,8 @@ class TestCliCommands:
         rt.cfg = replace(rt.cfg, n_realizations=1001, zeta_primes=(0.1, 0.3))
         obs = rt.observations()[0]
         seeds.clear()
-        rt.heuristic_losses(4, 1000, obs)
-        rt.heuristic_losses(5, 0, obs)
+        rt.losses(4, 1000, obs, {"heuristic"})
+        rt.losses(5, 0, obs, {"heuristic"})
         assert len(set(seeds)) == 4
 
     def test_monte_carlo_seeds_of_small_configs_unchanged(self, tmp_path, monkeypatch):
@@ -286,7 +286,7 @@ class TestCliCommands:
         rt = cli._Runtime(load_config(_write_config(tmp_path)), None, None)
         obs = rt.observations()
         for r in range(2):
-            rt.heuristic_losses(5, r, obs[r])
+            rt.losses(5, r, obs[r], {"heuristic"})
         tags = [(5 * 1000 + r) * 10 + zi for r in range(2) for zi in range(2)]
         assert seeds == [rt.sim_seed(tag) for tag in tags]
 
@@ -581,6 +581,55 @@ class TestCliCommands:
             "ideal",
         }
 
+    def test_eval_loss_reports_the_square_of_each_sweep_row(self, tmp_path, runner):
+        # eval-loss once solved PiGDM from its default start only, while the
+        # sweep also solved from the mapped DPS optimum: here eval-loss wrote
+        # 0.0557 where the sweep's row squares to 0.0343.
+        text = """\
+[experiment]
+seed = 0
+[prior]
+d = 18
+l = 0.05
+[degradation]
+V = 0.5
+sigma_y = 0.1
+[schedule]
+T = 200
+S = 12
+[sampler]
+kind = pigdm
+weight_source = optimize-k1
+zeta_prime = 0.5
+[run]
+n_realizations = 1
+n_runs = 50
+"""
+
+        def data_rows(path):
+            return [line.split(",") for line in path.read_text().splitlines()[4:]]
+
+        (tmp_path / "sweep.ini").write_text(text)
+        args = ["--config", str(tmp_path / "sweep.ini"), "--out", str(tmp_path / "sweep")]
+        result = runner.invoke(main, ["sweep-wasserstein", *args])
+        assert result.exit_code == 0, result.output
+        w2 = {method: float(v) for method, _, _, v in data_rows(tmp_path / "sweep" / "sweep.csv")}
+        scored = set()
+        sources = [("pigdm", "optimize-k1"), ("dps", "optimize-k1")]
+        for kind, source in sources + [("pigdm", "heuristic"), ("pigdm", "ideal")]:
+            cfg = tmp_path / f"{kind}-{source}.ini"
+            cfg.write_text(text.replace("kind = pigdm", f"kind = {kind}").replace("optimize-k1", source))
+            out = tmp_path / f"{kind}-{source}"
+            result = runner.invoke(main, ["eval-loss", "--config", str(cfg), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            rows = data_rows(out / "eval_loss.csv")
+            assert len(rows) == 1, (kind, source)
+            for method, S, K, loss, seed in rows:
+                assert (S, K, seed) == ("12", "1", "0")
+                np.testing.assert_allclose(float(loss), w2[method] ** 2, rtol=1e-15, err_msg=method)
+                scored.add(method)
+        assert scored == set(w2) == {"dps-heuristic-0.5", "dps-optimized", "pigdm-optimized", "ideal"}
+
     @pytest.mark.parametrize(
         "command, source, expected",
         [
@@ -616,14 +665,28 @@ class TestCliCommands:
         for path in (tmp_path / "out").glob("*.csv"):
             assert "solve failed" not in path.read_text()
 
+    def test_failed_ladder_rungs_reported_on_stderr(self, tmp_path, runner):
+        # A ladder once reported only the best solve of its final rung, so a
+        # coarse rung that stopped at max_iters, or a losing start, passed
+        # without a word.  The coarse rung solves from the default start; the
+        # final rung from it and from the interpolated coarse solution.
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace("S = 5", "S = 6").replace("T = 200", "T = 50")
+        cfg = tmp_path / "ladder.cfg"
+        cfg.write_text(text.replace("max_iters = 60", "max_iters = 1\nladder = 3 6"))
+        result = runner.invoke(main, ["optimize", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        reached = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+        expected = [f"dps S={S} realization={r}" for r in (0, 1) for S in (3, 6, 6)]
+        assert result.stderr.splitlines() == [f"solve failed: {where}: {reached}" for where in expected]
+
     def test_sweep_solves_both_samplers_on_the_ladder(self, tmp_path, runner, monkeypatch):
         # The sweep used to run the ladder for DPS only, and cold solves from
         # the default start for PiGDM.
         ladders, solves = [], []
 
-        def ladder(ctx, opts):
+        def ladder(ctx, opts, **kwargs):
             ladders.append((ctx.sampler_kind, opts.ladder))
-            return iterative_ladder(ctx, opts)
+            return iterative_ladder(ctx, opts, **kwargs)
 
         def solve(ctx, init, opts):
             solves.append((ctx.sampler_kind, init))

@@ -19,7 +19,7 @@ ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 # Names only tests use, kept out of the package: the per-bin reference
 # formulas live in tests/oracles.py, and the tests that ran one trajectory
-# through simulate_one call simulator._run_batch with a batch of one.
+# through simulate_one call simulator._run_spectrum with a batch of one.
 TEST_ONLY_NAMES = (
     "DiagGaussian",
     "true_posterior",

@@ -29,7 +29,7 @@ from specdiff import (
 )
 
 from specdiff import simulator
-from specdiff.simulator import _run_batch
+from specdiff.simulator import _run_spectrum
 
 from oracles import (
     dense_map_denoiser,
@@ -38,6 +38,14 @@ from oracles import (
     output_distribution,
     random_prior_arrays,
 )
+
+
+def _run_batch(cfg, obs, x_start, stop_at_s=0):
+    """_run_spectrum with time-domain (n, d) states: x_start itself if no step ran."""
+    Xf, realized = _run_spectrum(cfg, obs, x_start, stop_at_s)
+    if Xf is None:
+        return x_start, realized
+    return np.fft.irfft(Xf.T, n=cfg.prior.dim, axis=-1), realized
 
 
 def _setup(rng, d=8, S=6, sigma=0.2, lam_floor=0.0):
@@ -283,10 +291,12 @@ class TestSimulateOne:
                 np.testing.assert_allclose(realized[-steps:][::-1], want_w, rtol=1e-10, err_msg=msg)
                 assert np.all(realized[:-steps] == 0)
 
-    def test_one_real_fft_pair_per_batch(self, monkeypatch):
+    def test_one_real_fft_and_no_inverse_per_batch(self, monkeypatch):
+        # monte_carlo once took an inverse real FFT of the final states and
+        # then a full FFT of them back for the moments.
         rng = np.random.default_rng(16)
         prior, spec, sched, obs = _setup(rng, S=5)
-        calls = {"rfft": 0, "irfft": 0}
+        calls = {"rfft": 0, "irfft": 0, "fft": 0}
         for name in calls:
             def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
                 calls[_name] += 1
@@ -294,10 +304,15 @@ class TestSimulateOne:
 
             monkeypatch.setattr(np.fft, name, counted)
         for guide in _every_guidance(rng, sched.S):
-            cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
-            calls.update(rfft=0, irfft=0)
-            _run_batch(cfg, obs, rng.standard_normal((3, prior.dim)))
-            assert calls == {"rfft": 1, "irfft": 1}, guide.kind
+            cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide, n_runs=3)
+            x_s = rng.standard_normal((3, prior.dim))
+            runs = [lambda: _run_spectrum(cfg, obs, x_s), lambda: monte_carlo(cfg, obs)]
+            if guide.kind == "dps-heuristic":
+                runs.append(lambda: heuristic_weight_profile(guide.zeta_prime, cfg, obs))
+            for run in runs:
+                calls.update(rfft=0, irfft=0, fft=0)
+                run()
+                assert calls == {"rfft": 1, "irfft": 0, "fft": 0}, guide.kind
 
     def test_zero_step_batch_returns_its_input(self, monkeypatch):
         rng = np.random.default_rng(17)
@@ -307,8 +322,8 @@ class TestSimulateOne:
         for guide in _every_guidance(rng, sched.S):
             cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
             x_s = rng.standard_normal((3, prior.dim))
-            got, realized = _run_batch(cfg, obs, x_s, stop_at_s=sched.S)
-            assert got.tobytes() == x_s.tobytes()
+            got, realized = _run_spectrum(cfg, obs, x_s, stop_at_s=sched.S)
+            assert got is None
             assert realized.shape == (sched.S, 3) and np.all(realized == 0)
 
     def test_dc_and_nyquist_round_off_does_not_feed_back(self):
@@ -535,6 +550,29 @@ class TestMonteCarlo:
         )
         stats = monte_carlo(cfg, obs)
         np.testing.assert_allclose(stats.emp_var, np.zeros(1), atol=1e-25)
+
+    def test_moments_match_the_full_spectrum_of_the_final_states(self):
+        # The moments come from the final half spectrum, mirrored.  They must
+        # match those of the full FFT of the time-domain states, whose DC and
+        # Nyquist bins are real even where round-off left the half-spectrum
+        # state an imaginary part there.
+        rng = np.random.default_rng(41)
+        for d in (1, 2, 7, 8):
+            prior, spec, sched, obs = _setup(rng, d=d, S=6)
+            own_mirror = [0, d // 2] if d % 2 == 0 else [0]
+            mu_f = prior.mu_f.copy()
+            mu_f[own_mirror] += 1e-13j * max(1.0, np.max(np.abs(mu_f)))
+            bent = SpectralPrior(dim=d, mu_f=mu_f, lambda0=prior.lambda0)
+            for guide in _every_guidance(rng, sched.S):
+                cfg = SimConfig(prior=bent, spec=spec, schedule=sched, guidance=guide, n_runs=5, seed=3)
+                stats = monte_carlo(cfg, obs)
+                spectra = np.fft.fft(_run_batch(cfg, obs, simulator._start_states(cfg))[0], axis=-1)
+                mean = spectra.mean(axis=0)
+                var = np.mean(np.abs(spectra - mean) ** 2, axis=0) / d
+                for got, want in ((stats.emp_mean, mean), (stats.emp_var, var)):
+                    atol = 1e-14 * np.max(np.abs(want))
+                    np.testing.assert_allclose(got, want, rtol=0, atol=atol, err_msg=f"{d} {guide.kind}")
+                assert np.all(stats.emp_mean[own_mirror].imag == 0)
 
     def test_same_seed_reproduces_stats(self):
         rng = np.random.default_rng(6)
