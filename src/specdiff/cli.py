@@ -119,8 +119,6 @@ class _Runtime:
         }
 
     def observations(self) -> list[Observation]:
-        if self.cfg.n_realizations < 1:
-            raise ConfigError("run.n_realizations: must be at least 1")
         obs = []
         for r in range(self.cfg.n_realizations):
             rng = _rng(self.seed, _OBS_TAG, r)

@@ -111,7 +111,7 @@ class ExperimentConfig:
     f_tol: float = _key("sampler.f_tol", _plain(float), "1e-6")
     ladder: tuple[int, ...] | None = _key("sampler.ladder", _optional(_list(int)))
     keep_dims: int | None = _key("sampler.keep_dims", _optional(_plain(int)))
-    n_realizations: int = _key("run.n_realizations", _plain(int), "5")
+    n_realizations: int = _key("run.n_realizations", _at_least(int, 1, "must be at least 1"), "5")
     n_runs: int = _key("run.n_runs", _at_least(int, 1, "must be positive"), "100")
     guidance: str = _key("run.guidance", _choice("none", "optimal", "heuristic"), "none")
     samples_file: str | None = _key("estimate.samples", _plain(str))

@@ -1,19 +1,17 @@
 """Wasserstein-2 losses between reconstructed and true posteriors.
 
-The squared distance splits into a variance term over |D1| and a mean term
-over the Wiener-filtered measurement.  Everything here is expressed per
-frequency bin, in the package's DFT units (means in forward-transform units,
-variances as covariance eigenvalues), so the measurement-power term of the
-analytic average carries the factor d that relates the two.  Each function
-scores one sampler, given as a (d,) triple or as the packed weight vector
-that composes it.  ``triples_loss`` gives the one formula; ``batch_loss``
-feeds it a weight vector's triple, and ``weights_loss`` and
-``triple_realization_loss`` are calls of those.  ``triples_loss_cotangents``
-gives the loss's derivatives dL/d conj(D) for the same two modes, and
-``loss_and_gradient`` chains them through a step table's reverse sweep into
-the exact gradient over the weights.  Both share the private ``_loss`` and
-``_cotangents``, so a gradient call forms M = D2 - A and the mean residual
-once for both.
+The squared distance between two diagonal Gaussians, taken per frequency
+bin, splits into a variance term over |D1| and a mean term over the
+Wiener-filtered measurement.  Everything here is expressed per frequency
+bin, in the package's DFT units (means in forward-transform units, variances
+as covariance eigenvalues), so the measurement-power term of the analytic
+average carries the factor d that relates the two.  One private routine,
+``_score``, scores a sampler's (d,) triple against a ``_Target``, the
+posterior's per-bin constants and the products each evaluation reuses, and
+on request gives the cotangents dL/d conj(D) too.  A ``LossContext`` builds
+its target once; every public function is a short call of ``_score``, and
+``loss_and_gradient`` chains its cotangents through a step table's reverse
+sweep into the exact gradient over the weights.
 """
 
 from __future__ import annotations
@@ -68,65 +66,67 @@ class LossContext:
         _require_same_dim(self.prior, self.spec, *(self.observations or ()))
 
     @cached_property
-    def _fixed(self):
-        """``_posterior_bins`` and the (K, d) stacked measurements or None, made once."""
+    def _target(self) -> _Target:
+        """The posterior target of the context's model and measurements, made once."""
         ys = None if self.observations is None else np.stack([o.y_f for o in self.observations])
-        return _posterior_bins(self.prior, self.spec), ys
+        return _Target(self.prior, self.spec, ys)
 
 
-def _posterior_bins(prior: SpectralPrior, spec: DegradationSpec):
-    """Per-bin Wiener gain A, posterior std and measurement power.
+class _Target:
+    """The true posterior's per-bin constants and the products a score reuses.
 
-    The power lambda |h|^2 + sigma^2 is the per-bin measurement variance (d
-    times it in DFT units) and the denominator of both other terms.
+    ``A`` is the Wiener gain, ``std`` the posterior std and ``power`` the
+    measurement power lambda |h|^2 + sigma^2: the per-bin measurement
+    variance (d times it in DFT units) and the denominator of both others.
+    ``ys`` stacks the (K, d) measurements to average over, or is None for the
+    closed-form average over the measurement law.
     """
-    lam, habs2 = prior.lambda0, np.abs(spec.lambda_h) ** 2
-    power = lam * habs2 + spec.sigma_y**2
-    if np.any(power == 0):
-        raise ValueError("degenerate bin")
-    gain = lam * np.conj(spec.lambda_h) / power
-    std = np.sqrt(np.maximum(lam - lam**2 * habs2 / power, 0.0))
-    return gain, std, power
+
+    def __init__(self, prior: SpectralPrior, spec: DegradationSpec, ys: np.ndarray | None):
+        lam, h, mu = prior.lambda0, spec.lambda_h, prior.mu_f
+        habs2 = np.abs(h) ** 2
+        power = lam * habs2 + spec.sigma_y**2
+        if np.any(power == 0):
+            raise ValueError("degenerate bin")
+        self.A = lam * np.conj(h) / power
+        self.std = np.sqrt(np.maximum(lam - lam**2 * habs2 / power, 0.0))
+        self.dim, self.power, self.d_power = prior.dim, power, prior.dim * power
+        self.Ah, self.hmu = self.A * h, h * mu
+        self.mu, self.conj_mu, self.conj_hmu = mu, np.conj(mu), np.conj(self.hmu)
+        self.ys, self.conj_ys = ys, None if ys is None else np.conj(ys)
 
 
-def _mean_residual(D2, D3, A, prior: SpectralPrior, spec: DegradationSpec, ys):
-    """M = D2 - A and the mean residual of the sampler against the posterior mean.
+def _score(D1, D2, D3, t: _Target, cotangents: bool = False):
+    """Squared W2 of the triple (D1, D2, D3) to t and, with cotangents, (loss, (c1, c2, c3)).
 
-    The residual is (K, d) for the stacked measurements ``ys``; for the
-    closed-form average (``ys=None``) it is the deterministic (d,) offset
-    M h mu + (D3 - 1 + A h) mu.
+    Sums are ``np.add.reduce`` and means its quotient by K, which is what
+    ``np.sum`` and ``np.mean`` compute.
     """
-    M = D2 - A
-    bcoef = D3 - 1.0 + A * spec.lambda_h
-    if ys is None:
-        return M, M * (spec.lambda_h * prior.mu_f) + bcoef * prior.mu_f
-    return M, M * ys + bcoef * prior.mu_f
-
-
-def _loss(D1, std, power, M, resid, dim: int, ys) -> float:
-    """``triples_loss`` from |D1|'s target ``std``, ``power`` and ``_mean_residual``."""
-    var_term = np.sum((std - np.abs(D1)) ** 2)
-    if ys is None:
-        trace_term = dim * np.sum(np.abs(M) ** 2 * power)
-        return float(var_term + trace_term + np.sum(np.abs(resid) ** 2))
-    return float(var_term + np.mean(np.sum(np.abs(resid) ** 2, axis=1)))
-
-
-def _cotangents(D1, std, power, M, resid, prior: SpectralPrior, spec: DegradationSpec, ys):
-    """``triples_loss_cotangents`` from the same pieces as ``_loss``."""
     absD1 = np.abs(D1)
+    M = D2 - t.A
+    bcoef = D3 - 1.0 + t.Ah
+    var_term = np.add.reduce((t.std - absD1) ** 2)
+    if t.ys is None:
+        resid = M * t.hmu + bcoef * t.mu
+        trace_term = t.dim * np.add.reduce(np.abs(M) ** 2 * t.power)
+        loss = float(var_term + trace_term + np.add.reduce(np.abs(resid) ** 2))
+    else:
+        K = len(t.ys)
+        resid = M * t.ys + bcoef * t.mu
+        loss = float(var_term + np.add.reduce(np.add.reduce(np.abs(resid) ** 2, axis=1)) / K)
+    if not cotangents:
+        return loss
     # The unit D1/|D1| must stay a complex division, which numpy rounds as
     # D1 * (1/|D1|).  A real np.sign changed the last bit of c1 in all 600
     # evaluations tried on the reference model, and so where solves stop:
     # sweep's S=20 dps-optimized W2 0.6406427646966131 -> 0.6407687634102257,
     # ladder-avg's S=200 DPS loss 0.020148829994948533 -> 0.020221708796690167.
     unit = np.divide(D1, absD1, out=np.zeros_like(D1), where=absD1 > 0)
-    c1 = (absD1 - std) * unit
-    if ys is None:
-        c2 = prior.dim * power * M + resid * np.conj(spec.lambda_h * prior.mu_f)
-        return c1, c2, resid * np.conj(prior.mu_f)
-    c2 = np.mean(resid * np.conj(ys), axis=0)
-    return c1, c2, np.mean(resid, axis=0) * np.conj(prior.mu_f)
+    c1 = (absD1 - t.std) * unit
+    if t.ys is None:
+        return loss, (c1, t.d_power * M + resid * t.conj_hmu, resid * t.conj_mu)
+    c2 = np.add.reduce(resid * t.conj_ys, axis=0) / K
+    return loss, (c1, c2, np.add.reduce(resid, axis=0) / K * t.conj_mu)
 
 
 def triples_loss(
@@ -136,7 +136,6 @@ def triples_loss(
     prior: SpectralPrior,
     spec: DegradationSpec,
     ys: np.ndarray | None,
-    bins=None,
 ) -> float:
     """Squared W2 to the true posterior of one (d,) sampler triple.
 
@@ -144,11 +143,9 @@ def triples_loss(
     closed-form average over the measurement law instead, the K -> infinity
     limit: the mean term then splits into the measurement covariance picked
     up by M = D2 - A (the per-bin power d * (lambda |h|^2 + sigma^2)) plus the
-    deterministic offset.  ``bins`` passes in ``_posterior_bins(prior, spec)``.
+    deterministic offset.
     """
-    A, std, power = bins or _posterior_bins(prior, spec)
-    M, resid = _mean_residual(D2, D3, A, prior, spec, ys)
-    return _loss(D1, std, power, M, resid, prior.dim, ys)
+    return _score(D1, D2, D3, _Target(prior, spec, ys))
 
 
 def triples_loss_cotangents(
@@ -158,7 +155,6 @@ def triples_loss_cotangents(
     prior: SpectralPrior,
     spec: DegradationSpec,
     ys: np.ndarray | None,
-    bins=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cotangents dL/d conj(D_k), each (d,), of ``triples_loss`` L.
 
@@ -167,9 +163,7 @@ def triples_loss_cotangents(
     them into the gradient over the weights.  Where |D1| = 0 the variance
     term is not differentiable and its cotangent is taken as 0.
     """
-    A, std, power = bins or _posterior_bins(prior, spec)
-    M, resid = _mean_residual(D2, D3, A, prior, spec, ys)
-    return _cotangents(D1, std, power, M, resid, prior, spec, ys)
+    return _score(D1, D2, D3, _Target(prior, spec, ys), cotangents=True)[1]
 
 
 def batch_loss(kind: str, theta: np.ndarray, ctx: LossContext) -> float:
@@ -178,9 +172,7 @@ def batch_loss(kind: str, theta: np.ndarray, ctx: LossContext) -> float:
     It takes one vector, not a batch; the name stays until the benchmark
     hooks that wrap it move in a declared benchmark change.
     """
-    D1, D2, D3 = batch_triples(kind, theta, ctx.prior, ctx.spec, ctx.schedule)
-    bins, ys = ctx._fixed
-    return triples_loss(D1, D2, D3, ctx.prior, ctx.spec, ys, bins)
+    return _score(*batch_triples(kind, theta, ctx.prior, ctx.spec, ctx.schedule), ctx._target)
 
 
 def loss_and_gradient(
@@ -189,15 +181,13 @@ def loss_and_gradient(
     """The context's loss of one packed weight vector and its exact gradient.
 
     ``table`` is the context's StepTable.  One forward sweep composes the
-    triple, the loss (equal to ``batch_loss`` bit for bit) and its
-    cotangents share one M = D2 - A and mean residual, and one reverse sweep
-    over the cotangents gives the gradient.
+    triple, one ``_score`` gives the loss (equal to ``batch_loss`` bit for
+    bit) and its cotangents, and one reverse sweep over the cotangents gives
+    the gradient.
     """
-    (D1, D2, D3), pullback = table.compose_with_pullback(theta)
-    (A, std, power), ys = ctx._fixed
-    M, resid = _mean_residual(D2, D3, A, ctx.prior, ctx.spec, ys)
-    loss = _loss(D1, std, power, M, resid, ctx.prior.dim, ys)
-    return loss, pullback(*_cotangents(D1, std, power, M, resid, ctx.prior, ctx.spec, ys))
+    triple, pullback = table.compose_with_pullback(theta)
+    loss, cotangents = _score(*triple, ctx._target, cotangents=True)
+    return loss, pullback(*cotangents)
 
 
 def weights_loss(weights: WeightSchedule, ctx: LossContext) -> float:
@@ -214,4 +204,4 @@ def triple_realization_loss(
 ) -> float:
     """Squared W2 between a sampler triple's output law and the true posterior."""
     _require_same_dim(prior, spec, obs)
-    return triples_loss(triple.D1, triple.D2, triple.D3, prior, spec, obs.y_f[None])
+    return _score(triple.D1, triple.D2, triple.D3, _Target(prior, spec, obs.y_f[None]))

@@ -101,8 +101,10 @@ def ddim_subsequence(full: np.ndarray, S: int) -> Schedule:
     T = len(full)
     if not 1 <= S <= T:
         raise ValueError(f"S must lie in 1..{T}")
-    idx = np.floor(np.arange(1, S + 1) * (T / S) + 0.5).astype(int)
-    idx = np.unique(np.clip(idx, 1, T))
+    idx = np.clip(np.floor(np.arange(1, S + 1) * (T / S) + 0.5).astype(int), 1, T)
+    # The indices never decrease: keep the first of each run of equal ones.
+    # (np.unique would do the same, but it imports numpy.ma.)
+    idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
     return Schedule(alpha_bar=full[idx - 1], T_full=T)
 
 

@@ -277,6 +277,8 @@ def _run_spectrum(
         # MAP denoiser x0hat = K^-1 ((1 - ab) Sigma H^T y + sig2 sqrt(ab) Sigma x
         # + sig2 (1 - ab) mu) with K = (1 - ab) Sigma H^T H + sig2 (ab Sigma + (1 - ab) I).
         K = (1.0 - ab) * lam * np.abs(h) ** 2 + sig2 * ab * lam + sig2 * (1.0 - ab)
+        if np.any(K == 0):
+            raise ValueError("zero denominator bin")
         A = a + b * sig2 * np.sqrt(ab) * lam / K
         B = b * ((1.0 - ab) * lam * np.conj(h) * y + sig2 * (1.0 - ab) * mu) / K
     else:

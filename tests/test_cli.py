@@ -178,6 +178,21 @@ class TestCliCommands:
         assert result.exit_code == 3, result.output
         assert result.output == "numerical failure: diverged at step 5\n"
 
+    def test_noiseless_optimal_simulation_exits_3_naming_the_bin(self, tmp_path, runner):
+        # Without noise the MAP denoiser divides 0 / 0 on the bins the
+        # operator zeroes.  The run used to print two numpy warnings, then
+        # report the divergence they caused as "diverged at step 5".
+        text = (
+            BASE_CONFIG.format(out=tmp_path / "map")
+            .replace("sigma_y = 0.1", "sigma_y = 0.0")
+            .replace("n_runs = 16", "n_runs = 16\nguidance = optimal")
+        )
+        cfg = tmp_path / "map.cfg"
+        cfg.write_text(text)
+        result = runner.invoke(main, ["simulate", "--config", str(cfg)])
+        assert result.exit_code == 3, result.output
+        assert result.output == "numerical failure: zero denominator bin\n"
+
     def test_simulate_writes_stats(self, tmp_path, runner):
         cfg = _write_config(tmp_path)
         result = runner.invoke(main, ["simulate", "--config", str(cfg)])
@@ -427,6 +442,12 @@ class TestCliCommands:
                 id="zeta_prime-repeated",
             ),
             pytest.param("sweep-wasserstein", {"S = 5": "S = 3 3"}, "schedule.S", id="S-repeated"),
+            pytest.param(
+                "optimize",
+                {"n_realizations = 2": "n_realizations = 0", "optimize-k1": "optimize-averaged"},
+                "run.n_realizations",
+                id="n_realizations-optimize-averaged",
+            ),
         ],
     )
     def test_value_rejected_when_config_loads(self, tmp_path, runner, command, edits, key):
@@ -439,6 +460,8 @@ class TestCliCommands:
         # exited 0 without writing a file and the sweep dropped its heuristic
         # rows.  A repeated S or zeta' used to write sweep rows whose
         # (method, S, realization) keys repeat, with different values.
+        # n_realizations = 0 was checked only where measurements were drawn,
+        # so the averaged optimize, which draws none, exited 0.
         text = BASE_CONFIG.format(out=tmp_path / "out").replace("T = 200", "T = 50")
         for old, new in edits.items():
             text = text.replace(old, new)

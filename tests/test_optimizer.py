@@ -28,6 +28,8 @@ from specdiff import (
     pigdm_from_dps,
     reduce_dimensions,
     sample_prior,
+    triples_loss,
+    triples_loss_cotangents,
     weights_loss,
 )
 from specdiff import objective, optimizer, transfer
@@ -185,20 +187,42 @@ class TestFiniteDiffGradient:
             assert f == batch_loss(kind, theta, ctx)
             assert f == batch_loss(kind, theta, replace(ctx))
 
+    @pytest.mark.parametrize("kind", ["dps", "pigdm"])
+    @pytest.mark.parametrize("mode", ["K=1", "K=3", "averaged"])
+    def test_public_entries_share_one_computation(self, kind, mode):
+        # The loss and gradient are the triple's loss and the pullback of its
+        # cotangents, as the public triple functions give them, bit for bit.
+        rng = np.random.default_rng(27)
+        ctx = _small_ctx(rng, d=12, S=7, kind=kind, K=1 if mode == "K=1" else 3)
+        if mode == "averaged":
+            ctx = replace(ctx, observations=None)
+        ys = None if ctx.observations is None else np.stack([o.y_f for o in ctx.observations])
+        table = StepTable(kind, ctx.prior, ctx.spec, ctx.schedule)
+        for _ in range(3):
+            theta = _theta(rng, kind, ctx.schedule.S)
+            f, g = loss_and_gradient(table, theta, ctx)
+            triple, pullback = table.compose_with_pullback(theta)
+            assert f == triples_loss(*triple, ctx.prior, ctx.spec, ys)
+            cotangents = triples_loss_cotangents(*triple, ctx.prior, ctx.spec, ys)
+            assert g.tobytes() == pullback(*cotangents).tobytes()
+
     def test_posterior_bins_computed_once_per_solve(self):
         rng = np.random.default_rng(26)
         ctx = _small_ctx(rng, d=10, S=6, K=2)
-        posterior_bins, calls = objective._posterior_bins, []
+        # The context's target holds the posterior bins and the stacked
+        # measurements; every loss and gradient of the solve reads the one built.
+        target, calls = objective._Target, []
 
-        def counted(*args):
-            calls.append(1)
-            return posterior_bins(*args)
+        def counted(prior, spec, ys):
+            calls.append(ys)
+            return target(prior, spec, ys)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(objective, "_posterior_bins", counted)
+            mp.setattr(objective, "_Target", counted)
             sol = optimize_weights(ctx, default_init(ctx))
         assert sol.nfev > 1
         assert len(calls) == 1
+        assert calls[0].shape == (2, 10)
 
 
 class TestOptimizeWeights:

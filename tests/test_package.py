@@ -148,14 +148,32 @@ class TestOracles:
                 assert not hasattr(importlib.import_module(f"specdiff.{module}"), name), (module, name)
 
 
+def _fresh_python(*args: str) -> str:
+    """Stdout of a fresh interpreter that imports this checkout's package."""
+    src = str(INIT.parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True, text=True).stdout
+
+
 class TestStartUp:
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
         # optimizer.minimize imports it on the first solve, so a command that
         # never solves does not pay its start-up time and memory.
-        src = str(INIT.parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = "import sys, specdiff.cli; assert 'scipy.optimize' not in sys.modules"
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        _fresh_python("-c", "import sys, specdiff.cli; assert 'scipy.optimize' not in sys.modules")
+
+    def test_runtime_leaves_numpy_ma_and_scipy_optimize_unloaded(self, tmp_path):
+        # Building a runtime subsequences its schedules, where np.unique used
+        # to import numpy.ma; scipy.optimize still waits for the first solve.
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(TOY_CONFIG.format(out=tmp_path / "out"))
+        code = (
+            "import sys\n"
+            "from specdiff.cli import _Runtime\n"
+            "from specdiff.config import load_config\n"
+            "_Runtime(load_config(sys.argv[1]), None, None)\n"
+            "print(sorted({'numpy.ma', 'scipy.optimize'} & set(sys.modules)))\n"
+        )
+        assert _fresh_python("-c", code, str(cfg)) == "[]\n"
 
 
 class TestBenchmarkHooks:

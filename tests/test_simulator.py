@@ -606,6 +606,21 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(cfg, obs)
 
+    def test_noiseless_optimal_guidance_rejects_zeroed_bins(self):
+        # Without noise the MAP denoiser divides 0 / 0 on the bins the
+        # operator zeroes.  The batch used to warn twice and then fail as
+        # "diverged at step 3"; it now refuses the bins before any step, as
+        # the ideal sampler's step table does.
+        prior = make_synthetic_prior(8, 0.1)
+        spec = make_lpf(8, 0.4, sigma_y=0.0)
+        sched = ddim_subsequence(linear_ddpm_schedule(50), 3)
+        obs = Observation(y_f=np.zeros(8, complex))
+        cfg = SimConfig(prior, spec, sched, Guidance.optimal(), n_runs=8)
+        with pytest.raises(ValueError, match="zero denominator bin"):
+            monte_carlo(cfg, obs)
+        with pytest.raises(ValueError, match="zero denominator bin"):
+            ideal_triple(prior, spec, sched)
+
 
 class TestHeuristicProfile:
     def test_noiseless_profile_increases_toward_the_end(self):
