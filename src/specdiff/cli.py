@@ -111,6 +111,21 @@ class _Runtime:
             # Each message opens with the option's name, which is its sampler key.
             raise ConfigError(f"sampler.{exc}") from exc
 
+    def require_posterior(self) -> None:
+        """Refuse a noiseless model that leaves the true posterior undefined.
+
+        Every loss and the ideal sampler divide by lambda |h|^2 + sigma^2,
+        which a noiseless model zeroes on each bin where the operator or the
+        prior does.
+        """
+        lam_h2 = self.prior.lambda0 * np.abs(self.spec.lambda_h) ** 2
+        zeroed = np.flatnonzero(lam_h2 + self.spec.sigma_y**2 == 0)
+        if zeroed.size:
+            raise ConfigError(
+                f"degradation.sigma_y = {self.spec.sigma_y:g} leaves the posterior undefined "
+                f"on bins {', '.join(map(str, zeroed))}, where lambda |h|^2 = 0"
+            )
+
     def header(self) -> dict:
         return {
             "tool_version": __version__,
@@ -266,6 +281,7 @@ def cmd_optimize(rt: _Runtime):
             f"optimize needs sampler.weight_source = optimize-k1 or optimize-averaged, "
             f"not {cfg.weight_source}"
         )
+    rt.require_posterior()
     averaged = cfg.weight_source == "optimize-averaged"
     observations = None if averaged else rt.observations()
     loss_rows = []
@@ -304,6 +320,7 @@ def cmd_optimize(rt: _Runtime):
 @_cli_command
 def cmd_sweep_wasserstein(rt: _Runtime):
     """Wasserstein-2 sweep: heuristics, optimized weights, and the ideal sampler."""
+    rt.require_posterior()
     observations = rt.observations()
     all_rows = [
         (method, S, r, float(np.sqrt(loss)))
@@ -324,6 +341,8 @@ def cmd_simulate(rt: _Runtime):
     cfg = rt.cfg
     obs = rt.observations()[0]
     _config_value("run.n_runs", _require_stat_runs, cfg.n_runs)
+    if cfg.guidance == "optimal":
+        rt.require_posterior()
     for S in cfg.S_list:
         if cfg.guidance == "heuristic":
             # One batch gives both outputs: the realized weights for the
@@ -366,6 +385,7 @@ def cmd_eval_loss(rt: _Runtime):
             "eval-loss scores each realization on its own; "
             "sampler.weight_source = optimize-averaged is only supported by optimize"
         )
+    rt.require_posterior()
     observations = rt.observations()
     method = f"{cfg.sampler_kind}-optimized" if cfg.weight_source == "optimize-k1" else cfg.weight_source
     rows = [

@@ -1,14 +1,23 @@
 """Box-constrained minimization of the weight-schedule losses.
 
-The solve itself is delegated to L-BFGS-B.  A solve builds its context's
-step table once, with its workspace; every point the solver requests is then
-one forward sweep for the loss and one reverse sweep for its exact gradient,
-both returned by one call (``jac=True``) and both reusing that workspace.
-The start is evaluated once: it is checked before the solve, and the
-solver's first request, the same clipped vector, is answered from that
-evaluation.  Warm-starting across step counts (the ladder) keeps
-long schedules in a good basin, and eigen-truncation (``keep_dims``) solves
-on the bins with the largest prior eigenvalues only.
+The solve is L-BFGS-B (Byrd, Lu, Nocedal and Zhu, 1995), run by ``minimize``:
+a short reverse-communication loop over ``setulb``, the compiled step in
+scipy's ``scipy.optimize._lbfgsb`` extension, which it loads from its file.
+Importing ``scipy.optimize`` to reach it would run that package's
+``__init__``, which pulls in scipy.linalg, sparse, special, fft, spatial and
+HiGHS: in a fresh process after ``import specdiff.cli`` that took RSS from
+33 to 78 MiB and 0.39-0.48 s, where loading the extension alone adds
+2.6 MiB and 0.015 s (scipy 1.17.1, Python 3.11).  Commands that never solve
+load neither.
+
+A solve builds its context's step table once, with its workspace; every
+point the solver requests is then one forward sweep for the loss and one
+reverse sweep for its exact gradient, both returned by one call and both
+reusing that workspace.  The start is evaluated once: it is checked before
+the solve, and the solver's first request, the same clipped vector, is
+answered from that evaluation.  Warm-starting across step counts (the
+ladder) keeps long schedules in a good basin, and eigen-truncation
+(``keep_dims``) solves on the bins with the largest prior eigenvalues only.
 """
 
 from __future__ import annotations
@@ -37,15 +46,155 @@ __all__ = [
 DEFAULT_BOUNDS = (-5.0, 5.0)
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use.
+# setulb's reverse-communication codes: task[0] is the state, task[1] the
+# detail.  The message texts are scipy's, so a failed solve reports the same
+# line; 502 and 505, which only scipy's own loop sets, are left out.
+_FG, _NEW_X, _CONVERGENCE, _STOP, _MAX_ITERS = 3, 1, 4, 5, 504
+_STATUS = ("START", "NEW_X", "RESTART", "FG", "CONVERGENCE", "STOP", "WARNING", "ERROR", "ABNORMAL")
+_TASK = {
+    0: "", 301: "", 302: "",
+    401: "NORM OF PROJECTED GRADIENT <= PGTOL",
+    402: "RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+    501: "CPU EXCEEDING THE TIME LIMIT",
+    503: "PROJECTED GRADIENT IS SUFFICIENTLY SMALL",
+    504: "TOTAL NO. OF ITERATIONS REACHED LIMIT",
+    601: "ROUNDING ERRORS PREVENT PROGRESS",
+    602: "STP = STPMAX",
+    603: "STP = STPMIN",
+    604: "XTOL TEST SATISFIED",
+    701: "NO FEASIBLE SOLUTION",
+    702: "FACTR < 0",
+    703: "FTOL < 0",
+    704: "GTOL < 0",
+    705: "XTOL < 0",
+    706: "STP < STPMIN",
+    707: "STP > STPMAX",
+    708: "STPMIN < 0",
+    709: "STPMAX < STPMIN",
+    710: "INITIAL G >= 0",
+    711: "M <= 0",
+    712: "N <= 0",
+    713: "INVALID NBD",
+}
+_KERNEL = "scipy.optimize._lbfgsb"
+_SETULB_CALL = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
 
-    Importing scipy.optimize roughly doubles the start-up time and the memory
-    of a CLI run; commands that never solve should not pay for it.
+
+def _setulb():
+    """scipy's compiled L-BFGS-B step, loaded from its file on first use.
+
+    ``scipy.optimize``'s ``__init__`` is skipped (see the module docstring);
+    scipy's own runs, since it sets up the libraries its extensions link
+    against.  Raises ImportError when the installed scipy has no setulb with
+    the call the driver makes.
     """
-    from scipy.optimize import minimize as scipy_minimize
+    import importlib.machinery
+    import importlib.util
+    import os
+    import sys
 
-    return scipy_minimize(*args, **kwargs)
+    import scipy
+
+    module = sys.modules.get(_KERNEL)
+    if module is None:
+        directory = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+        paths = [os.path.join(directory, "_lbfgsb" + sfx) for sfx in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is not None:
+            loader = importlib.machinery.ExtensionFileLoader(_KERNEL, path)
+            spec = importlib.util.spec_from_file_location(_KERNEL, path, loader=loader)
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+            sys.modules[_KERNEL] = module
+    setulb = getattr(module, "setulb", None)
+    if setulb is None or (setulb.__doc__ or "").split("\n")[0] != _SETULB_CALL:
+        raise ImportError(
+            f"specdiff needs scipy>=1.17, whose {_KERNEL} provides {_SETULB_CALL}; "
+            f"found scipy {scipy.__version__}"
+        )
+    return setulb
+
+
+@dataclass(frozen=True)
+class MinimizeResult:
+    """Where L-BFGS-B stopped: the point, its loss and gradient, and the run's counts.
+
+    ``nfev`` and ``njev`` both count the calls of ``fun``, which returns the
+    loss and the gradient together.
+    """
+
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray
+    nit: int
+    nfev: int
+    njev: int
+    success: bool
+    message: str
+
+
+def minimize(
+    fun, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray], max_iters: int, f_tol: float
+) -> MinimizeResult:
+    """Minimize fun over the box bounds = (lower, upper) with L-BFGS-B.
+
+    fun(x) returns the loss and its gradient.  This is scipy's
+    ``minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=...,
+    options={"maxiter": max_iters, "ftol": f_tol})`` step for step: the same
+    memory (m = 10), projected-gradient tolerance (1e-5), line-search limit
+    (20) and factr = f_tol / eps; the same bound codes, where an infinite
+    bound is absent; the same evaluations, one at the clipped start and one
+    more only where setulb asks at a point that differs from the last one;
+    and the same status message.  Every iterate therefore has scipy's bits.
+    """
+    setulb = _setulb()
+    lower, upper = (np.asarray(b, dtype=float) for b in bounds)
+    if np.any(upper < lower):
+        raise ValueError("An upper bound is less than the corresponding lower bound.")
+    x = np.clip(np.asarray(x0, dtype=float).ravel(), lower, upper)
+    has_lower, has_upper = ~np.isinf(lower), ~np.isinf(upper)
+    # setulb's nbd: 0 unbounded, 1 lower only, 2 both, 3 upper only.
+    nbd = np.array([[0, 3], [1, 2]], dtype=np.int32)[has_lower.astype(int), has_upper.astype(int)]
+    low = np.where(has_lower, lower, 0.0)
+    up = np.where(has_upper, upper, 0.0)
+
+    n, m = x.size, 10
+    f, g = np.array(0.0), np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    factr = f_tol / np.finfo(float).eps
+
+    x_eval = x.copy()
+    f_eval, g_eval = fun(x.copy())
+    nfev = 1
+    nit = 0
+    while True:
+        g = g.astype(np.float64)
+        setulb(m, x, low, up, nbd, f, g, factr, 1e-5, wa, iwa, task, lsave, isave, dsave, 20, ln_task)
+        if task[0] == _FG:
+            if not np.array_equal(x, x_eval):
+                x_eval = x.copy()
+                f_eval, g_eval = fun(x.copy())
+                nfev += 1
+            f, g = f_eval, g_eval
+        elif task[0] == _NEW_X:
+            nit += 1
+            if nit >= max_iters:
+                task[:] = _STOP, _MAX_ITERS
+        else:
+            break
+    return MinimizeResult(
+        x=x,
+        fun=f,
+        jac=g,
+        nit=nit,
+        nfev=nfev,
+        njev=nfev,
+        success=bool(task[0] == _CONVERGENCE),
+        message=f"{_STATUS[task[0]]}: {_TASK[task[1]]}",
+    )
 
 
 @dataclass(frozen=True)
@@ -62,8 +211,8 @@ class OptimizeOptions:
             raise ValueError("bounds must satisfy lo < hi")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.f_tol <= 0:
-            raise ValueError("f_tol must be positive")
+        if not 0 < self.f_tol < np.inf:
+            raise ValueError("f_tol must be positive and finite")
         ladder = self.ladder or ()
         if any(rung < 1 for rung in ladder):
             raise ValueError("ladder rungs must be positive")
@@ -121,12 +270,13 @@ def _unpack(kind: str, theta: np.ndarray, S: int) -> WeightSchedule:
     return WeightSchedule.pigdm(theta[:S].copy(), theta[S:].copy())
 
 
-def _bounds_list(kind: str, S: int, bounds: tuple[float, float]) -> list[tuple[float, float]]:
+def _box(kind: str, S: int, bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coordinate (lower, upper) bounds of the packed weight vector."""
     lo, hi = bounds
     if kind == DPS:
-        return [(lo, hi)] * S
+        return np.full(S, float(lo)), np.full(S, float(hi))
     # r is a standard deviation: floored at zero whatever the box says.
-    return [(lo, hi)] * S + [(max(lo, 0.0), hi)] * S
+    return np.r_[np.full(S, float(lo)), np.full(S, max(lo, 0.0))], np.full(2 * S, float(hi))
 
 
 def _take_bins(
@@ -207,14 +357,7 @@ def optimize_weights(
             raise ValueError("non-finite loss or gradient")
         return f, grad
 
-    result = minimize(
-        fun,
-        theta0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=_bounds_list(kind, S, opts.bounds),
-        options={"maxiter": opts.max_iters, "ftol": opts.f_tol, "maxfun": 10**7},
-    )
+    result = minimize(fun, theta0, _box(kind, S, opts.bounds), opts.max_iters, opts.f_tol)
     theta_best = np.clip(result.x, *opts.bounds)
     f_best = float(result.fun)
     if f_best > f0:

@@ -155,15 +155,6 @@ class TestCliCommands:
         assert result.exit_code == 2
         assert "experiment.nom" in result.output
 
-    def test_numerical_failure_exits_3(self, tmp_path, runner):
-        # sigma_y = 0 with a low-pass operator leaves degenerate Wiener bins.
-        text = BASE_CONFIG.format(out=tmp_path / "o3").replace("sigma_y = 0.1", "sigma_y = 0.0")
-        path = tmp_path / "bad.cfg"
-        path.write_text(text)
-        result = runner.invoke(main, ["optimize", "--config", str(path)])
-        assert result.exit_code == 3
-        assert "numerical failure" in result.output
-
     def test_diverging_simulation_exits_3_naming_the_step(self, tmp_path, runner):
         # zeta' = 1e308 overflows the heuristic weight at the first step; the
         # run reports that step and nothing else, no numpy warning.
@@ -178,20 +169,60 @@ class TestCliCommands:
         assert result.exit_code == 3, result.output
         assert result.output == "numerical failure: diverged at step 5\n"
 
-    def test_noiseless_optimal_simulation_exits_3_naming_the_bin(self, tmp_path, runner):
-        # Without noise the MAP denoiser divides 0 / 0 on the bins the
-        # operator zeroes.  The run used to print two numpy warnings, then
-        # report the divergence they caused as "diverged at step 5".
+    @pytest.mark.parametrize(
+        "command, guidance",
+        [
+            pytest.param("optimize", "none", id="optimize"),
+            pytest.param("eval-loss", "none", id="eval-loss"),
+            pytest.param("sweep-wasserstein", "none", id="sweep-wasserstein"),
+            pytest.param("simulate", "optimal", id="simulate-optimal"),
+        ],
+    )
+    def test_noiseless_lowpass_exits_2_naming_the_bins(self, tmp_path, runner, command, guidance):
+        # Without noise the posterior divides by lambda |h|^2 = 0 on the bins
+        # the operator zeroes, which every loss and the MAP denoiser need.
+        # Each command used to fail mid-run with exit 3, naming the cause as
+        # "degenerate bin" (optimize, eval-loss) or "zero denominator bin"
+        # (sweep-wasserstein, simulate with optimal guidance).
         text = (
-            BASE_CONFIG.format(out=tmp_path / "map")
+            BASE_CONFIG.format(out=tmp_path / "out")
             .replace("sigma_y = 0.1", "sigma_y = 0.0")
-            .replace("n_runs = 16", "n_runs = 16\nguidance = optimal")
+            .replace("n_runs = 16", f"n_runs = 16\nguidance = {guidance}")
         )
-        cfg = tmp_path / "map.cfg"
+        cfg = tmp_path / "noiseless.cfg"
         cfg.write_text(text)
-        result = runner.invoke(main, ["simulate", "--config", str(cfg)])
-        assert result.exit_code == 3, result.output
-        assert result.output == "numerical failure: zero denominator bin\n"
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            "config error: degradation.sigma_y = 0 leaves the posterior undefined "
+            "on bins 3, 4, 5, 6, 7, 8, 9, where lambda |h|^2 = 0\n"
+        )
+        assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize(
+        "command, V, guidance",
+        [
+            ("simulate", "0.42", "none"),
+            ("simulate", "0.42", "heuristic"),
+            ("simulate", "1.0", "optimal"),
+            ("optimize", "1.0", "none"),
+            ("eval-loss", "1.0", "none"),
+        ],
+    )
+    def test_noiseless_model_runs_where_defined(self, tmp_path, runner, command, V, guidance):
+        # The posterior check refuses only what needs the posterior on a bin
+        # where it is undefined: simulating without it, or a model whose
+        # operator keeps every bin, still runs.
+        text = (
+            BASE_CONFIG.format(out=tmp_path / "out")
+            .replace("sigma_y = 0.1", "sigma_y = 0.0")
+            .replace("V = 0.42", f"V = {V}")
+            .replace("n_runs = 16", f"n_runs = 16\nguidance = {guidance}")
+        )
+        cfg = tmp_path / "noiseless.cfg"
+        cfg.write_text(text)
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
 
     def test_simulate_writes_stats(self, tmp_path, runner):
         cfg = _write_config(tmp_path)
@@ -448,6 +479,14 @@ class TestCliCommands:
                 "run.n_realizations",
                 id="n_realizations-optimize-averaged",
             ),
+            pytest.param(
+                "optimize", {"max_iters = 60": "max_iters = 60\nf_tol = nan"}, "sampler.f_tol",
+                id="f_tol-nan",
+            ),
+            pytest.param(
+                "optimize", {"max_iters = 60": "max_iters = 60\nf_tol = inf"}, "sampler.f_tol",
+                id="f_tol-inf",
+            ),
         ],
     )
     def test_value_rejected_when_config_loads(self, tmp_path, runner, command, edits, key):
@@ -461,7 +500,9 @@ class TestCliCommands:
         # rows.  A repeated S or zeta' used to write sweep rows whose
         # (method, S, realization) keys repeat, with different values.
         # n_realizations = 0 was checked only where measurements were drawn,
-        # so the averaged optimize, which draws none, exited 0.
+        # so the averaged optimize, which draws none, exited 0.  f_tol = nan
+        # turned off L-BFGS-B's relative-reduction test and f_tol = inf
+        # stopped every solve after its first iteration, both with exit 0.
         text = BASE_CONFIG.format(out=tmp_path / "out").replace("T = 200", "T = 50")
         for old, new in edits.items():
             text = text.replace(old, new)

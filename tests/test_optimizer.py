@@ -1,3 +1,5 @@
+import sys
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -476,3 +478,106 @@ class TestReduceDimensions:
         assert sol.final_loss == weights_loss(sol.weights, ctx)
         kept = optimizer._reduced_context(ctx, keep)
         assert sol.final_loss > weights_loss(sol.weights, kept)
+
+
+def _solve_problem(ctx, init, opts):
+    """The (fun, x0, bounds, max_iters, f_tol) that optimize_weights hands to minimize."""
+    problems, minimize = [], optimizer.minimize
+
+    def recorded(*args):
+        problems.append(args)
+        return minimize(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "minimize", recorded)
+        optimize_weights(ctx, init, opts)
+    (problem,) = problems
+    return problem
+
+
+def _assert_matches_scipy(fun, x0, bounds, max_iters, f_tol):
+    """The driver's result equals scipy's L-BFGS-B on the same problem, bit for bit."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    ours = optimizer.minimize(fun, x0, bounds, max_iters, f_tol)
+    ref = scipy_minimize(
+        fun,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=list(zip(*bounds)),
+        options={"maxiter": max_iters, "ftol": f_tol},
+    )
+    assert ours.x.tobytes() == ref.x.tobytes()
+    assert np.float64(ours.fun).tobytes() == np.float64(ref.fun).tobytes()
+    assert ours.jac.tobytes() == ref.jac.tobytes()
+    assert (ours.nit, ours.nfev, ours.njev) == (ref.nit, ref.nfev, ref.njev)
+    assert (ours.success, ours.message) == (ref.success, ref.message)
+    return ours
+
+
+class TestMinimize:
+    """The L-BFGS-B driver against scipy.optimize.minimize, its reference."""
+
+    @pytest.mark.parametrize(
+        "kind, S, message",
+        [
+            pytest.param("dps", 20, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH", id="dps-20"),
+            pytest.param("dps", 200, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH", id="dps-200"),
+            pytest.param("pigdm", 20, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH", id="pigdm-20"),
+            # The published PiGDM weighting diverges at S = 200.
+            pytest.param("pigdm", 200, "ABNORMAL: ", id="pigdm-200"),
+        ],
+    )
+    def test_reference_model_solves(self, kind, S, message):
+        ctx = _paper_ctx(np.random.default_rng(0), S=S, kind=kind)
+        result = _assert_matches_scipy(*_solve_problem(ctx, default_init(ctx), OptimizeOptions()))
+        assert result.message == message
+
+    @pytest.mark.parametrize("kind", ["dps", "pigdm"])
+    def test_iteration_limit(self, kind):
+        ctx = _paper_ctx(np.random.default_rng(1), S=20, kind=kind)
+        problem = _solve_problem(ctx, default_init(ctx), OptimizeOptions(max_iters=1))
+        result = _assert_matches_scipy(*problem)
+        assert (result.nit, result.success) == (1, False)
+        assert result.message == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+
+    @pytest.mark.parametrize("kind", ["dps", "pigdm"])
+    @pytest.mark.parametrize(
+        "bounds", [(-np.inf, np.inf), (0.0, np.inf), (-np.inf, 0.3)], ids=["free", "lower", "upper"]
+    )
+    def test_infinite_bounds(self, kind, bounds):
+        # setulb reads an infinite bound as no bound (nbd 0, 1 or 3): a box
+        # with nbd = 2 everywhere would move these iterates.
+        ctx = _small_ctx(np.random.default_rng(3), kind=kind)
+        problem = _solve_problem(ctx, default_init(ctx), OptimizeOptions(bounds=bounds))
+        assert _assert_matches_scipy(*problem).success
+
+    def test_convex_quadratic_stops_on_projected_gradient(self):
+        A, b = np.diag([1.0, 2.0, 4.0]), np.array([1.0, -2.0, 3.0])
+
+        def fun(x):
+            return float(0.5 * x @ A @ x - b @ x), A @ x - b
+
+        box = (np.zeros(3), np.full(3, 0.5))
+        result = _assert_matches_scipy(fun, np.zeros(3), box, 100, 1e-6)
+        assert result.message == "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
+        np.testing.assert_array_equal(result.x, [0.5, 0.0, 0.5])
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            pytest.param(types.SimpleNamespace(), id="no-setulb"),
+            pytest.param(
+                types.SimpleNamespace(setulb=types.SimpleNamespace(__doc__="x,f = setulb(m,x,l,u,nbd,f,g)")),
+                id="other-call",
+            ),
+        ],
+    )
+    def test_missing_or_mismatched_kernel_names_the_scipy_needed(self, kernel):
+        import scipy
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(sys.modules, "scipy.optimize._lbfgsb", kernel)
+            with pytest.raises(ImportError, match=rf"scipy>=1\.17.*found scipy {scipy.__version__}"):
+                optimizer.minimize(lambda x: (0.0, x), np.zeros(1), (np.zeros(1), np.ones(1)), 1, 1e-6)
