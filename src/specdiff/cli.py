@@ -9,7 +9,6 @@ numerical failures.
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -21,7 +20,7 @@ from .objective import LossContext, triple_realization_loss
 from .optimizer import (
     OptimizeOptions,
     WeightSolution,
-    default_init,
+    _box,
     iterative_ladder,
     optimize_weights,
     pigdm_from_dps,
@@ -104,27 +103,37 @@ class _Runtime:
                 bounds=cfg.bounds,
                 max_iters=cfg.max_iters,
                 f_tol=cfg.f_tol,
-                ladder=cfg.ladder,
+                # An empty ladder (sampler.ladder = ,) is the cold start.
+                ladder=cfg.ladder or None,
                 keep_dims=cfg.keep_dims,
             )
         except ValueError as exc:
             # Each message opens with the option's name, which is its sampler key.
             raise ConfigError(f"sampler.{exc}") from exc
 
-    def require_posterior(self) -> None:
-        """Refuse a noiseless model that leaves the true posterior undefined.
+    def require_posterior(self, pigdm: bool = False) -> None:
+        """Refuse a model, or with pigdm a PiGDM box, on which the losses are undefined.
 
         Every loss and the ideal sampler divide by lambda |h|^2 + sigma^2,
         which a noiseless model zeroes on each bin where the operator or the
-        prior does.
+        prior does.  A PiGDM solve needs some r >= 0 in the box, and divides
+        by r^2 |h|^2 + sigma^2, which past the first check only r = 0 zeroes.
         """
+        sigma_y = self.spec.sigma_y
         lam_h2 = self.prior.lambda0 * np.abs(self.spec.lambda_h) ** 2
-        zeroed = np.flatnonzero(lam_h2 + self.spec.sigma_y**2 == 0)
+        zeroed = np.flatnonzero(lam_h2 + sigma_y**2 == 0)
         if zeroed.size:
             raise ConfigError(
-                f"degradation.sigma_y = {self.spec.sigma_y:g} leaves the posterior undefined "
+                f"degradation.sigma_y = {sigma_y:g} leaves the posterior undefined "
                 f"on bins {', '.join(map(str, zeroed))}, where lambda |h|^2 = 0"
             )
+        if pigdm:
+            (_, r_min), _ = _config_value("sampler.bounds", _box, PIGDM, 1, self.opts.bounds)
+            if sigma_y == 0 and r_min == 0:
+                raise ConfigError(
+                    "degradation.sigma_y = 0 makes PiGDM's likelihood covariance "
+                    "r^2 |h|^2 + sigma^2 singular at r = 0, which sampler.bounds allows"
+                )
 
     def header(self) -> dict:
         return {
@@ -142,13 +151,13 @@ class _Runtime:
         return obs
 
     def solve(self, ctx: LossContext, *extra_starts: WeightSchedule, realization: int) -> WeightSolution:
-        """The best of the configured solve and one solve from each extra start.
+        """The best of the configured route and one solve from each extra start.
 
-        The configured solve is the ladder when the config sets one and the
-        default start otherwise.  Each solve that L-BFGS-B reports as failed,
-        ladder rungs included, prints one line to stderr naming its S and the
-        context's realization, or "averaged" for the loss averaged over the
-        measurement law.
+        The configured route is ``iterative_ladder``'s: up the config's
+        ladder, or without one a solve from the default start.  Each solve
+        that L-BFGS-B reports as failed, ladder rungs included, prints one
+        line to stderr naming its S and the context's realization, or
+        "averaged" for the loss averaged over the measurement law.
         """
         label = realization if ctx.observations else "averaged"
 
@@ -158,13 +167,8 @@ class _Runtime:
                 click.echo(f"solve failed: {where}: {sol.message}", err=True)
             return sol
 
-        opts, S = self.opts, ctx.schedule.S
-        if opts.ladder:
-            ladder = tuple(r for r in opts.ladder if r < S) + (S,)
-            sols = [iterative_ladder(ctx, replace(opts, ladder=ladder), on_solve=report)]
-        else:
-            sols = [report(S, optimize_weights(ctx, default_init(ctx), opts))]
-        sols += [report(S, optimize_weights(ctx, start, opts)) for start in extra_starts]
+        sols = [iterative_ladder(ctx, self.opts, on_solve=report)]
+        sols += [report(ctx.schedule.S, optimize_weights(ctx, x, self.opts)) for x in extra_starts]
         return min(sols, key=lambda sol: sol.final_loss)
 
     def sim_seed(self, tag: int) -> int:
@@ -281,7 +285,7 @@ def cmd_optimize(rt: _Runtime):
             f"optimize needs sampler.weight_source = optimize-k1 or optimize-averaged, "
             f"not {cfg.weight_source}"
         )
-    rt.require_posterior()
+    rt.require_posterior(pigdm=cfg.sampler_kind == PIGDM)
     averaged = cfg.weight_source == "optimize-averaged"
     observations = None if averaged else rt.observations()
     loss_rows = []
@@ -320,7 +324,7 @@ def cmd_optimize(rt: _Runtime):
 @_cli_command
 def cmd_sweep_wasserstein(rt: _Runtime):
     """Wasserstein-2 sweep: heuristics, optimized weights, and the ideal sampler."""
-    rt.require_posterior()
+    rt.require_posterior(pigdm=True)
     observations = rt.observations()
     all_rows = [
         (method, S, r, float(np.sqrt(loss)))
@@ -385,9 +389,9 @@ def cmd_eval_loss(rt: _Runtime):
             "eval-loss scores each realization on its own; "
             "sampler.weight_source = optimize-averaged is only supported by optimize"
         )
-    rt.require_posterior()
-    observations = rt.observations()
     method = f"{cfg.sampler_kind}-optimized" if cfg.weight_source == "optimize-k1" else cfg.weight_source
+    rt.require_posterior(pigdm=method == "pigdm-optimized")
+    observations = rt.observations()
     rows = [
         (name, S, 1, loss, rt.seed)
         for S in cfg.S_list

@@ -9,9 +9,10 @@ average carries the factor d that relates the two.  One private routine,
 ``_score``, scores a sampler's (d,) triple against a ``_Target``, the
 posterior's per-bin constants and the products each evaluation reuses, and
 on request gives the cotangents dL/d conj(D) too.  A ``LossContext`` builds
-its target once; every public function is a short call of ``_score``, and
-``loss_and_gradient`` chains its cotangents through a step table's reverse
-sweep into the exact gradient over the weights.
+its target and its sampler's step table once, on first use; every public
+function is a short call of ``_score``, and ``loss_and_gradient`` chains its
+cotangents through the context's table's reverse sweep into the exact
+gradient over the weights.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 # under this module's name.
 from .schedule import Schedule, denoiser_coeffs, step_coeffs_scalar  # noqa: F401
 from .spectral import DegradationSpec, Observation, SpectralPrior, _require_same_dim
-from .transfer import DPS, PIGDM, StepTable, TransferTriple, WeightSchedule, batch_triples
+from .transfer import DPS, PIGDM, StepTable, WeightSchedule, batch_triples
 
 __all__ = [
     "LossContext",
@@ -70,6 +71,14 @@ class LossContext:
         """The posterior target of the context's model and measurements, made once."""
         ys = None if self.observations is None else np.stack([o.y_f for o in self.observations])
         return _Target(self.prior, self.spec, ys)
+
+    @cached_property
+    def _table(self) -> StepTable:
+        """The step table of the context's sampler, model and schedule, made once.
+
+        Its workspace serves one thread at a time, and so does the context.
+        """
+        return StepTable(self.sampler_kind, self.prior, self.spec, self.schedule)
 
 
 class _Target:
@@ -175,17 +184,14 @@ def batch_loss(kind: str, theta: np.ndarray, ctx: LossContext) -> float:
     return _score(*batch_triples(kind, theta, ctx.prior, ctx.spec, ctx.schedule), ctx._target)
 
 
-def loss_and_gradient(
-    table: StepTable, theta: np.ndarray, ctx: LossContext
-) -> tuple[float, np.ndarray]:
+def loss_and_gradient(theta: np.ndarray, ctx: LossContext) -> tuple[float, np.ndarray]:
     """The context's loss of one packed weight vector and its exact gradient.
 
-    ``table`` is the context's StepTable.  One forward sweep composes the
-    triple, one ``_score`` gives the loss (equal to ``batch_loss`` bit for
-    bit) and its cotangents, and one reverse sweep over the cotangents gives
-    the gradient.
+    One forward sweep of the context's step table composes the triple, one
+    ``_score`` gives the loss (equal to ``batch_loss`` bit for bit) and its
+    cotangents, and one reverse sweep over the cotangents gives the gradient.
     """
-    triple, pullback = table.compose_with_pullback(theta)
+    triple, pullback = ctx._table.compose_with_pullback(theta)
     loss, cotangents = _score(*triple, ctx._target, cotangents=True)
     return loss, pullback(*cotangents)
 
@@ -200,8 +206,8 @@ def weights_loss(weights: WeightSchedule, ctx: LossContext) -> float:
 
 
 def triple_realization_loss(
-    triple: TransferTriple, prior: SpectralPrior, spec: DegradationSpec, obs: Observation
+    triple: tuple, prior: SpectralPrior, spec: DegradationSpec, obs: Observation
 ) -> float:
-    """Squared W2 between a sampler triple's output law and the true posterior."""
+    """Squared W2 between the output law of a sampler's (D1, D2, D3) and the true posterior."""
     _require_same_dim(prior, spec, obs)
-    return _score(triple.D1, triple.D2, triple.D3, _Target(prior, spec, obs.y_f[None]))
+    return _score(*triple, _Target(prior, spec, obs.y_f[None]))

@@ -10,14 +10,15 @@ HiGHS: in a fresh process after ``import specdiff.cli`` that took RSS from
 2.6 MiB and 0.015 s (scipy 1.17.1, Python 3.11).  Commands that never solve
 load neither.
 
-A solve builds its context's step table once, with its workspace; every
-point the solver requests is then one forward sweep for the loss and one
-reverse sweep for its exact gradient, both returned by one call and both
-reusing that workspace.  The start is evaluated once: it is checked before
-the solve, and the solver's first request, the same clipped vector, is
-answered from that evaluation.  Warm-starting across step counts (the
-ladder) keeps long schedules in a good basin, and eigen-truncation
-(``keep_dims``) solves on the bins with the largest prior eigenvalues only.
+Each thing a solve uses is decided once.  The ``LossContext`` owns its step
+table, which every solve on it reuses: each point L-BFGS-B requests is one
+``loss_and_gradient`` call, a forward sweep for the loss and a reverse sweep
+for its exact gradient.  ``_box`` owns the box, PiGDM's floor r >= 0
+included.  ``optimize_weights`` clips the start into it, evaluates it once
+and hands that evaluation to ``minimize``.  ``iterative_ladder`` owns the
+route: warm starts up a ladder of step counts, or one cold solve.
+Eigen-truncation (``keep_dims``) solves on the bins with the largest prior
+eigenvalues only.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .objective import LossContext, batch_loss, loss_and_gradient
 from .schedule import ddim_subsequence, linear_ddpm_schedule
 from .spectral import DegradationSpec, Observation, SpectralPrior
-from .transfer import DPS, PIGDM, StepTable, WeightSchedule, pigdm_heuristic_weights
+from .transfer import DPS, WeightSchedule, pigdm_heuristic_weights
 
 __all__ = [
     "OptimizeOptions",
@@ -119,8 +120,8 @@ def _setulb():
 class MinimizeResult:
     """Where L-BFGS-B stopped: the point, its loss and gradient, and the run's counts.
 
-    ``nfev`` and ``njev`` both count the calls of ``fun``, which returns the
-    loss and the gradient together.
+    ``nfev`` counts the evaluations of fun, the start's included; scipy
+    reports it for the loss and again for the gradient, which fun returns too.
     """
 
     x: np.ndarray
@@ -128,13 +129,12 @@ class MinimizeResult:
     jac: np.ndarray
     nit: int
     nfev: int
-    njev: int
     success: bool
     message: str
 
 
 def minimize(
-    fun, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray], max_iters: int, f_tol: float
+    fun, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray], max_iters: int, f_tol: float, start=None
 ) -> MinimizeResult:
     """Minimize fun over the box bounds = (lower, upper) with L-BFGS-B.
 
@@ -146,6 +146,8 @@ def minimize(
     bound is absent; the same evaluations, one at the clipped start and one
     more only where setulb asks at a point that differs from the last one;
     and the same status message.  Every iterate therefore has scipy's bits.
+    ``start``, if given, is fun(x0) for an x0 inside the box: it stands for
+    the evaluation at the start, which ``nfev`` still counts.
     """
     setulb = _setulb()
     lower, upper = (np.asarray(b, dtype=float) for b in bounds)
@@ -167,7 +169,7 @@ def minimize(
     factr = f_tol / np.finfo(float).eps
 
     x_eval = x.copy()
-    f_eval, g_eval = fun(x.copy())
+    f_eval, g_eval = fun(x.copy()) if start is None else start
     nfev = 1
     nit = 0
     while True:
@@ -191,7 +193,6 @@ def minimize(
         jac=g,
         nit=nit,
         nfev=nfev,
-        njev=nfev,
         success=bool(task[0] == _CONVERGENCE),
         message=f"{_STATUS[task[0]]}: {_TASK[task[1]]}",
     )
@@ -226,8 +227,8 @@ class OptimizeOptions:
 class WeightSolution:
     """A solve's weights and loss, and how its L-BFGS-B run went.
 
-    ``success`` and ``message`` are L-BFGS-B's exit status, ``nfev`` and
-    ``njev`` its loss and gradient evaluations, ``wall_s`` the seconds the
+    ``success`` and ``message`` are L-BFGS-B's exit status, ``nfev`` its
+    evaluations of the loss with its gradient, ``wall_s`` the seconds the
     whole solve took and ``grad_norm`` the 2-norm of the gradient at the
     point where L-BFGS-B stopped (over the kept bins of a truncated solve).
     """
@@ -238,7 +239,6 @@ class WeightSolution:
     success: bool
     message: str
     nfev: int
-    njev: int
     wall_s: float
     grad_norm: float
 
@@ -271,12 +271,23 @@ def _unpack(kind: str, theta: np.ndarray, S: int) -> WeightSchedule:
 
 
 def _box(kind: str, S: int, bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate (lower, upper) bounds of the packed weight vector."""
+    """Per-coordinate (lower, upper) bounds of the packed weight vector.
+
+    PiGDM's r is a standard deviation, floored at 0 whatever the bounds say.
+    """
     lo, hi = bounds
     if kind == DPS:
         return np.full(S, float(lo)), np.full(S, float(hi))
-    # r is a standard deviation: floored at zero whatever the box says.
-    return np.r_[np.full(S, float(lo)), np.full(S, max(lo, 0.0))], np.full(2 * S, float(hi))
+    r_lo = max(lo, 0.0)
+    if hi < r_lo:
+        raise ValueError(f"upper end {hi:g} is below 0, where PiGDM's r >= 0 starts")
+    return np.r_[np.full(S, float(lo)), np.full(S, r_lo)], np.full(2 * S, float(hi))
+
+
+def _finite(f: float, grad: np.ndarray) -> tuple[float, np.ndarray]:
+    if not (np.isfinite(f) and np.all(np.isfinite(grad))):
+        raise ValueError("non-finite loss or gradient")
+    return f, grad
 
 
 def _take_bins(
@@ -335,30 +346,18 @@ def optimize_weights(
         _, _, keep = reduce_dimensions(ctx.prior, ctx.spec, opts.keep_dims)
         work_ctx = _reduced_context(ctx, keep)
 
-    kind = ctx.sampler_kind
-    S = ctx.schedule.S
-    theta0 = np.clip(init.theta, *opts.bounds)
-    if kind == PIGDM:
-        theta0[S:] = np.maximum(theta0[S:], 0.0)
-
-    table = StepTable(kind, work_ctx.prior, work_ctx.spec, work_ctx.schedule)
-    f0, grad0 = loss_and_gradient(table, theta0, work_ctx)
+    kind, S = ctx.sampler_kind, ctx.schedule.S
+    box = _box(kind, S, opts.bounds)
+    theta0 = np.clip(init.theta, *box)
+    f0, grad0 = loss_and_gradient(theta0, work_ctx)
     if not np.isfinite(f0):
         raise ValueError("invalid starting point")
-    theta0_bytes = theta0.tobytes()
 
     def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        # L-BFGS-B's first request is theta0 itself, evaluated above.
-        if theta.tobytes() == theta0_bytes:
-            f, grad = f0, grad0.copy()
-        else:
-            f, grad = loss_and_gradient(table, theta, work_ctx)
-        if not (np.isfinite(f) and np.all(np.isfinite(grad))):
-            raise ValueError("non-finite loss or gradient")
-        return f, grad
+        return _finite(*loss_and_gradient(theta, work_ctx))
 
-    result = minimize(fun, theta0, _box(kind, S, opts.bounds), opts.max_iters, opts.f_tol)
-    theta_best = np.clip(result.x, *opts.bounds)
+    result = minimize(fun, theta0, box, opts.max_iters, opts.f_tol, start=_finite(f0, grad0))
+    theta_best = np.clip(result.x, *box)
     f_best = float(result.fun)
     if f_best > f0:
         theta_best, f_best = theta0, f0
@@ -371,7 +370,6 @@ def optimize_weights(
         success=bool(result.success),
         message=str(result.message),
         nfev=int(result.nfev),
-        njev=int(result.njev),
         wall_s=time.perf_counter() - start,
         grad_norm=float(np.linalg.norm(result.jac)),
     )
@@ -399,36 +397,33 @@ def interpolate_weights(weights: WeightSchedule, S_new: int) -> WeightSchedule:
 
 
 def iterative_ladder(ctx: LossContext, opts: OptimizeOptions, on_solve=None) -> WeightSolution:
-    """Solve progressively over increasing step counts, warm-starting each rung.
+    """Solve the context up the ladder of step counts, or cold without one (None).
 
-    Every rung solves from the interpolated previous solution and from the
-    default initialization, keeping the better result: warm starts converge
-    fast when the basin transfers across step counts but can drift into worse
-    local minima, and retrying the default start caps that risk.  Returns the
-    best solution of the final rung; on_solve(S, solution), if given, is
-    called with every solve of every rung.
+    The rungs are the ladder's step counts below the context's S, then the
+    context itself, whose schedule the caller may have built otherwise.
+    Every rung solves from the default start and, after the first, from the
+    interpolated previous solution, keeping the better: warm starts converge
+    fast when the basin transfers across step counts but can drift into
+    worse local minima, which retrying the default start caps.  Returns the
+    final rung's best; on_solve(S, solution) sees every solve of every rung.
     """
-    if not opts.ladder:
+    if opts.ladder is not None and not opts.ladder:
         raise ValueError("empty ladder")
-    ladder = list(opts.ladder)
-    if ladder[-1] != ctx.schedule.S:
-        raise ValueError("ladder must end at the target step count")
-
     full = linear_ddpm_schedule(ctx.schedule.T_full)
-    weights = None
+    rungs = [
+        replace(ctx, schedule=ddim_subsequence(full, S_r))
+        for S_r in opts.ladder or ()
+        if S_r < ctx.schedule.S
+    ]
     solution = None
-    for rung, S_r in enumerate(ladder):
-        # The final rung must use the caller's schedule verbatim so losses stay
-        # comparable even when it was not built by the default subsequencing.
-        sched_r = ctx.schedule if rung == len(ladder) - 1 else ddim_subsequence(full, S_r)
-        rung_ctx = replace(ctx, schedule=sched_r)
+    for rung_ctx in rungs + [ctx]:
+        S_r = rung_ctx.schedule.S
         inits = [default_init(rung_ctx)]
-        if weights is not None:
-            inits.append(interpolate_weights(weights, sched_r.S))
+        if solution is not None:
+            inits.append(interpolate_weights(solution.weights, S_r))
         candidates = [optimize_weights(rung_ctx, init, opts) for init in inits]
         if on_solve is not None:
             for candidate in candidates:
-                on_solve(sched_r.S, candidate)
+                on_solve(S_r, candidate)
         solution = min(candidates, key=lambda sol: sol.final_loss)
-        weights = solution.weights
     return solution

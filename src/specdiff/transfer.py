@@ -63,7 +63,6 @@ __all__ = [
     "PIGDM",
     "IDEAL",
     "WeightSchedule",
-    "TransferTriple",
     "StepTable",
     "batch_triples",
     "transfer_triple",
@@ -122,15 +121,6 @@ class WeightSchedule:
         if self.kind == DPS:
             return np.array(self.zeta, dtype=float)
         return np.concatenate([self.g, self.r])
-
-
-@dataclass(frozen=True)
-class TransferTriple:
-    """Per-frequency multipliers of the fully composed sampler."""
-
-    D1: np.ndarray
-    D2: np.ndarray
-    D3: np.ndarray
 
 
 class StepTable:
@@ -377,16 +367,16 @@ def transfer_triple(
     prior: SpectralPrior,
     spec: DegradationSpec,
     sched: Schedule,
-) -> TransferTriple:
-    """Composed triple of a weighted sampler."""
-    return TransferTriple(*batch_triples(weights.kind, weights.theta, prior, spec, sched))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composed (D1, D2, D3), each (d,), of a weighted sampler."""
+    return batch_triples(weights.kind, weights.theta, prior, spec, sched)
 
 
 def ideal_triple(
     prior: SpectralPrior, spec: DegradationSpec, sched: Schedule
-) -> TransferTriple:
-    """Composed triple of the MAP-denoiser sampler."""
-    return TransferTriple(*batch_triples(IDEAL, np.empty(0), prior, spec, sched))
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composed (D1, D2, D3), each (d,), of the MAP-denoiser sampler."""
+    return batch_triples(IDEAL, np.empty(0), prior, spec, sched)
 
 
 def pigdm_heuristic_weights(sched: Schedule) -> WeightSchedule:

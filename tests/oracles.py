@@ -235,6 +235,7 @@ def posterior_optimal_denoise(
 
 def output_distribution(triple, obs, prior) -> DiagGaussian:
     """Gaussian law of the sampler output for a fixed measurement."""
-    mean = triple.D2 * obs.y_f + triple.D3 * prior.mu_f
-    var = np.abs(triple.D1) ** 2
+    D1, D2, D3 = triple
+    mean = D2 * obs.y_f + D3 * prior.mu_f
+    var = np.abs(D1) ** 2
     return DiagGaussian(mean=mean, var=var)

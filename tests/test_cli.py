@@ -224,6 +224,69 @@ class TestCliCommands:
         result = runner.invoke(main, [command, "--config", str(cfg)])
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize(
+        "command, kind",
+        [
+            pytest.param("optimize", "pigdm", id="optimize"),
+            pytest.param("eval-loss", "pigdm", id="eval-loss"),
+            pytest.param("sweep-wasserstein", "dps", id="sweep-wasserstein"),
+        ],
+    )
+    def test_noiseless_pigdm_exits_2_naming_sigma_y(self, tmp_path, runner, command, kind):
+        # On a full-band noiseless model the posterior is defined, but PiGDM's
+        # likelihood covariance r^2 |h|^2 + sigma^2 is singular at r = 0,
+        # which the box holds.  Each command used to exit 3 with "zero
+        # likelihood-covariance bin" once a PiGDM solve reached r = 0; the
+        # sweep did so after its DPS rows were done.
+        text = (
+            BASE_CONFIG.format(out=tmp_path / "out")
+            .replace("sigma_y = 0.1", "sigma_y = 0.0")
+            .replace("V = 0.42", "V = 1.0")
+            .replace("kind = dps", f"kind = {kind}")
+            .replace("T = 200", "T = 50")
+            .replace("S = 5", "S = 3 6")
+        )
+        cfg = tmp_path / "noiseless.cfg"
+        cfg.write_text(text)
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            "config error: degradation.sigma_y = 0 makes PiGDM's likelihood covariance "
+            "r^2 |h|^2 + sigma^2 singular at r = 0, which sampler.bounds allows\n"
+        )
+        assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize(
+        "command, kind, code",
+        [
+            pytest.param("optimize", "pigdm", 2, id="optimize-pigdm"),
+            pytest.param("eval-loss", "pigdm", 2, id="eval-loss-pigdm"),
+            pytest.param("sweep-wasserstein", "dps", 2, id="sweep-wasserstein"),
+            pytest.param("optimize", "dps", 0, id="optimize-dps"),
+            pytest.param("eval-loss", "dps", 0, id="eval-loss-dps"),
+        ],
+    )
+    def test_pigdm_box_below_zero_exits_2_naming_bounds(self, tmp_path, runner, command, kind, code):
+        # PiGDM's r >= 0 has no room below an upper bound of -1.  Every
+        # command that solves PiGDM used to exit 3 with "An upper bound is
+        # less than the corresponding lower bound."; DPS alone still solves.
+        text = (
+            BASE_CONFIG.format(out=tmp_path / "out")
+            .replace("kind = dps", f"kind = {kind}")
+            .replace("max_iters = 60", "max_iters = 60\nbounds = -5, -1")
+            .replace("T = 200", "T = 50")
+            .replace("S = 5", "S = 3 6")
+        )
+        cfg = tmp_path / "negative.cfg"
+        cfg.write_text(text)
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == code, result.output
+        if code == 2:
+            assert result.output == (
+                "config error: sampler.bounds: upper end -1 is below 0, where PiGDM's r >= 0 starts\n"
+            )
+            assert not any((tmp_path / "out").iterdir())
+
     def test_simulate_writes_stats(self, tmp_path, runner):
         cfg = _write_config(tmp_path)
         result = runner.invoke(main, ["simulate", "--config", str(cfg)])

@@ -152,13 +152,7 @@ class TestRealizationLoss:
         obs = ctx.observations[0]
         post = true_posterior(ctx.prior, ctx.spec, obs)
         A = wiener_gain(ctx.prior, ctx.spec)
-        from specdiff import TransferTriple
-
-        triple = TransferTriple(
-            D1=np.sqrt(post.var).astype(complex),
-            D2=A,
-            D3=1.0 - A * ctx.spec.lambda_h,
-        )
+        triple = (np.sqrt(post.var).astype(complex), A, 1.0 - A * ctx.spec.lambda_h)
         assert triple_realization_loss(triple, ctx.prior, ctx.spec, obs) < 1e-20
 
     def test_equals_squared_w2_between_output_and_posterior(self):

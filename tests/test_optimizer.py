@@ -79,8 +79,7 @@ def _public_loss(kind, ctx):
 
 
 def _adjoint(ctx, theta):
-    table = StepTable(ctx.sampler_kind, ctx.prior, ctx.spec, ctx.schedule)
-    return loss_and_gradient(table, theta, ctx)
+    return loss_and_gradient(theta, ctx)
 
 
 class TestFiniteDiffGradient:
@@ -182,10 +181,9 @@ class TestFiniteDiffGradient:
         ctx = _paper_ctx(rng, S=200, kind=kind)
         obs = tuple(degrade(sample_prior(ctx.prior, rng), ctx.spec, rng) for _ in range(3))
         ctx = replace(ctx, observations={"K=1": obs[:1], "K=3": obs, "averaged": None}[mode])
-        table = StepTable(kind, ctx.prior, ctx.spec, ctx.schedule)
         for _ in range(3):
             theta = _theta(rng, kind, ctx.schedule.S)
-            f, _ = loss_and_gradient(table, theta, ctx)
+            f, _ = loss_and_gradient(theta, ctx)
             assert f == batch_loss(kind, theta, ctx)
             assert f == batch_loss(kind, theta, replace(ctx))
 
@@ -202,7 +200,7 @@ class TestFiniteDiffGradient:
         table = StepTable(kind, ctx.prior, ctx.spec, ctx.schedule)
         for _ in range(3):
             theta = _theta(rng, kind, ctx.schedule.S)
-            f, g = loss_and_gradient(table, theta, ctx)
+            f, g = loss_and_gradient(theta, ctx)
             triple, pullback = table.compose_with_pullback(theta)
             assert f == triples_loss(*triple, ctx.prior, ctx.spec, ys)
             cotangents = triples_loss_cotangents(*triple, ctx.prior, ctx.spec, ys)
@@ -263,13 +261,15 @@ class TestOptimizeWeights:
             mp.setattr(optimizer, "minimize", recorded_minimize)
             optimize_weights(ctx, default_init(ctx))
         (result,) = results
-        assert result.nfev == result.njev
         assert len(calls) == result.nfev
 
     def test_step_table_is_built_once_per_solve(self):
         # Regression: the S-step coefficient table used to be rebuilt on every
         # loss call, S * (1 + nfev + njev) step_coeffs calls per solve.  A
-        # table now takes all S steps' coefficients from one call.
+        # table now takes all S steps' coefficients from one call, and the
+        # context owns it: a second solve on the same context (the ladder's
+        # second start on a rung, or an extra start after the configured
+        # route) used to build a table of its own.
         rng = np.random.default_rng(20)
         for kind in ("dps", "pigdm"):
             ctx = _small_ctx(rng, d=10, S=9, kind=kind)
@@ -282,6 +282,7 @@ class TestOptimizeWeights:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(transfer, "step_coeffs", counted)
                 sol = optimize_weights(ctx, default_init(ctx))
+                optimize_weights(ctx, sol.weights)
             assert sol.iterations > 1
             assert len(calls) == 1
 
@@ -301,6 +302,32 @@ class TestOptimizeWeights:
             with pytest.raises(ValueError, match="non-finite loss or gradient"):
                 optimize_weights(ctx, default_init(ctx))
 
+    def test_start_with_finite_loss_and_non_finite_gradient_raises(self):
+        # The start's evaluation is handed to L-BFGS-B, not requested by it,
+        # so its gradient is checked where it is made.
+        rng = np.random.default_rng(21)
+        ctx = _small_ctx(rng)
+        evaluate = optimizer.loss_and_gradient
+
+        def poisoned(*args):
+            f, g = evaluate(*args)
+            return f, np.full_like(g, np.inf)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "loss_and_gradient", poisoned)
+            with pytest.raises(ValueError, match="non-finite loss or gradient"):
+                optimize_weights(ctx, default_init(ctx))
+
+    def test_pigdm_box_below_zero_rejected(self):
+        # r >= 0 leaves PiGDM nothing in a box whose upper end is below 0;
+        # the solve used to hand L-BFGS-B the empty box [0, hi].  DPS solves.
+        ctx = _small_ctx(np.random.default_rng(22), kind="pigdm")
+        opts = OptimizeOptions(bounds=(-5.0, -1.0))
+        with pytest.raises(ValueError, match="upper end -1 is below 0"):
+            optimize_weights(ctx, default_init(ctx), opts)
+        dps = replace(ctx, sampler_kind="dps")
+        assert np.all(optimize_weights(dps, default_init(dps), opts).weights.zeta <= -1.0)
+
     def test_solution_carries_solver_telemetry(self):
         rng = np.random.default_rng(27)
         ctx = _small_ctx(rng, d=12, S=6)
@@ -315,8 +342,8 @@ class TestOptimizeWeights:
             sol = optimize_weights(ctx, default_init(ctx))
         assert sol.success is True
         assert sol.message.startswith("CONVERGENCE")
-        # The solver's first request reuses the start's evaluation.
-        assert sol.nfev == sol.njev == len(calls)
+        # The solver's first evaluation is the start's, made once.
+        assert sol.nfev == len(calls)
         assert sol.iterations <= sol.nfev
         assert 0.0 < sol.wall_s < 60.0
         # The exit gradient is the one L-BFGS-B took at the returned point.
@@ -419,6 +446,35 @@ class TestLadder:
         warm = iterative_ladder(ctx, OptimizeOptions(ladder=(5, 30, 70)))
         assert warm.final_loss <= 1.02 * cold.final_loss
 
+    @pytest.mark.parametrize("kind", ["dps", "pigdm"])
+    def test_no_ladder_is_the_cold_start_bit_for_bit(self, kind):
+        # Without a ladder the route is one solve from the default start, so
+        # the command line needs no branch of its own for it.
+        ctx = _small_ctx(np.random.default_rng(6), kind=kind)
+        cold = optimize_weights(ctx, default_init(ctx))
+        routed = iterative_ladder(replace(ctx), OptimizeOptions())
+        assert np.array_equal(routed.weights.theta, cold.weights.theta)
+        assert routed.final_loss == cold.final_loss
+        assert (routed.message, routed.nfev) == (cold.message, cold.nfev)
+
+    def test_rungs_at_or_above_S_are_dropped(self):
+        # The route keeps the ladder's rungs below S and ends at S, as the
+        # command line's own rung filter once did; such a ladder used to raise.
+        ctx = _small_ctx(np.random.default_rng(9))
+        S = ctx.schedule.S
+        seen, want = [], []
+        got = iterative_ladder(
+            ctx, OptimizeOptions(ladder=(2, 4, S, S + 3)), on_solve=lambda *a: seen.append(a)
+        )
+        filtered = iterative_ladder(
+            replace(ctx), OptimizeOptions(ladder=(2, 4, S)), on_solve=lambda *a: want.append(a)
+        )
+        assert [s for s, _ in seen] == [s for s, _ in want] == [2, 4, 4, S, S]
+        for (_, a), (_, b) in zip(seen, want):
+            assert np.array_equal(a.weights.zeta, b.weights.zeta)
+            assert a.final_loss == b.final_loss
+        assert np.array_equal(got.weights.zeta, filtered.weights.zeta)
+
     def test_empty_ladder_rejected(self):
         rng = np.random.default_rng(8)
         ctx = _small_ctx(rng)
@@ -481,17 +537,22 @@ class TestReduceDimensions:
 
 
 def _solve_problem(ctx, init, opts):
-    """The (fun, x0, bounds, max_iters, f_tol) that optimize_weights hands to minimize."""
+    """The (fun, x0, bounds, max_iters, f_tol) that optimize_weights hands to minimize.
+
+    The start's evaluation that comes with them is fun(x0), bit for bit.
+    """
     problems, minimize = [], optimizer.minimize
 
-    def recorded(*args):
-        problems.append(args)
-        return minimize(*args)
+    def recorded(*args, start):
+        problems.append((args, start))
+        return minimize(*args, start=start)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "minimize", recorded)
         optimize_weights(ctx, init, opts)
-    (problem,) = problems
+    ((problem, (f0, g0)),) = problems
+    f, g = problem[0](problem[1])
+    assert (f, g.tobytes()) == (f0, g0.tobytes())
     return problem
 
 
@@ -511,7 +572,7 @@ def _assert_matches_scipy(fun, x0, bounds, max_iters, f_tol):
     assert ours.x.tobytes() == ref.x.tobytes()
     assert np.float64(ours.fun).tobytes() == np.float64(ref.fun).tobytes()
     assert ours.jac.tobytes() == ref.jac.tobytes()
-    assert (ours.nit, ours.nfev, ours.njev) == (ref.nit, ref.nfev, ref.njev)
+    assert (ours.nit, ours.nfev, ours.nfev) == (ref.nit, ref.nfev, ref.njev)
     assert (ours.success, ours.message) == (ref.success, ref.message)
     return ours
 

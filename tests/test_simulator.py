@@ -181,8 +181,8 @@ class TestSimulateOne:
         x_start = rng.standard_normal(8)
         cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=Guidance.none())
         X, realized = _run_batch(cfg, obs, x_start[None])
-        triple = transfer_triple(WeightSchedule.dps(np.zeros(sched.S)), prior, spec, sched)
-        want = triple.D1 * np.fft.fft(x_start) + triple.D3 * prior.mu_f
+        D1, _, D3 = transfer_triple(WeightSchedule.dps(np.zeros(sched.S)), prior, spec, sched)
+        want = D1 * np.fft.fft(x_start) + D3 * prior.mu_f
         np.testing.assert_allclose(np.fft.fft(X[0]), want, atol=1e-10 * max(1, np.max(np.abs(want))))
         assert np.all(realized == 0)
 
@@ -199,8 +199,8 @@ class TestSimulateOne:
                 guidance=Guidance.fixed(WeightSchedule.dps(zeta)),
             )
             X, realized = _run_batch(cfg, obs, x_start[None])
-            triple = transfer_triple(WeightSchedule.dps(zeta), prior, spec, sched)
-            want = triple.D1 * np.fft.fft(x_start) + triple.D2 * obs.y_f + triple.D3 * prior.mu_f
+            D1, D2, D3 = transfer_triple(WeightSchedule.dps(zeta), prior, spec, sched)
+            want = D1 * np.fft.fft(x_start) + D2 * obs.y_f + D3 * prior.mu_f
             np.testing.assert_allclose(
                 np.fft.fft(X[0]), want, atol=1e-10 * max(1, np.max(np.abs(want)))
             )
@@ -216,8 +216,8 @@ class TestSimulateOne:
             guide = Guidance.fixed(WeightSchedule.pigdm(g, r))
             cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
             X, realized = _run_batch(cfg, obs, x_start[None])
-            triple = transfer_triple(WeightSchedule.pigdm(g, r), prior, spec, sched)
-            want = triple.D1 * np.fft.fft(x_start) + triple.D2 * obs.y_f + triple.D3 * prior.mu_f
+            D1, D2, D3 = transfer_triple(WeightSchedule.pigdm(g, r), prior, spec, sched)
+            want = D1 * np.fft.fft(x_start) + D2 * obs.y_f + D3 * prior.mu_f
             np.testing.assert_allclose(
                 np.fft.fft(X[0]), want, atol=1e-10 * max(1, np.max(np.abs(want)))
             )
@@ -537,8 +537,8 @@ class TestMonteCarlo:
         ab = 0.5
         c = np.sqrt(ab) * lam[0] / (ab * lam[0] + 1 - ab)
         zeta_kill = 1.0 / (2.0 * c)
-        triple = transfer_triple(WeightSchedule.dps([zeta_kill]), prior, spec, sched)
-        assert abs(triple.D1[0]) < 1e-15
+        D1, _, _ = transfer_triple(WeightSchedule.dps([zeta_kill]), prior, spec, sched)
+        assert abs(D1[0]) < 1e-15
         obs = Observation(y_f=np.array([0.7 + 0j]))
         cfg = SimConfig(
             prior=prior,

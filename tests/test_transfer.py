@@ -11,7 +11,6 @@ from specdiff import (
     SimConfig,
     SpectralPrior,
     StepTable,
-    TransferTriple,
     WeightSchedule,
     batch_triples,
     ddim_subsequence,
@@ -314,10 +313,10 @@ class TestCompose:
         one = ddim_subsequence(linear_ddpm_schedule(100), 1)
         theta = rng.standard_normal(1)
         G, Q, M = one_step("dps", theta, prior, spec, one, 1)
-        triple = transfer_triple(WeightSchedule.dps(theta), prior, spec, one)
-        np.testing.assert_array_equal(triple.D1, G)
-        np.testing.assert_array_equal(triple.D2, Q)
-        np.testing.assert_array_equal(triple.D3, M)
+        D1, D2, D3 = transfer_triple(WeightSchedule.dps(theta), prior, spec, one)
+        np.testing.assert_array_equal(D1, G)
+        np.testing.assert_array_equal(D2, Q)
+        np.testing.assert_array_equal(D3, M)
 
     def test_two_step_hand_example_pins_ordering(self):
         # Steps are applied s=2 then s=1, so D1 = G(1) G(2) and
@@ -328,25 +327,25 @@ class TestCompose:
         two = ddim_subsequence(linear_ddpm_schedule(100), 2)
         theta = np.array([0.7, 0.3])
         (G2, Q2, M2), (G1, Q1, M1) = zip(*StepTable("dps", prior, spec, two)._steps(theta)[0])
-        triple = transfer_triple(WeightSchedule.dps(theta), prior, spec, two)
-        np.testing.assert_array_equal(triple.D1, G1 * G2)
-        np.testing.assert_array_equal(triple.D2, (G1 * Q2 + Q1) * np.conj(spec.lambda_h))
-        np.testing.assert_array_equal(triple.D3, G1 * M2 + M1)
+        D1, D2, D3 = transfer_triple(WeightSchedule.dps(theta), prior, spec, two)
+        np.testing.assert_array_equal(D1, G1 * G2)
+        np.testing.assert_array_equal(D2, (G1 * Q2 + Q1) * np.conj(spec.lambda_h))
+        np.testing.assert_array_equal(D3, G1 * M2 + M1)
         (G2, Q2, M2), (G1, Q1, M1) = all_steps("dps", theta, prior, spec, two)
-        assert not np.allclose(triple.D2, G2 * Q1 + Q2)
+        assert not np.allclose(D2, G2 * Q1 + Q2)
 
     def test_pure_product_when_no_sources(self):
         rng = np.random.default_rng(16)
         prior, spec, _ = _random_setup(rng, d=5)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
         steps = all_steps("dps", np.zeros(4), prior, spec, sched)
-        triple = transfer_triple(WeightSchedule.dps(np.zeros(4)), prior, spec, sched)
+        D1, D2, D3 = transfer_triple(WeightSchedule.dps(np.zeros(4)), prior, spec, sched)
         Gs = [G for G, _, _ in steps]
-        np.testing.assert_allclose(triple.D1, np.prod(Gs, axis=0))
-        np.testing.assert_array_equal(triple.D2, np.zeros(5))
+        np.testing.assert_allclose(D1, np.prod(Gs, axis=0))
+        np.testing.assert_array_equal(D2, np.zeros(5))
         # With no measurement source, D3 is the product-sum over the M terms.
-        D3 = sum(np.prod(Gs[j + 1 :], axis=0) * M for j, (_, _, M) in enumerate(steps))
-        np.testing.assert_allclose(triple.D3, D3)
+        product_sum = sum(np.prod(Gs[j + 1 :], axis=0) * M for j, (_, _, M) in enumerate(steps))
+        np.testing.assert_allclose(D3, product_sum)
 
     def test_empty_list_rejected(self):
         prior = make_synthetic_prior(8, 0.2)
@@ -368,16 +367,16 @@ class TestCompose:
             x_f = np.fft.fft(rng.standard_normal(d))
             for weights in weight_sets:
                 steps = all_steps(weights.kind, weights.theta, prior, spec, sched)
-                triple = transfer_triple(weights, prior, spec, sched)
+                D1, D2, D3 = transfer_triple(weights, prior, spec, sched)
                 direct = unroll(steps, x_f, obs.y_f, prior.mu_f)
-                closed = triple.D1 * x_f + triple.D2 * obs.y_f + triple.D3 * prior.mu_f
+                closed = D1 * x_f + D2 * obs.y_f + D3 * prior.mu_f
                 np.testing.assert_allclose(
                     closed, direct, atol=1e-12 * max(1.0, np.max(np.abs(direct)))
                 )
             steps = all_steps("ideal", np.empty(0), prior, spec, sched)
-            triple = ideal_triple(prior, spec, sched)
+            D1, D2, D3 = ideal_triple(prior, spec, sched)
             direct = unroll(steps, x_f, obs.y_f, prior.mu_f)
-            closed = triple.D1 * x_f + triple.D2 * obs.y_f + triple.D3 * prior.mu_f
+            closed = D1 * x_f + D2 * obs.y_f + D3 * prior.mu_f
             np.testing.assert_allclose(
                 closed, direct, atol=1e-12 * max(1.0, np.max(np.abs(direct)))
             )
@@ -510,9 +509,9 @@ class TestCompose:
         sched = ddim_subsequence(linear_ddpm_schedule(200), 9)
         dps0 = transfer_triple(WeightSchedule.dps(np.zeros(9)), prior, spec, sched)
         pigdm0 = transfer_triple(WeightSchedule.pigdm(np.zeros(9), np.ones(9)), prior, spec, sched)
-        for a, b in ((dps0.D1, pigdm0.D1), (dps0.D2, pigdm0.D2), (dps0.D3, pigdm0.D3)):
+        for a, b in zip(dps0, pigdm0):
             np.testing.assert_allclose(a, b, atol=1e-14)
-        assert np.max(np.abs(dps0.D2)) == 0.0
+        assert np.max(np.abs(dps0[1])) == 0.0
 
     def test_batch_axis_rejected(self):
         # Each call takes one packed weight vector; a (1, P) row is rejected,
@@ -542,10 +541,8 @@ class TestOutputDistribution:
     def test_direct_passthrough_triple(self):
         rng = np.random.default_rng(19)
         prior, spec, obs = _random_setup(rng)
-        triple_like = TransferTriple(
-            D1=np.zeros(8, complex), D2=np.ones(8, complex), D3=np.zeros(8, complex)
-        )
-        dist = output_distribution(triple_like, obs, prior)
+        triple = (np.zeros(8, complex), np.ones(8, complex), np.zeros(8, complex))
+        dist = output_distribution(triple, obs, prior)
         np.testing.assert_array_equal(dist.mean, obs.y_f)
         np.testing.assert_array_equal(dist.var, np.zeros(8))
 
@@ -553,8 +550,8 @@ class TestOutputDistribution:
         rng = np.random.default_rng(20)
         prior, spec, obs = _random_setup(rng)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 6)
-        triple = transfer_triple(WeightSchedule.dps(np.zeros(6)), prior, spec, sched)
-        assert np.max(np.abs(triple.D2)) == 0.0
+        _, D2, _ = transfer_triple(WeightSchedule.dps(np.zeros(6)), prior, spec, sched)
+        assert np.max(np.abs(D2)) == 0.0
 
     def test_unobserved_bins_ignore_measurement_for_every_sampler(self):
         rng = np.random.default_rng(21)
@@ -572,5 +569,5 @@ class TestOutputDistribution:
             ),
             ideal_triple(prior, spec, sched),
         ]
-        for triple in triples:
-            np.testing.assert_array_equal(triple.D2[blocked], np.zeros(blocked.sum()))
+        for _, D2, _ in triples:
+            np.testing.assert_array_equal(D2[blocked], np.zeros(blocked.sum()))
