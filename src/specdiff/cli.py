@@ -244,10 +244,7 @@ def _common_options(fn):
 
 
 def _load_runtime(config_path, seed, out) -> _Runtime:
-    cfg = load_config(config_path)
-    rt = _Runtime(cfg, seed, out)
-    rt.out.mkdir(parents=True, exist_ok=True)
-    return rt
+    return _Runtime(load_config(config_path), seed, out)
 
 
 @click.group()

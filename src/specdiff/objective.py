@@ -10,9 +10,9 @@ average carries the factor d that relates the two.  One private routine,
 posterior's per-bin constants and the products each evaluation reuses, and
 on request gives the cotangents dL/d conj(D) too.  A ``LossContext`` builds
 its target and its sampler's step table once, on first use; every public
-function is a short call of ``_score``, and ``loss_and_gradient`` chains its
-cotangents through the context's table's reverse sweep into the exact
-gradient over the weights.
+function is a short call of ``_score``, and ``loss_and_gradient`` hands
+``_score`` to the table's ``value_and_grad``, whose reverse sweep turns the
+cotangents into the exact gradient over the weights.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def triples_loss_cotangents(
     """Cotangents dL/d conj(D_k), each (d,), of ``triples_loss`` L.
 
     These are the conjugate (Wirtinger) derivatives: a change dD_k moves L
-    by 2 Re sum(conj(c_k) dD_k).  ``StepTable.compose_with_pullback`` turns
+    by 2 Re sum(conj(c_k) dD_k).  ``StepTable.value_and_grad`` turns
     them into the gradient over the weights.  Where |D1| = 0 the variance
     term is not differentiable and its cotangent is taken as 0.
     """
@@ -191,9 +191,7 @@ def loss_and_gradient(theta: np.ndarray, ctx: LossContext) -> tuple[float, np.nd
     ``_score`` gives the loss (equal to ``batch_loss`` bit for bit) and its
     cotangents, and one reverse sweep over the cotangents gives the gradient.
     """
-    triple, pullback = ctx._table.compose_with_pullback(theta)
-    loss, cotangents = _score(*triple, ctx._target, cotangents=True)
-    return loss, pullback(*cotangents)
+    return ctx._table.value_and_grad(theta, lambda *t: _score(*t, ctx._target, cotangents=True))
 
 
 def weights_loss(weights: WeightSchedule, ctx: LossContext) -> float:

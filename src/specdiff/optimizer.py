@@ -17,8 +17,9 @@ for its exact gradient.  ``_box`` owns the box, PiGDM's floor r >= 0
 included.  ``optimize_weights`` clips the start into it, evaluates it once
 and hands that evaluation to ``minimize``.  ``iterative_ladder`` owns the
 route: warm starts up a ladder of step counts, or one cold solve.
-Eigen-truncation (``keep_dims``) solves on the bins with the largest prior
-eigenvalues only.
+Eigen-truncation (``keep_dims``) lives in one private helper, ``_kept_bins``:
+a truncated solve runs on the context it returns, the bins with the largest
+prior eigenvalues, and its loss is then rescored on all bins.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "WeightSolution",
     "optimize_weights",
     "iterative_ladder",
-    "reduce_dimensions",
     "default_init",
     "interpolate_weights",
     "pigdm_from_dps",
@@ -214,6 +214,8 @@ class OptimizeOptions:
             raise ValueError("max_iters must be positive")
         if not 0 < self.f_tol < np.inf:
             raise ValueError("f_tol must be positive and finite")
+        if self.ladder is not None and not self.ladder:
+            raise ValueError("empty ladder")
         ladder = self.ladder or ()
         if any(rung < 1 for rung in ladder):
             raise ValueError("ladder rungs must be positive")
@@ -290,36 +292,19 @@ def _finite(f: float, grad: np.ndarray) -> tuple[float, np.ndarray]:
     return f, grad
 
 
-def _take_bins(
-    prior: SpectralPrior, spec: DegradationSpec, idx: np.ndarray
-) -> tuple[SpectralPrior, DegradationSpec]:
-    """Prior and degradation restricted to the bins idx."""
-    rprior = SpectralPrior(dim=len(idx), mu_f=prior.mu_f[idx], lambda0=prior.lambda0[idx])
-    rspec = DegradationSpec(dim=len(idx), lambda_h=spec.lambda_h[idx], sigma_y=spec.sigma_y)
-    return rprior, rspec
+def _kept_bins(ctx: LossContext, keep_dims: int) -> LossContext:
+    """The context on its keep_dims bins of largest prior eigenvalue, in index order.
 
-
-def _reduced_context(ctx: LossContext, idx: np.ndarray) -> LossContext:
-    rprior, rspec = _take_bins(ctx.prior, ctx.spec, idx)
-    robs = None
-    if ctx.observations is not None:
-        robs = tuple(Observation(y_f=o.y_f[idx]) for o in ctx.observations)
-    return replace(ctx, prior=rprior, spec=rspec, observations=robs)
-
-
-def reduce_dimensions(
-    prior: SpectralPrior, spec: DegradationSpec, keep_dims: int
-) -> tuple[SpectralPrior, DegradationSpec, np.ndarray]:
-    """Keep the keep_dims bins with the largest prior eigenvalues.
-
-    Ties break toward the lower index; the returned index map re-expands
-    reduced results onto the full bin layout.
+    Ties break toward the lower index; the observations keep the same bins.
     """
-    if not 1 <= keep_dims <= prior.dim:
-        raise ValueError("keep_dims out of range")
-    order = np.argsort(-prior.lambda0, kind="stable")
-    keep = np.sort(order[:keep_dims])
-    return (*_take_bins(prior, spec, keep), keep)
+    keep = np.sort(np.argsort(-ctx.prior.lambda0, kind="stable")[:keep_dims])
+    prior, spec, obs = ctx.prior, ctx.spec, ctx.observations
+    return replace(
+        ctx,
+        prior=SpectralPrior(dim=len(keep), mu_f=prior.mu_f[keep], lambda0=prior.lambda0[keep]),
+        spec=DegradationSpec(dim=len(keep), lambda_h=spec.lambda_h[keep], sigma_y=spec.sigma_y),
+        observations=None if obs is None else tuple(Observation(y_f=o.y_f[keep]) for o in obs),
+    )
 
 
 def optimize_weights(
@@ -341,10 +326,7 @@ def optimize_weights(
         raise ValueError("initial weights must match the schedule length")
 
     truncated = opts.keep_dims is not None and opts.keep_dims < ctx.prior.dim
-    work_ctx = ctx
-    if truncated:
-        _, _, keep = reduce_dimensions(ctx.prior, ctx.spec, opts.keep_dims)
-        work_ctx = _reduced_context(ctx, keep)
+    work_ctx = _kept_bins(ctx, opts.keep_dims) if truncated else ctx
 
     kind, S = ctx.sampler_kind, ctx.schedule.S
     box = _box(kind, S, opts.bounds)
@@ -407,8 +389,6 @@ def iterative_ladder(ctx: LossContext, opts: OptimizeOptions, on_solve=None) -> 
     worse local minima, which retrying the default start caps.  Returns the
     final rung's best; on_solve(S, solution) sees every solve of every rung.
     """
-    if opts.ladder is not None and not opts.ladder:
-        raise ValueError("empty ladder")
     full = linear_ddpm_schedule(ctx.schedule.T_full)
     rungs = [
         replace(ctx, schedule=ddim_subsequence(full, S_r))

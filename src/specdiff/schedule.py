@@ -26,7 +26,6 @@ __all__ = [
 
 BETA_START = 1e-4
 BETA_END = 0.02
-DEFAULT_T = 1000
 
 
 @dataclass(frozen=True)

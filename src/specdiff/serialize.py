@@ -35,7 +35,11 @@ def _fmt(value) -> str:
 
 
 def write_csv(path, columns: list[str], rows, header: dict | None = None) -> None:
-    """Write rows of scalars with an optional '# key: value' comment header."""
+    """Write rows of scalars with an optional '# key: value' comment header.
+
+    The file's directory is made here, at the first write, so a command that
+    refuses its config before writing leaves no output directory.
+    """
     buf = io.StringIO()
     if header:
         for key, val in header.items():
@@ -44,6 +48,7 @@ def write_csv(path, columns: list[str], rows, header: dict | None = None) -> Non
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(buf.getvalue())
 
 
@@ -78,12 +83,13 @@ def read_samples_csv(path) -> np.ndarray:
 
 
 def prior_to_file(prior: SpectralPrior, path) -> None:
-    """Structured text form: dim, inline mu_f, lambda0 list."""
+    """Structured text form: dim, inline mu_f, lambda0 list; makes the file's directory."""
     lines = [
         f"dim = {prior.dim}",
         "mu_f = " + " ".join(_fmt_complex(v) for v in prior.mu_f),
         "lambda0 = " + " ".join(_fmt(v) for v in prior.lambda0),
     ]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -23,16 +23,16 @@ A ``StepTable`` holds those per-step arrays for one (sampler, prior,
 degradation, schedule), so a solve builds them once, from one
 ``step_coeffs`` call over all S steps.  For one packed weight vector it
 gives every step's (S, d) multipliers (``step_arrays``), composes them into
-the triple (``compose``), and differentiates the composition in reverse
-mode.  Every composition runs in one workspace that the table allocates
-when it is built (the class docstring gives its layout).  The forward sweep
-writes every running state (p, q, m) into its (S+1, 3, d) state buffer, two
-in-place ufunc calls per step on flat (3d,) rows of one shape, and the
-triple comes from the last row; one backward sweep over the suffix products
-of G then reads the states from the buffer and turns the loss cotangents
+the triple (``compose``), and gives a loss of the triple with its gradient
+over the weights in one call (``value_and_grad``).  Every composition runs
+in one workspace that the table allocates when it is built (the class
+docstring gives its layout).  The forward sweep writes every running state
+(p, q, m) into its (S+1, 3, d) state buffer, two in-place ufunc calls per
+step on flat (3d,) rows of one shape, and the triple comes from the last
+row; the loss scores it, and one backward sweep over the suffix products of
+G then reads the states from the buffer and turns the loss cotangents
 dL/d conj(D) into dL/dtheta in O(S d).  Triples, step arrays and gradients
-are new arrays; a pullback is valid until the table's next composition and
-raises after it.  The theta-derivatives follow from the step form: a unit
+are new arrays.  The theta-derivatives follow from the step form: a unit
 of w e moves (G, Q, M) by (-dG, dQ, -dM), DPS has w e = 2 zeta, and PiGDM
 has d(w e)/dg = e and d(w e)/dr = -2 g r |h|^2 e^2.
 
@@ -155,10 +155,8 @@ class StepTable:
     0.4 us with flat (3d,) rows.
 
     Nothing the table hands out (``step_arrays``, triples, gradients) aliases
-    the workspace.  A pullback reads it, so it is valid only until the
-    table's next ``_steps`` (any ``step_arrays``, ``compose`` or
-    ``compose_with_pullback``); a stale pullback raises.  For the same
-    reason, one table serves one thread at a time.
+    the workspace, and every call rewrites it, so one table serves one
+    thread at a time.
     """
 
     def __init__(self, kind: str, prior: SpectralPrior, spec: DegradationSpec, sched: Schedule):
@@ -181,7 +179,6 @@ class StepTable:
             zip(self._g.reshape(S, 3 * d), rows, rows[1:], self._src.reshape(S, 3 * d))
         )
         self._gqm = (self._g[:, 0], self._src[:, 1], self._src[:, 2])
-        self._generation = 0
         coeffs = step_coeffs(sched, np.arange(S, 0, -1), prior)
         a, b = coeffs.a_s[:, None], coeffs.b_s[:, None]
         if kind == IDEAL:
@@ -205,15 +202,13 @@ class StepTable:
 
         The gains are w, (S, 1), and e, (S, d) or None.  Step j of the
         sampling order is s = S - j, whose weights sit in entry S - 1 - j
-        (and, for PiGDM's r, S entries further on).  Every call writes into
-        the workspace, so it makes any earlier pullback stale.
+        (and, for PiGDM's r, S entries further on).
         """
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.width,):
             raise ValueError(
                 f"weight vector shape {theta.shape} must match the schedule's ({self.width},)"
             )
-        self._generation += 1
         G, Q, M = self._gqm
         if self.kind == IDEAL:
             return (G, Q, M), (None, None)
@@ -290,61 +285,55 @@ class StepTable:
         self._steps(theta)
         return self._triple(self._sweep())
 
-    def compose_with_pullback(self, theta):
-        """(D1, D2, D3) of one packed weight vector, each (d,), and its reverse sweep.
+    def value_and_grad(self, theta, score):
+        """(L, dL/dtheta) of one packed weight vector, where L is score's loss of its triple.
 
-        The forward sweep keeps every running state in the workspace.  The
-        reverse sweep maps the cotangents c_k = dL/d conj(D_k) of a real loss
-        L to dL/dtheta.  D_k depends on step j's multipliers only through
-        suffix_j (G_j state_j + source_j), where state_j = (p, q, m) is row j
-        of the state buffer and suffix_j the product of the later G, so one
-        backward cumulative product gives every step's sensitivity at O(S d)
-        cost.  The reverse sweep reads the workspace: call it before the
-        table's next composition, or it raises.
+        ``score(D1, D2, D3)`` returns the real loss L of the composed (d,)
+        triple and its cotangents (c1, c2, c3), c_k = dL/d conj(D_k).  The
+        forward sweep keeps every running state in the workspace, and the
+        reverse sweep maps the cotangents to dL/dtheta.  D_k depends on step
+        j's multipliers only through suffix_j (G_j state_j + source_j), where
+        state_j = (p, q, m) is row j of the state buffer and suffix_j the
+        product of the later G, so one backward cumulative product gives every
+        step's sensitivity at O(S d) cost.  ``score`` must not use the table.
         """
         if self.kind == IDEAL:
             raise ValueError("the ideal sampler has no weights to differentiate")
         theta = np.asarray(theta, dtype=float)
         (G, _, _), (w, e) = self._steps(theta)
         x = self._sweep()
-        generation = self._generation
-
-        def pullback(c1, c2, c3) -> np.ndarray:
-            if generation != self._generation:
-                raise RuntimeError("stale pullback: the step table has been used since")
-            p, q, m = x[:-1, 0], x[:-1, 1], x[:-1, 2]
-            _, a3, a1, a2, U = self._scratch
-            # a3 starts as the suffix products of G: 1 for the last step.
-            a3[-1] = 1.0
-            np.cumprod(G[:0:-1], axis=0, out=a3[-2::-1])
-            # Everything but D2's conj(h) is real, so only these real parts reach U.
-            r2 = np.real(np.conj(c2) * self.hbar)
-            np.multiply(a3, np.real(c1), out=a1)
-            np.multiply(a3, r2, out=a2)
-            np.multiply(a3, np.real(c3), out=a3)
-            # A unit of w e moves step j's multipliers by (-dG, dQ, -dM), so
-            # U = 2 (a2 dQ - (a1 p + a2 q + a3 m) dG - a3 dM), in that order.
-            np.multiply(a2, self.dQ, out=U)
-            np.multiply(a2, q, out=a2)
-            np.multiply(a1, p, out=a1)
-            np.add(a1, a2, out=a1)
-            np.multiply(a3, m, out=a2)
-            np.add(a1, a2, out=a1)
-            np.multiply(a1, self.dG, out=a1)
-            np.subtract(U, a1, out=U)
-            np.multiply(a3, self.dM, out=a1)
-            np.subtract(U, a1, out=U)
-            np.multiply(U, 2.0, out=U)
-            # U is dL/d(w e); DPS has w e = 2 zeta, PiGDM de/dr = -2 r |h|^2 e^2.
-            if self.kind == DPS:
-                return (2.0 * U.sum(axis=1))[::-1]
-            dg = np.multiply(e, U, out=a1).sum(axis=1)
-            np.multiply(-2.0 * w * theta[self.S :][::-1, None], self.habs2, out=a1)
-            np.multiply(a1, np.square(e, out=a2), out=a1)
-            dr = np.multiply(a1, U, out=a1).sum(axis=1)
-            return np.concatenate([dg[::-1], dr[::-1]])
-
-        return self._triple(x), pullback
+        loss, (c1, c2, c3) = score(*self._triple(x))
+        p, q, m = x[:-1, 0], x[:-1, 1], x[:-1, 2]
+        _, a3, a1, a2, U = self._scratch
+        # a3 starts as the suffix products of G: 1 for the last step.
+        a3[-1] = 1.0
+        np.cumprod(G[:0:-1], axis=0, out=a3[-2::-1])
+        # Everything but D2's conj(h) is real, so only these real parts reach U.
+        r2 = np.real(np.conj(c2) * self.hbar)
+        np.multiply(a3, np.real(c1), out=a1)
+        np.multiply(a3, r2, out=a2)
+        np.multiply(a3, np.real(c3), out=a3)
+        # A unit of w e moves step j's multipliers by (-dG, dQ, -dM), so
+        # U = 2 (a2 dQ - (a1 p + a2 q + a3 m) dG - a3 dM), in that order.
+        np.multiply(a2, self.dQ, out=U)
+        np.multiply(a2, q, out=a2)
+        np.multiply(a1, p, out=a1)
+        np.add(a1, a2, out=a1)
+        np.multiply(a3, m, out=a2)
+        np.add(a1, a2, out=a1)
+        np.multiply(a1, self.dG, out=a1)
+        np.subtract(U, a1, out=U)
+        np.multiply(a3, self.dM, out=a1)
+        np.subtract(U, a1, out=U)
+        np.multiply(U, 2.0, out=U)
+        # U is dL/d(w e); DPS has w e = 2 zeta, PiGDM de/dr = -2 r |h|^2 e^2.
+        if self.kind == DPS:
+            return loss, (2.0 * U.sum(axis=1))[::-1]
+        dg = np.multiply(e, U, out=a1).sum(axis=1)
+        np.multiply(-2.0 * w * theta[self.S :][::-1, None], self.habs2, out=a1)
+        np.multiply(a1, np.square(e, out=a2), out=a1)
+        dr = np.multiply(a1, U, out=a1).sum(axis=1)
+        return loss, np.concatenate([dg[::-1], dr[::-1]])
 
 
 def batch_triples(

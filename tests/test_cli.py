@@ -197,7 +197,7 @@ class TestCliCommands:
             "config error: degradation.sigma_y = 0 leaves the posterior undefined "
             "on bins 3, 4, 5, 6, 7, 8, 9, where lambda |h|^2 = 0\n"
         )
-        assert not any((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, V, guidance",
@@ -254,7 +254,7 @@ class TestCliCommands:
             "config error: degradation.sigma_y = 0 makes PiGDM's likelihood covariance "
             "r^2 |h|^2 + sigma^2 singular at r = 0, which sampler.bounds allows\n"
         )
-        assert not any((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, kind, code",
@@ -285,7 +285,7 @@ class TestCliCommands:
             assert result.output == (
                 "config error: sampler.bounds: upper end -1 is below 0, where PiGDM's r >= 0 starts\n"
             )
-            assert not any((tmp_path / "out").iterdir())
+            assert not (tmp_path / "out").exists()
 
     def test_simulate_writes_stats(self, tmp_path, runner):
         cfg = _write_config(tmp_path)
@@ -417,6 +417,29 @@ class TestCliCommands:
         assert result.exit_code == 2, result.output
         assert "sampler.weight_source" in result.output
         assert not (tmp_path / "ev" / "eval_loss.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, edits",
+        [
+            pytest.param("optimize", {"optimize-k1": "heuristic"}, id="optimize-heuristic"),
+            pytest.param("simulate", {"n_runs = 16": "n_runs = 1"}, id="simulate-n_runs"),
+            pytest.param("estimate-prior", {}, id="estimate-prior-without-samples"),
+            pytest.param("eval-loss", {"optimize-k1": "optimize-averaged"}, id="eval-loss-averaged"),
+            pytest.param("optimize", {"sigma_y = 0.1": "sigma_y = 0.0"}, id="require-posterior"),
+        ],
+    )
+    def test_refused_config_leaves_no_output_directory(self, tmp_path, runner, command, edits):
+        # Each of these checks runs inside its command, after the output
+        # directory used to be made, so the refusal left it behind, empty.
+        text = BASE_CONFIG.format(out=tmp_path / "out")
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = tmp_path / "refused.cfg"
+        cfg.write_text(text)
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_split_conjugate_pair_exits_2(self, tmp_path, runner):
         # V = 0.5 keeps 6 of 12 bins: DC, two conjugate pairs and bin 3

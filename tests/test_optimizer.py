@@ -28,7 +28,6 @@ from specdiff import (
     make_synthetic_prior,
     optimize_weights,
     pigdm_from_dps,
-    reduce_dimensions,
     sample_prior,
     triples_loss,
     triples_loss_cotangents,
@@ -112,8 +111,7 @@ class TestFiniteDiffGradient:
         if mode == "averaged":
             ctx = replace(ctx, observations=None)
         if bins == "truncated":
-            _, _, keep = reduce_dimensions(ctx.prior, ctx.spec, 7)
-            ctx = optimizer._reduced_context(ctx, keep)
+            ctx = optimizer._kept_bins(ctx, 7)
         theta = _theta(rng, kind, ctx.schedule.S)
         f, g = _adjoint(ctx, theta)
         assert f == batch_loss(kind, theta, ctx)
@@ -198,13 +196,18 @@ class TestFiniteDiffGradient:
             ctx = replace(ctx, observations=None)
         ys = None if ctx.observations is None else np.stack([o.y_f for o in ctx.observations])
         table = StepTable(kind, ctx.prior, ctx.spec, ctx.schedule)
+
+        def score(*triple):
+            return (
+                triples_loss(*triple, ctx.prior, ctx.spec, ys),
+                triples_loss_cotangents(*triple, ctx.prior, ctx.spec, ys),
+            )
+
         for _ in range(3):
             theta = _theta(rng, kind, ctx.schedule.S)
             f, g = loss_and_gradient(theta, ctx)
-            triple, pullback = table.compose_with_pullback(theta)
-            assert f == triples_loss(*triple, ctx.prior, ctx.spec, ys)
-            cotangents = triples_loss_cotangents(*triple, ctx.prior, ctx.spec, ys)
-            assert g.tobytes() == pullback(*cotangents).tobytes()
+            f_public, g_public = table.value_and_grad(theta, score)
+            assert (f, g.tobytes()) == (f_public, g_public.tobytes())
 
     def test_posterior_bins_computed_once_per_solve(self):
         rng = np.random.default_rng(26)
@@ -476,10 +479,8 @@ class TestLadder:
         assert np.array_equal(got.weights.zeta, filtered.weights.zeta)
 
     def test_empty_ladder_rejected(self):
-        rng = np.random.default_rng(8)
-        ctx = _small_ctx(rng)
         with pytest.raises(ValueError, match="empty ladder"):
-            iterative_ladder(ctx, OptimizeOptions(ladder=()))
+            OptimizeOptions(ladder=())
 
     def test_non_increasing_ladder_rejected(self):
         rng = np.random.default_rng(9)
@@ -492,9 +493,15 @@ class TestReduceDimensions:
     def test_identity_reduction_keeps_loss(self):
         rng = np.random.default_rng(10)
         ctx = _small_ctx(rng)
-        rprior, rspec, keep = reduce_dimensions(ctx.prior, ctx.spec, ctx.prior.dim)
-        np.testing.assert_array_equal(keep, np.arange(ctx.prior.dim))
-        np.testing.assert_array_equal(rprior.lambda0, ctx.prior.lambda0)
+        kept = optimizer._kept_bins(ctx, ctx.prior.dim)
+        pairs = [
+            (kept.prior.mu_f, ctx.prior.mu_f),
+            (kept.prior.lambda0, ctx.prior.lambda0),
+            (kept.spec.lambda_h, ctx.spec.lambda_h),
+            *((a.y_f, b.y_f) for a, b in zip(kept.observations, ctx.observations, strict=True)),
+        ]
+        for got, want in pairs:
+            np.testing.assert_array_equal(got, want)
         sol_full = optimize_weights(ctx, default_init(ctx))
         sol_red = optimize_weights(
             ctx, default_init(ctx), OptimizeOptions(keep_dims=ctx.prior.dim)
@@ -503,9 +510,14 @@ class TestReduceDimensions:
 
     def test_ties_break_to_lower_index(self):
         prior = SpectralPrior(dim=4, mu_f=np.zeros(4, complex), lambda0=np.array([1.0, 2.0, 2.0, 1.0]))
-        spec = DegradationSpec(dim=4, lambda_h=np.ones(4, complex), sigma_y=0.1)
-        _, _, keep = reduce_dimensions(prior, spec, 3)
-        np.testing.assert_array_equal(keep, [0, 1, 2])
+        spec = DegradationSpec(dim=4, lambda_h=np.arange(4) + 1j, sigma_y=0.1)
+        obs = Observation(y_f=np.arange(4) - 1j)
+        ctx = LossContext(prior, spec, ddim_subsequence(linear_ddpm_schedule(100), 5), "dps", (obs,))
+        kept = optimizer._kept_bins(ctx, 3)
+        # The bins are told apart by h and y, which the truncation keeps with them.
+        np.testing.assert_array_equal(kept.prior.lambda0, [1.0, 2.0, 2.0])
+        np.testing.assert_array_equal(kept.spec.lambda_h, np.arange(3) + 1j)
+        np.testing.assert_array_equal(kept.observations[0].y_f, np.arange(3) - 1j)
 
     def test_dominant_eigenvalue_reduction_changes_little(self):
         lam = np.array([5.0, 1e-13, 1e-13, 1e-13])
@@ -519,21 +531,30 @@ class TestReduceDimensions:
         reduced = optimize_weights(ctx, default_init(ctx), OptimizeOptions(keep_dims=1))
         assert np.max(np.abs(full.weights.zeta - reduced.weights.zeta)) <= 1e-4
 
-    def test_out_of_range_rejected(self):
-        rng = np.random.default_rng(12)
-        ctx = _small_ctx(rng)
-        for k in (0, ctx.prior.dim + 1):
-            with pytest.raises(ValueError):
-                reduce_dimensions(ctx.prior, ctx.spec, k)
-
     def test_truncated_solve_reports_all_bin_loss(self):
         rng = np.random.default_rng(13)
         ctx = _small_ctx(rng)
-        _, _, keep = reduce_dimensions(ctx.prior, ctx.spec, 5)
         sol = optimize_weights(ctx, default_init(ctx), OptimizeOptions(keep_dims=5))
         assert sol.final_loss == weights_loss(sol.weights, ctx)
-        kept = optimizer._reduced_context(ctx, keep)
-        assert sol.final_loss > weights_loss(sol.weights, kept)
+        assert sol.final_loss > weights_loss(sol.weights, optimizer._kept_bins(ctx, 5))
+
+    @pytest.mark.parametrize("kind", ["dps", "pigdm"])
+    @pytest.mark.parametrize("mode", ["K=1", "K=3", "averaged"])
+    def test_truncated_solve_is_the_kept_bin_solve_rescored(self, kind, mode):
+        # A truncated solve is the solve on the kept bins, bit for bit, with
+        # its loss then taken over all bins.
+        rng = np.random.default_rng(14)
+        ctx = _small_ctx(rng, d=12, S=7, kind=kind, K=1 if mode == "K=1" else 3)
+        if mode == "averaged":
+            ctx = replace(ctx, observations=None)
+        init = default_init(ctx)
+        sol = optimize_weights(ctx, init, OptimizeOptions(keep_dims=5))
+        kept = optimize_weights(optimizer._kept_bins(ctx, 5), init)
+        assert sol.weights.theta.tobytes() == kept.weights.theta.tobytes()
+        assert sol.final_loss == weights_loss(kept.weights, ctx)
+        assert (sol.iterations, sol.nfev, sol.message, sol.grad_norm) == (
+            kept.iterations, kept.nfev, kept.message, kept.grad_norm
+        )
 
 
 def _solve_problem(ctx, init, opts):
