@@ -20,7 +20,6 @@ from .objective import LossContext, triple_realization_loss
 from .optimizer import (
     OptimizeOptions,
     WeightSolution,
-    _box,
     iterative_ladder,
     optimize_weights,
     pigdm_from_dps,
@@ -51,6 +50,7 @@ from .spectral import (
 )
 from .transfer import (
     DPS,
+    FAMILIES,
     PIGDM,
     WeightSchedule,
     ideal_triple,
@@ -111,13 +111,13 @@ class _Runtime:
             # Each message opens with the option's name, which is its sampler key.
             raise ConfigError(f"sampler.{exc}") from exc
 
-    def require_posterior(self, pigdm: bool = False) -> None:
-        """Refuse a model, or with pigdm a PiGDM box, on which the losses are undefined.
+    def require_posterior(self, kind: str | None = None) -> None:
+        """Refuse a model, or the box of a solve of kind, on which the losses are undefined.
 
         Every loss and the ideal sampler divide by lambda |h|^2 + sigma^2,
         which a noiseless model zeroes on each bin where the operator or the
-        prior does.  A PiGDM solve needs some r >= 0 in the box, and divides
-        by r^2 |h|^2 + sigma^2, which past the first check only r = 0 zeroes.
+        prior does.  A solve of kind needs room in its family's box (PiGDM's r >= 0),
+        and PiGDM divides by r^2 |h|^2 + sigma^2, which then only r = 0 zeroes.
         """
         sigma_y = self.spec.sigma_y
         lam_h2 = self.prior.lambda0 * np.abs(self.spec.lambda_h) ** 2
@@ -127,9 +127,9 @@ class _Runtime:
                 f"degradation.sigma_y = {sigma_y:g} leaves the posterior undefined "
                 f"on bins {', '.join(map(str, zeroed))}, where lambda |h|^2 = 0"
             )
-        if pigdm:
-            (_, r_min), _ = _config_value("sampler.bounds", _box, PIGDM, 1, self.opts.bounds)
-            if sigma_y == 0 and r_min == 0:
+        if kind is not None:
+            lower, _ = _config_value("sampler.bounds", FAMILIES[kind].box, 1, self.opts.bounds)
+            if kind == PIGDM and sigma_y == 0 and lower[-1] == 0:  # the least r
                 raise ConfigError(
                     "degradation.sigma_y = 0 makes PiGDM's likelihood covariance "
                     "r^2 |h|^2 + sigma^2 singular at r = 0, which sampler.bounds allows"
@@ -282,7 +282,7 @@ def cmd_optimize(rt: _Runtime):
             f"optimize needs sampler.weight_source = optimize-k1 or optimize-averaged, "
             f"not {cfg.weight_source}"
         )
-    rt.require_posterior(pigdm=cfg.sampler_kind == PIGDM)
+    rt.require_posterior(cfg.sampler_kind)
     averaged = cfg.weight_source == "optimize-averaged"
     observations = None if averaged else rt.observations()
     loss_rows = []
@@ -293,14 +293,14 @@ def cmd_optimize(rt: _Runtime):
             rt.solve(LossContext(rt.prior, rt.spec, sched, cfg.sampler_kind, obs), realization=k)
             for k, obs in enumerate([None] if averaged else [(o,) for o in observations])
         ]
-        fields = ("g", "r") if cfg.sampler_kind == PIGDM else ("zeta",)
+        fields = FAMILIES[cfg.sampler_kind].fields
         stacks = [
             (f"{f}_r{k}", getattr(sol.weights, f)) for k, sol in enumerate(sols) for f in fields
         ]
         if len(sols) > 1:
             for f in fields:
                 vecs = np.stack([getattr(sol.weights, f) for sol in sols])
-                prefix = "" if f == "zeta" else f"{f}_"
+                prefix = f"{f}_" if len(fields) > 1 else ""
                 stacks += [(f"{prefix}mean", vecs.mean(0)), (f"{prefix}std", vecs.std(0))]
         cols = ["s"] + [name for name, _ in stacks]
         rows = [
@@ -321,7 +321,7 @@ def cmd_optimize(rt: _Runtime):
 @_cli_command
 def cmd_sweep_wasserstein(rt: _Runtime):
     """Wasserstein-2 sweep: heuristics, optimized weights, and the ideal sampler."""
-    rt.require_posterior(pigdm=True)
+    rt.require_posterior(PIGDM)
     observations = rt.observations()
     all_rows = [
         (method, S, r, float(np.sqrt(loss)))
@@ -387,7 +387,7 @@ def cmd_eval_loss(rt: _Runtime):
             "sampler.weight_source = optimize-averaged is only supported by optimize"
         )
     method = f"{cfg.sampler_kind}-optimized" if cfg.weight_source == "optimize-k1" else cfg.weight_source
-    rt.require_posterior(pigdm=method == "pigdm-optimized")
+    rt.require_posterior(cfg.sampler_kind if cfg.weight_source == "optimize-k1" else None)
     observations = rt.observations()
     rows = [
         (name, S, 1, loss, rt.seed)

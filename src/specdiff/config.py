@@ -50,6 +50,7 @@ def _choice(*choices: str):
             raise ConfigError(f"invalid value: {key} = {value}")
         return value
 
+    parse.choices = choices
     return parse
 
 

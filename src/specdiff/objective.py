@@ -27,7 +27,7 @@ import numpy as np
 # under this module's name.
 from .schedule import Schedule, denoiser_coeffs, step_coeffs_scalar  # noqa: F401
 from .spectral import DegradationSpec, Observation, SpectralPrior, _require_same_dim
-from .transfer import DPS, PIGDM, StepTable, WeightSchedule, batch_triples
+from .transfer import DPS, FAMILIES, StepTable, WeightSchedule, batch_triples
 
 __all__ = [
     "LossContext",
@@ -57,7 +57,7 @@ class LossContext:
     observations: tuple[Observation, ...] | None = None
 
     def __post_init__(self):
-        if self.sampler_kind not in (DPS, PIGDM):
+        if self.sampler_kind not in FAMILIES:
             raise ValueError(f"unknown sampler kind: {self.sampler_kind}")
         if self.observations is not None:
             obs = tuple(self.observations)

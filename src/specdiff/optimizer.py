@@ -13,13 +13,13 @@ load neither.
 Each thing a solve uses is decided once.  The ``LossContext`` owns its step
 table, which every solve on it reuses: each point L-BFGS-B requests is one
 ``loss_and_gradient`` call, a forward sweep for the loss and a reverse sweep
-for its exact gradient.  ``_box`` owns the box, PiGDM's floor r >= 0
-included.  ``optimize_weights`` clips the start into it, evaluates it once
-and hands that evaluation to ``minimize``.  ``iterative_ladder`` owns the
-route: warm starts up a ladder of step counts, or one cold solve.
-Eigen-truncation (``keep_dims``) lives in one private helper, ``_kept_bins``:
-a truncated solve runs on the context it returns, the bins with the largest
-prior eigenvalues, and its loss is then rescored on all bins.
+for its exact gradient.  The sampler's family owns the box, PiGDM's r >= 0
+included.  ``optimize_weights`` clips the start into it, evaluates it once and
+hands that evaluation to ``minimize``.  ``iterative_ladder`` owns the route:
+warm starts up a ladder of step counts, or one cold solve.  Eigen-truncation
+(``keep_dims``) lives in one private helper, ``_kept_bins``: a truncated solve
+runs on the context it returns, the bins with the largest prior eigenvalues,
+and its loss is then rescored on all bins.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .objective import LossContext, batch_loss, loss_and_gradient
 from .schedule import ddim_subsequence, linear_ddpm_schedule
 from .spectral import DegradationSpec, Observation, SpectralPrior
-from .transfer import DPS, WeightSchedule, pigdm_heuristic_weights
+from .transfer import FAMILIES, WeightSchedule
 
 __all__ = [
     "OptimizeOptions",
@@ -246,11 +246,8 @@ class WeightSolution:
 
 
 def default_init(ctx: LossContext) -> WeightSchedule:
-    """Standard warm start: constant 0.1 for DPS, published rule for PiGDM."""
-    S = ctx.schedule.S
-    if ctx.sampler_kind == DPS:
-        return WeightSchedule.dps(np.full(S, 0.1))
-    return pigdm_heuristic_weights(ctx.schedule)
+    """The family's standard start: constant 0.1 for DPS, the published rule for PiGDM."""
+    return WeightSchedule(ctx.sampler_kind, FAMILIES[ctx.sampler_kind].start(ctx.schedule))
 
 
 def pigdm_from_dps(zeta: np.ndarray, sigma_y: float) -> WeightSchedule:
@@ -264,26 +261,6 @@ def pigdm_from_dps(zeta: np.ndarray, sigma_y: float) -> WeightSchedule:
         raise ValueError("mapping requires sigma_y > 0")
     zeta = np.asarray(zeta, dtype=float)
     return WeightSchedule.pigdm(2.0 * sigma_y**2 * zeta, np.zeros(len(zeta)))
-
-
-def _unpack(kind: str, theta: np.ndarray, S: int) -> WeightSchedule:
-    if kind == DPS:
-        return WeightSchedule.dps(theta.copy())
-    return WeightSchedule.pigdm(theta[:S].copy(), theta[S:].copy())
-
-
-def _box(kind: str, S: int, bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate (lower, upper) bounds of the packed weight vector.
-
-    PiGDM's r is a standard deviation, floored at 0 whatever the bounds say.
-    """
-    lo, hi = bounds
-    if kind == DPS:
-        return np.full(S, float(lo)), np.full(S, float(hi))
-    r_lo = max(lo, 0.0)
-    if hi < r_lo:
-        raise ValueError(f"upper end {hi:g} is below 0, where PiGDM's r >= 0 starts")
-    return np.r_[np.full(S, float(lo)), np.full(S, r_lo)], np.full(2 * S, float(hi))
 
 
 def _finite(f: float, grad: np.ndarray) -> tuple[float, np.ndarray]:
@@ -328,8 +305,8 @@ def optimize_weights(
     truncated = opts.keep_dims is not None and opts.keep_dims < ctx.prior.dim
     work_ctx = _kept_bins(ctx, opts.keep_dims) if truncated else ctx
 
-    kind, S = ctx.sampler_kind, ctx.schedule.S
-    box = _box(kind, S, opts.bounds)
+    kind = ctx.sampler_kind
+    box = FAMILIES[kind].box(ctx.schedule.S, opts.bounds)
     theta0 = np.clip(init.theta, *box)
     f0, grad0 = loss_and_gradient(theta0, work_ctx)
     if not np.isfinite(f0):
@@ -346,7 +323,7 @@ def optimize_weights(
     if truncated:
         f_best = batch_loss(kind, theta_best, ctx)
     return WeightSolution(
-        weights=_unpack(kind, theta_best, S),
+        weights=WeightSchedule(kind, theta_best),
         final_loss=f_best,
         iterations=int(result.nit),
         success=bool(result.success),
@@ -357,25 +334,17 @@ def optimize_weights(
     )
 
 
-def _interp_to(values: np.ndarray, S_new: int) -> np.ndarray:
-    """Resample a per-step vector onto S_new steps by normalized position."""
-    S_old = len(values)
-    pos_old = np.arange(1, S_old + 1) / S_old
-    pos_new = np.arange(1, S_new + 1) / S_new
-    return np.interp(pos_new, pos_old, values)
-
-
 def interpolate_weights(weights: WeightSchedule, S_new: int) -> WeightSchedule:
     """Resample weights onto a new step count by normalized position s/S.
 
-    The guidance gains (zeta, g) are multiplied by the step ratio S_old/S_new,
-    keeping the summed guidance effect roughly constant; the PiGDM
-    uncertainty r tracks the noise level and is never rescaled.
+    The guidance gain, each family's first field (zeta, g), is multiplied by
+    the step ratio S_old/S_new, keeping the summed guidance effect roughly
+    constant; PiGDM's uncertainty r tracks the noise level and is never rescaled.
     """
-    scale = weights.steps / S_new
-    if weights.kind == DPS:
-        return WeightSchedule.dps(scale * _interp_to(weights.zeta, S_new))
-    return WeightSchedule.pigdm(scale * _interp_to(weights.g, S_new), _interp_to(weights.r, S_new))
+    fields = FAMILIES[weights.kind].fields
+    pos_old, pos_new = (np.arange(1, S + 1) / S for S in (weights.steps, S_new))
+    gain, *rest = (np.interp(pos_new, pos_old, getattr(weights, f)) for f in fields)
+    return WeightSchedule(weights.kind, np.concatenate([weights.steps / S_new * gain, *rest]))
 
 
 def iterative_ladder(ctx: LossContext, opts: OptimizeOptions, on_solve=None) -> WeightSolution:

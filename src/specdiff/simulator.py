@@ -300,7 +300,10 @@ def _run_spectrum(
             squares = _aligned_empty((nh, 2 * n), np.float64)
         C = C[:, :nh, None]
         HJ = (h * J)[:, :nh, None]
-        E = 1.0 / (weights.r[steps - 1][:, None] ** 2 * np.abs(h) ** 2 + sig2) if pigdm else 1.0
+        cov = weights.r[steps - 1][:, None] ** 2 * np.abs(h) ** 2 + sig2 if pigdm else 1.0
+        if np.any(cov == 0):  # r^2 H H^T + sig2 I, singular only without noise
+            raise ValueError("zero likelihood-covariance bin")
+        E = 1.0 / cov
         G = (J * np.conj(h) * E)[:, :nh, None]  # J^T H^T E; J is real and symmetric
         w_fixed = column[steps - 1] if pigdm else 2.0 * column[steps - 1]
         R = _aligned_empty((nh, n), complex)

@@ -15,9 +15,10 @@ c conj(h) and c |h|^2 dd, a guided step is
 
 with a per-step gain w and likelihood weight e.  DPS takes w = 2 zeta and no
 likelihood weight; PiGDM takes w = g and e = 1 / (r^2 |h|^2 + sigma^2), the
-inverse of its likelihood covariance r^2 H H^T + sigma^2 I.  The ideal
-sampler drives the same DDIM step with the MAP denoiser: its (G, Q, M) are
-one fixed multiplier set per step, with no guidance.
+inverse of its likelihood covariance r^2 H H^T + sigma^2 I.  That is all
+they differ in, and each kind's family object in ``FAMILIES`` owns it.  The
+ideal sampler drives the same DDIM step with the MAP denoiser: its (G, Q, M)
+are one fixed multiplier set per step, with no guidance.
 
 A ``StepTable`` holds those per-step arrays for one (sampler, prior,
 degradation, schedule), so a solve builds them once, from one
@@ -31,10 +32,8 @@ docstring gives its layout).  The forward sweep writes every running state
 step on flat (3d,) rows of one shape, and the triple comes from the last
 row; the loss scores it, and one backward sweep over the suffix products of
 G then reads the states from the buffer and turns the loss cotangents
-dL/d conj(D) into dL/dtheta in O(S d).  Triples, step arrays and gradients
-are new arrays.  The theta-derivatives follow from the step form: a unit
-of w e moves (G, Q, M) by (-dG, dQ, -dM), DPS has w e = 2 zeta, and PiGDM
-has d(w e)/dg = e and d(w e)/dr = -2 g r |h|^2 e^2.
+dL/d conj(D) into U = dL/d(w e) in O(S d), which the family pulls back to
+dL/dtheta.  Triples, step arrays and gradients are new arrays.
 
 Both sweeps run in real float64 arithmetic, and that is exact, not an
 approximation.  lambda is a real spectrum, a, b, c, dd, |h|^2, sigma^2, w and
@@ -56,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import Schedule, step_coeffs
-from .spectral import DegradationSpec, SpectralPrior, _require_same_dim
+from .spectral import DegradationSpec, SpectralPrior, _freeze, _require_same_dim
 
 __all__ = [
     "DPS",
@@ -75,52 +74,121 @@ PIGDM = "pigdm"
 IDEAL = "ideal"
 
 
+class _Family:
+    """A guided sampler's packed weights theta: ``fields``, S entries each, gain first.
+
+    ``weigh`` applies ``gains(theta, table)`` to a guidance direction, and
+    ``pullback`` turns U = dL/d(w e), (S, d) in sampling order, into dL/dtheta.
+    """
+
+    nonnegative = ()  # the fields floored at 0
+
+    def box(self, S: int, bounds: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+        """Per-entry (lower, upper) bounds of theta: bounds, with lo raised to 0 on a nonnegative field."""
+        lo, hi = bounds
+        for field in self.nonnegative:
+            if hi < 0:
+                raise ValueError(f"upper end {hi:g} is below 0, where {self.name}'s {field} >= 0 starts")
+        lower = [np.full(S, max(lo, 0.0) if f in self.nonnegative else float(lo)) for f in self.fields]
+        return np.concatenate(lower), np.full(len(lower) * S, float(hi))
+
+    def weigh(self, gains, direction, out, t):
+        return np.multiply(gains, direction, out=out)
+
+
+class _Dps(_Family):
+    """DPS: theta = zeta, w = 2 zeta and no e, so dL/dzeta sums 2 U over the bins."""
+
+    name, fields = "DPS", ("zeta",)
+
+    def start(self, sched: Schedule) -> np.ndarray:
+        return np.full(sched.S, 0.1)
+
+    def gains(self, theta, table):
+        return 2.0 * theta[::-1, None]
+
+    def pullback(self, U, theta, gains, table):
+        return (2.0 * U.sum(axis=1))[::-1]
+
+
+class _Pigdm(_Family):
+    """PiGDM: theta = [g, r], w = g, e = 1 / (r^2 |h|^2 + sigma^2) and r >= 0.
+
+    So d(w e)/dg = e and d(w e)/dr = -2 g r |h|^2 e^2.  The start is the
+    published rule: unit gain, r^2 = 1 - alpha_bar.
+    """
+
+    name, fields, nonnegative = "PiGDM", ("g", "r"), ("r",)
+
+    def start(self, sched: Schedule) -> np.ndarray:
+        return np.concatenate([np.ones(sched.S), np.sqrt(1.0 - sched.alpha_bar)])
+
+    def gains(self, theta, table):
+        w, r = theta[: table.S][::-1, None], theta[table.S :][::-1, None]
+        e = table._scratch[0]
+        np.multiply(r**2, table.habs2, out=e)
+        # r^2 |h|^2 + sigma^2 can only vanish without measurement noise.
+        if table.sig2 == 0 and np.any(e == 0):
+            raise ValueError("zero likelihood-covariance bin")
+        np.add(e, table.sig2, out=e)
+        return w, np.divide(1.0, e, out=e)
+
+    def weigh(self, gains, direction, out, t):
+        """(w direction) e into out, formed in t; w e first would round otherwise."""
+        np.multiply(gains[0], direction, out=t)
+        return np.multiply(t, gains[1], out=out)
+
+    def pullback(self, U, theta, gains, table):
+        (w, e), (_, _, a1, a2, _) = gains, table._scratch
+        dg = np.multiply(e, U, out=a1).sum(axis=1)
+        np.multiply(-2.0 * w * theta[table.S :][::-1, None], table.habs2, out=a1)
+        np.multiply(a1, np.square(e, out=a2), out=a1)
+        dr = np.multiply(a1, U, out=a1).sum(axis=1)
+        return np.concatenate([dg[::-1], dr[::-1]])
+
+
+FAMILIES = {DPS: _Dps(), PIGDM: _Pigdm()}
+
+
 @dataclass(frozen=True)
 class WeightSchedule:
-    """Per-step guidance weights: zeta for DPS, (g, r) for PiGDM."""
+    """Per-step guidance weights: a read-only copy of the packed vector theta.
+
+    Its family's fields, zeta for DPS and g, r for PiGDM, are views of theta.
+    """
 
     kind: str
-    zeta: np.ndarray | None = None
-    g: np.ndarray | None = None
-    r: np.ndarray | None = None
+    theta: np.ndarray
 
     def __post_init__(self):
-        if self.kind == DPS:
-            if self.zeta is None:
-                raise ValueError("DPS weights require zeta")
-            object.__setattr__(self, "zeta", np.asarray(self.zeta, dtype=float))
-        elif self.kind == PIGDM:
-            if self.g is None or self.r is None:
-                raise ValueError("PiGDM weights require g and r")
-            g = np.asarray(self.g, dtype=float)
-            r = np.asarray(self.r, dtype=float)
-            if g.shape != r.shape:
-                raise ValueError("g and r must have the same length")
-            if np.any(r < 0):
-                raise ValueError("r must be nonnegative")
-            object.__setattr__(self, "g", g)
-            object.__setattr__(self, "r", r)
-        else:
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown sampler kind: {self.kind}")
+        family, theta = FAMILIES[self.kind], _freeze(np.array(self.theta, dtype=float))
+        if theta.ndim != 1 or len(theta) % len(family.fields):
+            raise ValueError(f"theta must be 1-D, {' and '.join(family.fields)} of the same length")
+        object.__setattr__(self, "theta", theta)
+        if np.any(theta < family.box(self.steps, (-np.inf, np.inf))[0]):
+            raise ValueError(f"{' and '.join(family.nonnegative)} must be nonnegative")
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        family = FAMILIES.get(vars(self).get("kind"))
+        if family is None or name not in family.fields:
+            raise AttributeError(f"a {vars(self).get('kind')!r} WeightSchedule has no {name!r}")
+        return np.split(self.theta, len(family.fields))[family.fields.index(name)]
 
     @classmethod
     def dps(cls, zeta) -> "WeightSchedule":
-        return cls(kind=DPS, zeta=zeta)
+        return cls(DPS, zeta)
 
     @classmethod
     def pigdm(cls, g, r) -> "WeightSchedule":
-        return cls(kind=PIGDM, g=g, r=r)
+        if np.shape(g) != np.shape(r):
+            raise ValueError("g and r must have the same length")
+        return cls(PIGDM, np.concatenate([g, r]))
 
     @property
     def steps(self) -> int:
-        return len(self.zeta) if self.kind == DPS else len(self.g)
-
-    @property
-    def theta(self) -> np.ndarray:
-        """Packed weight vector: zeta for DPS, [g, r] for PiGDM."""
-        if self.kind == DPS:
-            return np.array(self.zeta, dtype=float)
-        return np.concatenate([self.g, self.r])
+        return len(self.theta) // len(FAMILIES[self.kind].fields)
 
 
 class StepTable:
@@ -142,7 +210,7 @@ class StepTable:
     * ``_src``, (S, 3, d): each step's sources (0, Q, M), whose p row stays 0;
     * ``_scratch``, five (S, d) arrays, guided samplers only: PiGDM's e and
       the reverse sweep's temporaries (the suffix products of G and three
-      more), which ``_steps`` also uses.
+      more), which ``_steps`` and the family's pullback also use.
 
     ``_steps`` writes one weight vector's G, Q and M into ``_g`` and ``_src``
     (the ideal sampler's are fixed and written once, here).  The three arrays
@@ -160,13 +228,12 @@ class StepTable:
     """
 
     def __init__(self, kind: str, prior: SpectralPrior, spec: DegradationSpec, sched: Schedule):
-        S = sched.S
-        widths = {DPS: S, PIGDM: 2 * S, IDEAL: 0}
-        if kind not in widths:
+        if kind not in (*FAMILIES, IDEAL):
             raise ValueError(f"unknown sampler kind: {kind}")
         _require_same_dim(prior, spec)
-        d = prior.dim
-        self.kind, self.S, self.dim, self.width = kind, S, d, widths[kind]
+        S, d = sched.S, prior.dim
+        self._family = FAMILIES.get(kind)
+        self.S, self.width = S, 0 if self._family is None else len(self._family.fields) * S
         self.hbar = np.conj(spec.lambda_h)
         self.habs2 = np.abs(spec.lambda_h) ** 2
         self.sig2 = spec.sigma_y**2
@@ -181,7 +248,7 @@ class StepTable:
         self._gqm = (self._g[:, 0], self._src[:, 1], self._src[:, 2])
         coeffs = step_coeffs(sched, np.arange(S, 0, -1), prior)
         a, b = coeffs.a_s[:, None], coeffs.b_s[:, None]
-        if kind == IDEAL:
+        if self._family is None:
             lam = prior.lambda0
             ab = sched.alpha_bar[::-1, None]
             lam_sum = (1.0 - ab) * lam * self.habs2 + self.sig2 * ab * lam + self.sig2 * (1.0 - ab)
@@ -200,9 +267,11 @@ class StepTable:
     def _steps(self, theta):
         """theta's real (S, d) (G, Q / conj(h), M), as views of the workspace, and its gains.
 
-        The gains are w, (S, 1), and e, (S, d) or None.  Step j of the
-        sampling order is s = S - j, whose weights sit in entry S - 1 - j
-        (and, for PiGDM's r, S entries further on).
+        The gains are the family's, None for the ideal sampler.  Step j of the
+        sampling order is s = S - j, whose weights sit in entry S - 1 - j of
+        each field.  Products run in the contiguous temporary t and only the
+        last writes a strided view of the workspace: at d = 50 an in-place
+        ufunc on such a view took twice as long.
         """
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.width,):
@@ -210,48 +279,25 @@ class StepTable:
                 f"weight vector shape {theta.shape} must match the schedule's ({self.width},)"
             )
         G, Q, M = self._gqm
-        if self.kind == IDEAL:
-            return (G, Q, M), (None, None)
-        if self.kind == DPS:
-            w, e = 2.0 * theta[::-1, None], None
-        else:
-            w, r = theta[: self.S][::-1, None], theta[self.S :][::-1, None]
-            e = self._scratch[0]
-            np.multiply(r**2, self.habs2, out=e)
-            # r^2 |h|^2 + sigma^2 can only vanish without measurement noise.
-            if self.sig2 == 0 and np.any(e == 0):
-                raise ValueError("zero likelihood-covariance bin")
-            np.add(e, self.sig2, out=e)
-            np.divide(1.0, e, out=e)
-        t = self._scratch[4]
-
-        def gained(direction, out):
-            """(w direction) e, or w direction for DPS, written into out.
-
-            Products run in the contiguous temporary t and only the last call
-            writes out, which may be a strided view of the workspace: at
-            d = 50 an in-place ufunc on such a view took twice as long.
-            """
-            if e is None:
-                return np.multiply(w, direction, out=out)
-            np.multiply(w, direction, out=t)
-            return np.multiply(t, e, out=out)
-
+        family = self._family
+        if family is None:
+            return (G, Q, M), None
+        gains, t = family.gains(theta, self), self._scratch[4]
         # G is formed in t and written over its three rows in one pass.
-        np.subtract(self.G0, gained(self.dG, t), out=t)
+        np.subtract(self.G0, family.weigh(gains, self.dG, t, t), out=t)
         np.copyto(self._g, t[:, None])
-        gained(self.dQ, Q)
-        np.subtract(self.M0, gained(self.dM, t), out=M)
-        return (G, Q, M), (w, e)
+        family.weigh(gains, self.dQ, Q, t)
+        np.subtract(self.M0, family.weigh(gains, self.dM, t, t), out=M)
+        return (G, Q, M), gains
 
     def step_arrays(self, theta):
         """Every step's (G, Q, M), each (S, d), in sampling order s = S..1.
 
-        ``theta`` is one packed weight vector: zeta for DPS (S entries),
-        [g, r] for PiGDM (2S), none for the ideal sampler.  A guided step is
-        G0 - (w dG) e, (w dQ) e, M0 - (w dM) e; DPS has no e.  G and M are
-        real and Q complex, the table's real Q times conj(h).  All three are
-        new arrays, not views of the workspace.
+        ``theta`` is one packed weight vector (``WeightSchedule.theta``), empty
+        for the ideal sampler.  A guided step is G0 - (w dG) e, (w dQ) e,
+        M0 - (w dM) e; DPS has no e.  G and M are real and Q complex, the
+        table's real Q times conj(h).  All three are new arrays, not views of
+        the workspace.
         """
         G, Q, M = self._steps(theta)[0]
         return G.copy(), Q * self.hbar, M.copy()
@@ -290,17 +336,18 @@ class StepTable:
 
         ``score(D1, D2, D3)`` returns the real loss L of the composed (d,)
         triple and its cotangents (c1, c2, c3), c_k = dL/d conj(D_k).  The
-        forward sweep keeps every running state in the workspace, and the
-        reverse sweep maps the cotangents to dL/dtheta.  D_k depends on step
-        j's multipliers only through suffix_j (G_j state_j + source_j), where
-        state_j = (p, q, m) is row j of the state buffer and suffix_j the
-        product of the later G, so one backward cumulative product gives every
-        step's sensitivity at O(S d) cost.  ``score`` must not use the table.
+        forward sweep keeps every running state in the workspace, the reverse
+        sweep maps the cotangents to U = dL/d(w e) and the family pulls U back
+        to dL/dtheta.  D_k depends on step j's multipliers only through suffix_j
+        (G_j state_j + source_j), where state_j = (p, q, m) is row j of the
+        state buffer and suffix_j the product of the later G, so one backward
+        cumulative product gives every step's sensitivity at O(S d) cost.
+        ``score`` must not use the table.
         """
-        if self.kind == IDEAL:
+        if self._family is None:
             raise ValueError("the ideal sampler has no weights to differentiate")
         theta = np.asarray(theta, dtype=float)
-        (G, _, _), (w, e) = self._steps(theta)
+        (G, _, _), gains = self._steps(theta)
         x = self._sweep()
         loss, (c1, c2, c3) = score(*self._triple(x))
         p, q, m = x[:-1, 0], x[:-1, 1], x[:-1, 2]
@@ -326,14 +373,7 @@ class StepTable:
         np.multiply(a3, self.dM, out=a1)
         np.subtract(U, a1, out=U)
         np.multiply(U, 2.0, out=U)
-        # U is dL/d(w e); DPS has w e = 2 zeta, PiGDM de/dr = -2 r |h|^2 e^2.
-        if self.kind == DPS:
-            return loss, (2.0 * U.sum(axis=1))[::-1]
-        dg = np.multiply(e, U, out=a1).sum(axis=1)
-        np.multiply(-2.0 * w * theta[self.S :][::-1, None], self.habs2, out=a1)
-        np.multiply(a1, np.square(e, out=a2), out=a1)
-        dr = np.multiply(a1, U, out=a1).sum(axis=1)
-        return loss, np.concatenate([dg[::-1], dr[::-1]])
+        return loss, self._family.pullback(U, theta, gains, self)
 
 
 def batch_triples(
@@ -369,7 +409,5 @@ def ideal_triple(
 
 
 def pigdm_heuristic_weights(sched: Schedule) -> WeightSchedule:
-    """The published PiGDM weighting: unit gain, r tied to the noise level."""
-    return WeightSchedule.pigdm(
-        g=np.ones(sched.S), r=np.sqrt(1.0 - sched.alpha_bar)
-    )
+    """The published PiGDM weighting, PiGDM's default start."""
+    return WeightSchedule(PIGDM, FAMILIES[PIGDM].start(sched))

@@ -1,10 +1,12 @@
-from dataclasses import replace
+import ast
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from specdiff import SpectralPrior, cli, iterative_ladder, make_synthetic_prior, optimize_weights
+from specdiff import SpectralPrior, cli, config, iterative_ladder, make_synthetic_prior, optimize_weights
 from specdiff.cli import main
 from specdiff.config import ConfigError, load_config
 from specdiff.serialize import (
@@ -108,6 +110,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.cfg")
 
+    def test_sampler_kinds_are_the_family_table(self):
+        # config.py lists the kinds itself, so that it imports no numpy: the
+        # list must stay the family table's keys.
+        from specdiff.config import ExperimentConfig
+        from specdiff.transfer import FAMILIES
+
+        (kind,) = [f for f in fields(ExperimentConfig) if f.metadata.get("key") == "sampler.kind"]
+        assert set(kind.metadata["parse"].choices) == set(FAMILIES)
+        for node in ast.walk(ast.parse(Path(config.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = ["." * node.level + (node.module or "")]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] not in ("numpy", ""), f"config.py imports {module}"
+
     def test_invalid_source_rejected(self, tmp_path):
         text = BASE_CONFIG.format(out=tmp_path).replace("optimize-k1", "banana")
         path = tmp_path / "bad.cfg"
@@ -147,6 +167,22 @@ class TestCliCommands:
         weights = (tmp_path / "avg" / "weights_S5.csv").read_text().splitlines()
         data_header = [l for l in weights if not l.startswith("#")][0]
         assert data_header == "s,zeta_r0"
+
+    @pytest.mark.parametrize(
+        "kind, header",
+        [
+            ("dps", "s,zeta_r0,zeta_r1,mean,std"),
+            ("pigdm", "s,g_r0,r_r0,g_r1,r_r1,g_mean,g_std,r_mean,r_std"),
+        ],
+    )
+    def test_optimize_weights_header(self, tmp_path, runner, kind, header):
+        # Two realizations: each field per realization, then each field's mean
+        # and std, unprefixed for DPS's single field.
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace("kind = dps", f"kind = {kind}")
+        result = runner.invoke(main, ["optimize", "--config", str(_write_config(tmp_path, text))])
+        assert result.exit_code == 0, result.output
+        weights = (tmp_path / "out" / "weights_S5.csv").read_text().splitlines()
+        assert [l for l in weights if not l.startswith("#")][0] == header
 
     def test_unknown_key_exits_2(self, tmp_path, runner):
         path = tmp_path / "bad.cfg"

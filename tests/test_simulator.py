@@ -621,6 +621,23 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="zero denominator bin"):
             ideal_triple(prior, spec, sched)
 
+    def test_noiseless_pigdm_rejects_singular_likelihood_covariance(self):
+        # At sigma_y = 0 and r = 0, PiGDM's r^2 H H^T + sigma^2 I is singular.
+        # The batch used to warn twice (divide by zero, then an invalid
+        # multiply) and then fail as "diverged at step 3"; it now refuses the
+        # covariance before any step, with the closed form's message.
+        prior = make_synthetic_prior(8, 0.1)
+        spec = make_lpf(8, 0.4, sigma_y=0.0)
+        sched = ddim_subsequence(linear_ddpm_schedule(50), 3)
+        weights = WeightSchedule.pigdm(np.ones(3), np.zeros(3))
+        cfg = SimConfig(prior, spec, sched, Guidance.fixed(weights), n_runs=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="zero likelihood-covariance bin"):
+                monte_carlo(cfg, Observation(y_f=np.zeros(8, complex)))
+        with pytest.raises(ValueError, match="zero likelihood-covariance bin"):
+            transfer_triple(weights, prior, spec, sched)
+
 
 class TestHeuristicProfile:
     def test_noiseless_profile_increases_toward_the_end(self):

@@ -153,6 +153,45 @@ class TestDenoisers:
             assert np.linalg.norm(g_hat) / scale < 1e-8
 
 
+class TestWeightSchedule:
+    def test_pigdm_parts_of_different_lengths_rejected(self):
+        # 3 + 5 entries would pack into 8, which splits into two halves.
+        with pytest.raises(ValueError, match="same length"):
+            WeightSchedule.pigdm(np.ones(3), np.zeros(5))
+        with pytest.raises(ValueError, match="same length"):
+            WeightSchedule("pigdm", np.ones(7))
+
+    @pytest.mark.parametrize("theta", [np.ones((2, 3)), np.float64(1.0)])
+    def test_theta_that_is_not_1d_rejected(self, theta):
+        with pytest.raises(ValueError, match="1-D"):
+            WeightSchedule("dps", theta)
+
+    @pytest.mark.parametrize("kind", ["ddpm", "ideal"])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="unknown sampler kind"):
+            WeightSchedule(kind, np.ones(4))
+
+    def test_negative_r_rejected(self):
+        with pytest.raises(ValueError, match="r must be nonnegative"):
+            WeightSchedule.pigdm([1.0, 1.0], [0.0, -1e-300])
+        WeightSchedule.pigdm([-1.0, -1.0], [0.0, 0.0])
+
+    def test_fields_are_read_only_views_of_a_copy(self):
+        zeta, g, r = np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0]), np.array([0.5, 0.0])
+        dps, pigdm = WeightSchedule.dps(zeta), WeightSchedule.pigdm(g, r)
+        zeta[0] = 9.0
+        assert dps.theta.tolist() == [0.1, 0.2, 0.3] and dps.steps == 3
+        assert pigdm.theta.tolist() == [1.0, 2.0, 0.5, 0.0] and pigdm.steps == 2
+        for w, names in ((dps, ["zeta"]), (pigdm, ["g", "r"])):
+            assert not w.theta.flags.writeable
+            parts = [getattr(w, name) for name in names]
+            assert all(np.shares_memory(part, w.theta) for part in parts)
+            np.testing.assert_array_equal(np.concatenate(parts), w.theta)
+        for w, name in ((dps, "g"), (dps, "r"), (pigdm, "zeta")):
+            with pytest.raises(AttributeError):
+                getattr(w, name)
+
+
 class TestStepTransfers:
     def test_dps_zero_weight_is_prior_step(self):
         rng = np.random.default_rng(7)
