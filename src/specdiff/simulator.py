@@ -44,13 +44,14 @@ locate the step: it takes a fresh real FFT of its starting states and replays
 the same steps with a check after each, which repeats the same arithmetic and
 so raises ``ValueError("diverged at step s")`` at the first non-finite step.
 
-This stays an independent check on ``transfer.py``.  Its tables are built
-here from one ``step_coeffs_scalar`` call over the batch's steps and the
-prior and degradation multipliers, in the operator terms above; nothing is
-taken from the step tables or the composition of ``transfer.py``.  Each trajectory carries its own state and
-residual through every step, so the heuristic weights are the ones each
-trajectory realizes, which no closed form gives.  The tests check the
-half-spectrum steps against dense matrices applied in the time domain.
+This stays an independent check on ``transfer.py``, which it takes nothing
+from: its tables are built here from one ``step_coeffs_scalar`` call and
+the prior and degradation multipliers, in the operator terms above.  Its
+MAP step keeps the denoiser's own formula, so it checks the identity that
+``transfer.py``'s ideal sampler is PiGDM at fixed weights.  Each trajectory
+carries its own state and residual, so its heuristic weights are the ones
+it realizes, which no closed form gives.  The tests check the half-spectrum
+steps against dense matrices applied in the time domain.
 
 Keeping only the Hermitian half of a non-Hermitian matvec would silently give
 trajectories that no longer match the composed triple, so ``SimConfig``

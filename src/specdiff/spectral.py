@@ -65,8 +65,8 @@ class SpectralPrior:
     lambda0: np.ndarray
 
     def __post_init__(self):
-        mu_f = _freeze(np.asarray(self.mu_f, dtype=complex))
-        lam = _freeze(np.asarray(self.lambda0, dtype=float))
+        mu_f = _freeze(np.array(self.mu_f, dtype=complex))
+        lam = _freeze(np.array(self.lambda0, dtype=float))
         object.__setattr__(self, "mu_f", mu_f)
         object.__setattr__(self, "lambda0", lam)
         if self.dim < 1 or mu_f.shape != (self.dim,) or lam.shape != (self.dim,):
@@ -88,7 +88,7 @@ class DegradationSpec:
     sigma_y: float
 
     def __post_init__(self):
-        lh = _freeze(np.asarray(self.lambda_h, dtype=complex))
+        lh = _freeze(np.array(self.lambda_h, dtype=complex))
         object.__setattr__(self, "lambda_h", lh)
         if lh.shape != (self.dim,):
             raise ValueError("lambda_h must have length dim")
@@ -103,7 +103,7 @@ class Observation:
     y_f: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "y_f", _freeze(np.asarray(self.y_f, dtype=complex)))
+        object.__setattr__(self, "y_f", _freeze(np.array(self.y_f, dtype=complex)))
 
     @property
     def dim(self) -> int:

@@ -6,7 +6,7 @@ triple (D1, D2, D3) mapping the starting noise, the measurement, and the
 prior mean straight to the output, whose distribution is then Gaussian with
 mean D2 y + D3 mu and per-bin variance |D1|^2.
 
-This module is the only place the step formulas live.  DPS and PiGDM share
+This module is the only place the step formula lives: every sampler has
 one form.  With the unguided DDIM step G0 = a + b c, M0 = b dd (c and dd are
 the prior denoiser's per-bin gains) and the guidance directions c^2 |h|^2,
 c conj(h) and c |h|^2 dd, a guided step is
@@ -17,8 +17,9 @@ with a per-step gain w and likelihood weight e.  DPS takes w = 2 zeta and no
 likelihood weight; PiGDM takes w = g and e = 1 / (r^2 |h|^2 + sigma^2), the
 inverse of its likelihood covariance r^2 H H^T + sigma^2 I.  That is all
 they differ in, and each kind's family object in ``FAMILIES`` owns it.  The
-ideal sampler drives the same DDIM step with the MAP denoiser: its (G, Q, M)
-are one fixed multiplier set per step, with no guidance.
+ideal sampler, the DDIM step with the MAP denoiser, is PiGDM at fixed
+w = b k and r^2 = k c with k = (1 - alpha_bar) / sqrt(alpha_bar): by
+Tweedie's formula k c is the per-bin Var[x0 | x_t].  It has no weights.
 
 A ``StepTable`` holds those per-step arrays for one (sampler, prior,
 degradation, schedule), so a solve builds them once, from one
@@ -38,14 +39,13 @@ dL/dtheta.  Triples, step arrays and gradients are new arrays.
 Both sweeps run in real float64 arithmetic, and that is exact, not an
 approximation.  lambda is a real spectrum, a, b, c, dd, |h|^2, sigma^2, w and
 e are real, so every sampler's G and M are real and its Q is conj(h) times a
-real array Q_r (the ideal sampler's as much as the guided ones').  Because G
-is real, q evolves as the real recurrence q_r <- G q_r + Q_r times the
-constant factor conj(h), so D2 = conj(h) q_r: the table composes Q_r and
-applies conj(h) once, to the last row.  In reverse, 2 Re(conj(c) dD) of a
-real dD only needs Re c, and D2's term needs Re(conj(c2) conj(h)).  None of
-this asks h to be Hermitian.  With h in {0, 1}, as in ``make_lpf``, the
-products by conj(h) are exact and the results keep the bits of the complex
-recurrence.
+real array Q_r.  Because G is real, q evolves as the real recurrence
+q_r <- G q_r + Q_r times the constant factor conj(h), so D2 = conj(h) q_r:
+the table composes Q_r and applies conj(h) once, to the last row.  In
+reverse, 2 Re(conj(c) dD) of a real dD only needs Re c, and D2's term needs
+Re(conj(c2) conj(h)).  None of this asks h to be Hermitian.  With h in
+{0, 1}, as in ``make_lpf``, the products by conj(h) are exact and the
+results keep the bits of the complex recurrence.
 """
 
 from __future__ import annotations
@@ -147,7 +147,19 @@ class _Pigdm(_Family):
         return np.concatenate([dg[::-1], dr[::-1]])
 
 
-FAMILIES = {DPS: _Dps(), PIGDM: _Pigdm()}
+class _Ideal(_Family):
+    """The MAP-denoiser sampler: PiGDM at fixed w = b k and e = 1 / (k c |h|^2 + sigma^2)."""
+
+    fields, weigh = (), _Pigdm.weigh
+
+    def gains(self, theta, table):
+        return table._fixed
+
+    def pullback(self, U, theta, gains, table):
+        return np.empty(0)
+
+
+FAMILIES, _IDEAL = {DPS: _Dps(), PIGDM: _Pigdm()}, _Ideal()
 
 
 @dataclass(frozen=True)
@@ -197,10 +209,10 @@ class StepTable:
     Building the table costs one ``step_coeffs`` call, for all S steps at
     once; every weight vector is then evaluated against it, so a solve builds
     one table.  The arrays are real float64 (S, d), in sampling order
-    s = S..1: the guided samplers keep the unguided step (G0, M0) and the
-    guidance directions (dG, dQ, dM), and every Q and dQ is held without its
-    factor conj(h), which ``step_arrays`` and the composed D2 put back; the
-    module docstring says why that is exact.
+    s = S..1: the unguided step (G0, M0), the guidance directions (dG, dQ,
+    dM) and the ideal sampler's fixed gains (w, e).  Every Q and dQ is held
+    without its factor conj(h), which ``step_arrays`` and the composed D2 put
+    back; the module docstring says why that is exact.
 
     The table also owns one workspace, allocated here and reused by every
     composition:
@@ -208,19 +220,18 @@ class StepTable:
     * ``_x``, (S+1, 3, d): the running states (p, q, m), row j before step j;
     * ``_g``, (S, 3, d): each step's G copied over its three rows;
     * ``_src``, (S, 3, d): each step's sources (0, Q, M), whose p row stays 0;
-    * ``_scratch``, five (S, d) arrays, guided samplers only: PiGDM's e and
-      the reverse sweep's temporaries (the suffix products of G and three
-      more), which ``_steps`` and the family's pullback also use.
+    * ``_scratch``, five (S, d) arrays: PiGDM's e and the reverse sweep's
+      temporaries (the suffix products of G and three more), which ``_steps``
+      and the family's pullback also use.
 
-    ``_steps`` writes one weight vector's G, Q and M into ``_g`` and ``_src``
-    (the ideal sampler's are fixed and written once, here).  The three arrays
-    are split once into flat (3d,) rows, so a step of the forward sweep is
-    two ufunc calls on contiguous 1-D operands of one shape.  A sweep is S
-    such pairs on rows of a few hundred numbers, so the per-call overhead is
-    most of its cost, and that overhead is lowest for same-shape contiguous
-    operands: at d = 50, on a 2-core Xeon, a call took about 0.9 us with G's
-    (d,) row broadcast over the (3, d) state, 0.5 us with (3, d) operands and
-    0.4 us with flat (3d,) rows.
+    ``_steps`` writes one weight vector's G, Q and M into ``_g`` and ``_src``.
+    The three arrays are split once into flat (3d,) rows, so a step of the
+    forward sweep is two ufunc calls on contiguous 1-D operands of one shape.
+    A sweep is S such pairs on rows of a few hundred numbers, so the per-call
+    overhead is most of its cost, and that overhead is lowest for same-shape
+    contiguous operands: at d = 50, on a 2-core Xeon, a call took about 0.9 us
+    with G's (d,) row broadcast over the (3, d) state, 0.5 us with (3, d)
+    operands and 0.4 us with flat (3d,) rows.
 
     Nothing the table hands out (``step_arrays``, triples, gradients) aliases
     the workspace, and every call rewrites it, so one table serves one
@@ -232,8 +243,8 @@ class StepTable:
             raise ValueError(f"unknown sampler kind: {kind}")
         _require_same_dim(prior, spec)
         S, d = sched.S, prior.dim
-        self._family = FAMILIES.get(kind)
-        self.S, self.width = S, 0 if self._family is None else len(self._family.fields) * S
+        self._family = FAMILIES.get(kind, _IDEAL)
+        self.S, self.width = S, len(self._family.fields) * S
         self.hbar = np.conj(spec.lambda_h)
         self.habs2 = np.abs(spec.lambda_h) ** 2
         self.sig2 = spec.sigma_y**2
@@ -247,31 +258,25 @@ class StepTable:
         )
         self._gqm = (self._g[:, 0], self._src[:, 1], self._src[:, 2])
         coeffs = step_coeffs(sched, np.arange(S, 0, -1), prior)
-        a, b = coeffs.a_s[:, None], coeffs.b_s[:, None]
-        if self._family is None:
-            lam = prior.lambda0
-            ab = sched.alpha_bar[::-1, None]
-            lam_sum = (1.0 - ab) * lam * self.habs2 + self.sig2 * ab * lam + self.sig2 * (1.0 - ab)
-            if np.any(lam_sum == 0):
-                raise ValueError("zero denominator bin")
-            self._g[:] = (a + b * self.sig2 * np.sqrt(ab) * lam / lam_sum)[:, None]
-            # Times 1 / lam_sum, which rounds as dividing the complex source by lam_sum did.
-            self._src[:, 1] = b * (1.0 - ab) * lam * (1.0 / lam_sum)
-            self._src[:, 2] = b * self.sig2 * (1.0 - ab) / lam_sum
-            return
-        c, dd = coeffs.c_s, coeffs.d_s
+        a, b, c, dd = coeffs.a_s[:, None], coeffs.b_s[:, None], coeffs.c_s, coeffs.d_s
         self.G0, self.M0 = a + b * c, b * dd
         self.dG, self.dQ, self.dM = c**2 * self.habs2, c, c * self.habs2 * dd
         self._scratch = tuple(np.empty((S, d)) for _ in range(5))
+        if kind == IDEAL:
+            k = (1.0 - sched.alpha_bar[::-1, None]) / np.sqrt(sched.alpha_bar[::-1, None])
+            e = k * c * self.habs2 + self.sig2
+            if np.any(e == 0):
+                raise ValueError("zero denominator bin")
+            self._fixed = b * k, 1.0 / e
 
     def _steps(self, theta):
         """theta's real (S, d) (G, Q / conj(h), M), as views of the workspace, and its gains.
 
-        The gains are the family's, None for the ideal sampler.  Step j of the
-        sampling order is s = S - j, whose weights sit in entry S - 1 - j of
-        each field.  Products run in the contiguous temporary t and only the
-        last writes a strided view of the workspace: at d = 50 an in-place
-        ufunc on such a view took twice as long.
+        The gains are the family's, the fixed (w, e) for the ideal sampler.
+        Step j of the sampling order is s = S - j, whose weights sit in entry
+        S - 1 - j of each field.  Products run in the contiguous temporary t
+        and only the last writes a strided view of the workspace: at d = 50 an
+        in-place ufunc on such a view took twice as long.
         """
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.width,):
@@ -280,8 +285,6 @@ class StepTable:
             )
         G, Q, M = self._gqm
         family = self._family
-        if family is None:
-            return (G, Q, M), None
         gains, t = family.gains(theta, self), self._scratch[4]
         # G is formed in t and written over its three rows in one pass.
         np.subtract(self.G0, family.weigh(gains, self.dG, t, t), out=t)
@@ -294,7 +297,7 @@ class StepTable:
         """Every step's (G, Q, M), each (S, d), in sampling order s = S..1.
 
         ``theta`` is one packed weight vector (``WeightSchedule.theta``), empty
-        for the ideal sampler.  A guided step is G0 - (w dG) e, (w dQ) e,
+        for the ideal sampler.  Every step is G0 - (w dG) e, (w dQ) e,
         M0 - (w dM) e; DPS has no e.  G and M are real and Q complex, the
         table's real Q times conj(h).  All three are new arrays, not views of
         the workspace.
@@ -338,14 +341,12 @@ class StepTable:
         triple and its cotangents (c1, c2, c3), c_k = dL/d conj(D_k).  The
         forward sweep keeps every running state in the workspace, the reverse
         sweep maps the cotangents to U = dL/d(w e) and the family pulls U back
-        to dL/dtheta.  D_k depends on step j's multipliers only through suffix_j
+        to dL/dtheta, empty for the ideal sampler.  D_k depends on step j's multipliers only through suffix_j
         (G_j state_j + source_j), where state_j = (p, q, m) is row j of the
         state buffer and suffix_j the product of the later G, so one backward
         cumulative product gives every step's sensitivity at O(S d) cost.
         ``score`` must not use the table.
         """
-        if self._family is None:
-            raise ValueError("the ideal sampler has no weights to differentiate")
         theta = np.asarray(theta, dtype=float)
         (G, _, _), gains = self._steps(theta)
         x = self._sweep()

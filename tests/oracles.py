@@ -233,6 +233,20 @@ def posterior_optimal_denoise(
     return num / den
 
 
+def tweedie_pigdm_weights(alpha_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PiGDM's (g, r) per step s = 1..S at which its step is the MAP step, on a white prior.
+
+    Tweedie's formula gives the per-bin posterior variance Var[x0 | x_t] =
+    (1 - ab) c / sqrt(ab) with c = sqrt(ab) lambda / (ab lambda + 1 - ab), so
+    r^2 = 1 - ab at lambda = 1, and the gain is g = b (1 - ab) / sqrt(ab) with
+    DDIM's b = sqrt(ab_prev) - sqrt(ab) sqrt((1 - ab_prev) / (1 - ab)).
+    """
+    ab = np.asarray(alpha_bar, dtype=float)
+    prev = np.concatenate(([1.0], ab[:-1]))
+    b = np.sqrt(prev) - np.sqrt(ab) * np.sqrt((1.0 - prev) / (1.0 - ab))
+    return b * (1.0 - ab) / np.sqrt(ab), np.sqrt(1.0 - ab)
+
+
 def output_distribution(triple, obs, prior) -> DiagGaussian:
     """Gaussian law of the sampler output for a fixed measurement."""
     D1, D2, D3 = triple

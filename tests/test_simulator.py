@@ -37,6 +37,7 @@ from oracles import (
     dense_prior_denoiser,
     output_distribution,
     random_prior_arrays,
+    tweedie_pigdm_weights,
 )
 
 
@@ -484,6 +485,25 @@ class TestGuidance:
         sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
         with pytest.raises(ValueError, match="degradation has length 1 but the prior has length 8"):
             SimConfig(prior=prior, spec=spec, schedule=sched, guidance=Guidance.none())
+
+
+    @pytest.mark.parametrize("d", [8, 9])
+    @pytest.mark.parametrize("S", [3, 20])
+    def test_map_step_is_pigdm_at_tweedie_weights(self, d, S):
+        # The simulator keeps its own MAP step; on a white prior PiGDM at
+        # g = b (1 - ab) / sqrt(ab), r^2 = 1 - ab runs the same trajectories.
+        rng = np.random.default_rng(10 * d + S)
+        prior = SpectralPrior(dim=d, mu_f=np.fft.fft(rng.standard_normal(d)), lambda0=np.ones(d))
+        spec = DegradationSpec(dim=d, lambda_h=np.fft.fft(rng.standard_normal(d)), sigma_y=0.3)
+        sched = ddim_subsequence(linear_ddpm_schedule(1000), S)
+        obs = degrade(sample_prior(prior, rng), spec, rng)
+        x_start = rng.standard_normal((16, d))
+        exact = Guidance.fixed(WeightSchedule.pigdm(*tweedie_pigdm_weights(sched.alpha_bar)))
+        runs = [
+            _run_spectrum(SimConfig(prior, spec, sched, guide), obs, x_start)[0]
+            for guide in (exact, Guidance.optimal())
+        ]
+        np.testing.assert_allclose(*runs, rtol=1e-12, atol=1e-12 * np.max(np.abs(runs[1])))
 
 
 class TestRealOperators:

@@ -277,3 +277,23 @@ class TestConventionAndTypes:
         prior = make_synthetic_prior(8, 0.1)
         with pytest.raises(ValueError):
             prior.lambda0[0] = 1.0
+
+    def test_prior_leaves_the_callers_arrays_writable(self):
+        # The prior freezes its own copies, not the float64 and complex arrays passed in.
+        mu_f, lam = np.zeros(4, complex), np.ones(4)
+        prior = SpectralPrior(dim=4, mu_f=mu_f, lambda0=lam)
+        mu_f[0], lam[0] = 1.0, 2.0
+        assert prior.mu_f[0] == 0.0 and prior.lambda0[0] == 1.0
+        assert not prior.lambda0.flags.writeable and not prior.mu_f.flags.writeable
+
+    def test_degradation_leaves_the_callers_array_writable(self):
+        lambda_h = np.ones(4, complex)
+        spec = DegradationSpec(dim=4, lambda_h=lambda_h, sigma_y=0.1)
+        lambda_h[0] = 2.0
+        assert spec.lambda_h[0] == 1.0 and not spec.lambda_h.flags.writeable
+
+    def test_observation_leaves_the_callers_array_writable(self):
+        y_f = np.ones(4, complex)
+        obs = Observation(y_f=y_f)
+        y_f[0] = 2.0
+        assert obs.y_f[0] == 1.0 and not obs.y_f.flags.writeable

@@ -23,7 +23,7 @@ from specdiff import (
     step_coeffs,
     transfer_triple,
 )
-from specdiff.objective import triple_realization_loss
+from specdiff.objective import triple_realization_loss, triples_loss, triples_loss_cotangents
 
 from oracles import (
     central_gradient,
@@ -36,6 +36,7 @@ from oracles import (
     prior_optimal_denoise,
     random_prior_arrays,
     running_states,
+    tweedie_pigdm_weights,
 )
 
 
@@ -465,7 +466,7 @@ class TestCompose:
             for got, ref in zip(table.compose(theta), want):
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
 
-    @pytest.mark.parametrize("kind", ["dps", "pigdm"])
+    @pytest.mark.parametrize("kind", ["dps", "pigdm", "ideal"])
     def test_compose_equals_pullback_triple(self, kind):
         rng = np.random.default_rng(24)
         for S, (prior, spec) in (
@@ -494,10 +495,8 @@ class TestCompose:
         A, B = (rng.uniform(0, 0.2, table.width) for _ in range(2))
 
         def evaluate(t, theta, cots):
-            out = [*t.compose(theta), *t.step_arrays(theta)]
-            if kind != "ideal":
-                triple, grad = t.value_and_grad(theta, lambda *triple: (triple, cots))
-                out += [*triple, grad]
+            triple, grad = t.value_and_grad(theta, lambda *triple: (triple, cots))
+            out = [*t.compose(theta), *t.step_arrays(theta), *triple, grad]
             return [x.tobytes() for x in out]
 
         for theta in (A, B, A):
@@ -514,16 +513,13 @@ class TestCompose:
         table = StepTable(kind, prior, spec, ddim_subsequence(linear_ddpm_schedule(1000), 12))
         A, B = (rng.uniform(0, 0.2, table.width) for _ in range(2))
         cots = [rng.standard_normal(10) + 1j * rng.standard_normal(10) for _ in range(3)]
-        handed = [*table.step_arrays(A), *table.compose(A)]
-        if kind != "ideal":
-            triple, grad = table.value_and_grad(A, lambda *t: (t, cots))
-            handed += [*triple, grad]
+        triple, grad = table.value_and_grad(A, lambda *t: (t, cots))
+        handed = [*table.step_arrays(A), *table.compose(A), *triple, grad]
         before = [x.tobytes() for x in handed]
         for theta in (B, A + 1.0):
             table.step_arrays(theta)
             table.compose(theta)
-            if kind != "ideal":
-                table.value_and_grad(theta, lambda *t: (0.0, cots))
+            table.value_and_grad(theta, lambda *t: (0.0, cots))
         assert [x.tobytes() for x in handed] == before
 
     def test_guidance_off_equivalence_across_samplers(self):
@@ -558,6 +554,42 @@ class TestCompose:
                     call(row)
             for D in table.compose(row[0]):
                 assert D.shape == (prior.dim,)
+
+
+class TestIdealIsExactPigdm:
+    """The MAP step is PiGDM's step at g = b k and r^2 = k c, k = (1 - ab) / sqrt(ab).
+
+    Tweedie's formula makes r^2 = k c the posterior variance Var[x0 | x_t] per
+    bin; on a white prior c = sqrt(ab), so r^2 is the published 1 - ab and only
+    the gain differs from the published g = 1.
+    """
+
+    @pytest.mark.parametrize("d", [8, 9, 50])
+    @pytest.mark.parametrize("S", [3, 20, 200])
+    def test_white_prior_closed_form(self, d, S):
+        # A white prior (lambda = 1) with a random mean, under a random real blur.
+        rng = np.random.default_rng(100 * d + S)
+        prior = SpectralPrior(dim=d, mu_f=np.fft.fft(rng.standard_normal(d)), lambda0=np.ones(d))
+        spec = DegradationSpec(dim=d, lambda_h=np.fft.fft(rng.standard_normal(d)), sigma_y=0.3)
+        sched = ddim_subsequence(linear_ddpm_schedule(1000), S)
+        exact = WeightSchedule.pigdm(*tweedie_pigdm_weights(sched.alpha_bar))
+        got = transfer_triple(exact, prior, spec, sched)
+        for D, want in zip(got, ideal_triple(prior, spec, sched)):
+            np.testing.assert_allclose(D, want, rtol=1e-12)
+
+    def test_ideal_value_and_grad_scores_its_triple(self):
+        # The ideal table runs the same forward and reverse sweeps as a
+        # guided one; it has no weights, so its gradient is empty.
+        prior, spec = _reference_model()
+        sched = ddim_subsequence(linear_ddpm_schedule(1000), 20)
+        triple = ideal_triple(prior, spec, sched)
+
+        def score(*t):
+            return triples_loss(*t, prior, spec, None), triples_loss_cotangents(*t, prior, spec, None)
+
+        loss, grad = StepTable("ideal", prior, spec, sched).value_and_grad(np.empty(0), score)
+        assert loss == triples_loss(*triple, prior, spec, None)
+        assert grad.shape == (0,)
 
 
 class TestOutputDistribution:
