@@ -87,11 +87,14 @@ class _Target:
     ``A`` is the Wiener gain, ``std`` the posterior std and ``power`` the
     measurement power lambda |h|^2 + sigma^2: the per-bin measurement
     variance (d times it in DFT units) and the denominator of both others.
-    ``ys`` stacks the (K, d) measurements to average over, or is None for the
-    closed-form average over the measurement law.
+    ``ys`` stacks the (K >= 1, d) measurements to average over, or is None for
+    the closed-form average over the measurement law.
     """
 
     def __init__(self, prior: SpectralPrior, spec: DegradationSpec, ys: np.ndarray | None):
+        _require_same_dim(prior, spec)
+        if ys is not None and (np.ndim(ys) != 2 or np.shape(ys)[0] < 1 or np.shape(ys)[1] != prior.dim):
+            raise ValueError(f"measurements have shape {np.shape(ys)}, not (K, {prior.dim}) with K >= 1")
         lam, h, mu = prior.lambda0, spec.lambda_h, prior.mu_f
         habs2 = np.abs(h) ** 2
         power = lam * habs2 + spec.sigma_y**2
@@ -138,6 +141,14 @@ def _score(D1, D2, D3, t: _Target, cotangents: bool = False):
     return loss, (c1, c2, np.add.reduce(resid, axis=0) / K * t.conj_mu)
 
 
+def _score_triple(triple, prior: SpectralPrior, spec: DegradationSpec, ys, cotangents: bool = False):
+    """``_score`` of a caller's triple, whose components must each be (d,)."""
+    for k, D in enumerate(triple, 1):
+        if np.shape(D) != (prior.dim,):
+            raise ValueError(f"D{k} has shape {np.shape(D)}, not the prior's ({prior.dim},)")
+    return _score(*triple, _Target(prior, spec, ys), cotangents)
+
+
 def triples_loss(
     D1: np.ndarray,
     D2: np.ndarray,
@@ -154,7 +165,7 @@ def triples_loss(
     up by M = D2 - A (the per-bin power d * (lambda |h|^2 + sigma^2)) plus the
     deterministic offset.
     """
-    return _score(D1, D2, D3, _Target(prior, spec, ys))
+    return _score_triple((D1, D2, D3), prior, spec, ys)
 
 
 def triples_loss_cotangents(
@@ -172,7 +183,7 @@ def triples_loss_cotangents(
     them into the gradient over the weights.  Where |D1| = 0 the variance
     term is not differentiable and its cotangent is taken as 0.
     """
-    return _score(D1, D2, D3, _Target(prior, spec, ys), cotangents=True)[1]
+    return _score_triple((D1, D2, D3), prior, spec, ys, cotangents=True)[1]
 
 
 def batch_loss(kind: str, theta: np.ndarray, ctx: LossContext) -> float:
@@ -208,4 +219,4 @@ def triple_realization_loss(
 ) -> float:
     """Squared W2 between the output law of a sampler's (D1, D2, D3) and the true posterior."""
     _require_same_dim(prior, spec, obs)
-    return _score(*triple, _Target(prior, spec, obs.y_f[None]))
+    return _score_triple(triple, prior, spec, obs.y_f[None])

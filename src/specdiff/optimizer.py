@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .objective import LossContext, batch_loss, loss_and_gradient
-from .schedule import ddim_subsequence, linear_ddpm_schedule
+from .schedule import ddim_subsequence
 from .spectral import DegradationSpec, Observation, SpectralPrior
 from .transfer import FAMILIES, WeightSchedule
 
@@ -350,17 +350,16 @@ def interpolate_weights(weights: WeightSchedule, S_new: int) -> WeightSchedule:
 def iterative_ladder(ctx: LossContext, opts: OptimizeOptions, on_solve=None) -> WeightSolution:
     """Solve the context up the ladder of step counts, or cold without one (None).
 
-    The rungs are the ladder's step counts below the context's S, then the
-    context itself, whose schedule the caller may have built otherwise.
-    Every rung solves from the default start and, after the first, from the
-    interpolated previous solution, keeping the better: warm starts converge
-    fast when the basin transfers across step counts but can drift into
-    worse local minima, which retrying the default start caps.  Returns the
-    final rung's best; on_solve(S, solution) sees every solve of every rung.
+    The rungs are the ladder's step counts below the context's S, cut from
+    the schedule's own table (``Schedule.full``) by ``ddim_subsequence``, then
+    the context itself.  Every rung solves from the default start and, after
+    the first, from the interpolated previous solution, keeping the better:
+    warm starts converge fast when the basin transfers across step counts but
+    can drift into worse local minima, which retrying the default start caps.
+    Returns the final rung's best; on_solve(S, solution) sees every solve.
     """
-    full = linear_ddpm_schedule(ctx.schedule.T_full)
     rungs = [
-        replace(ctx, schedule=ddim_subsequence(full, S_r))
+        replace(ctx, schedule=ddim_subsequence(ctx.schedule.full, S_r))
         for S_r in opts.ladder or ()
         if S_r < ctx.schedule.S
     ]

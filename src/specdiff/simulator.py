@@ -263,7 +263,7 @@ def _run_spectrum(
     if stop_at_s == sched.S:
         return None, realized
 
-    # Per-step multiplier tables, one row per step in run order s = S, S-1, ...
+    # Per-step multiplier tables in step order, row i for step stop_at_s + 1 + i.
     _require_hermitian(obs.y_f, "y_f")
     m = d // 2 + 1
     lam = prior.lambda0[:m]
@@ -271,9 +271,8 @@ def _run_spectrum(
     mu = prior.mu_f[:m]
     y = obs.y_f[:m]
     sig2 = spec.sigma_y**2
-    steps = np.arange(sched.S, stop_at_s, -1)
-    a, b = (v[:, None] for v in step_coeffs_scalar(sched, steps))
-    ab = sched.alpha_bar[steps - 1][:, None]  # (steps, 1), broadcast over the bins
+    a, b = (v[stop_at_s:, None] for v in step_coeffs_scalar(sched))
+    ab = sched.alpha_bar[stop_at_s:, None]  # (steps, 1), broadcast over the bins
     if guide.kind == GUIDANCE_OPTIMAL:
         # MAP denoiser x0hat = K^-1 ((1 - ab) Sigma H^T y + sig2 sqrt(ab) Sigma x
         # + sig2 (1 - ab) mu) with K = (1 - ab) Sigma H^T H + sig2 (ab Sigma + (1 - ab) I).
@@ -301,12 +300,12 @@ def _run_spectrum(
             squares = _aligned_empty((nh, 2 * n), np.float64)
         C = C[:, :nh, None]
         HJ = (h * J)[:, :nh, None]
-        cov = weights.r[steps - 1][:, None] ** 2 * np.abs(h) ** 2 + sig2 if pigdm else 1.0
+        cov = weights.r[stop_at_s:, None] ** 2 * np.abs(h) ** 2 + sig2 if pigdm else 1.0
         if np.any(cov == 0):  # r^2 H H^T + sig2 I, singular only without noise
             raise ValueError("zero likelihood-covariance bin")
         E = 1.0 / cov
         G = (J * np.conj(h) * E)[:, :nh, None]  # J^T H^T E; J is real and symmetric
-        w_fixed = column[steps - 1] if pigdm else 2.0 * column[steps - 1]
+        w_fixed = column[stop_at_s:] if pigdm else 2.0 * column[stop_at_s:]
         R = _aligned_empty((nh, n), complex)
         Rv = R.view(np.float64)  # (nh, 2n): the re and im parts of each trajectory
     if heuristic:
@@ -318,7 +317,7 @@ def _run_spectrum(
     def advance(check: bool) -> None:
         """Run every step from the starting states; with check, raise at the first non-finite one."""
         Xf[...] = np.fft.rfft(X, axis=-1).T
-        for i, s in enumerate(steps):
+        for i in range(len(ab) - 1, -1, -1):  # from step S down
             if guided:
                 np.multiply(HJ[i], Xf[:nh], out=R)
                 np.subtract(C[i], R, out=R)
@@ -328,7 +327,7 @@ def _run_spectrum(
                     np.add(sums[0::2], sums[1::2], out=norms)
                     np.add(norms, tail[i], out=norms)
                     np.sqrt(norms, out=norms)
-                    zeta = heuristic_zeta(guide.zeta_prime, norms, guide.cap, out=realized[s - 1])
+                    zeta = heuristic_zeta(guide.zeta_prime, norms, guide.cap, out=realized[stop_at_s + i])
                     # 2 zeta once for the re and once for the im part of each trajectory.
                     np.multiply(zeta, 2.0, out=w_pairs[0::2])
                     np.multiply(zeta, 2.0, out=w_pairs[1::2])
@@ -344,7 +343,7 @@ def _run_spectrum(
             if guided:
                 Xf[:nh] += R
             if check and not np.isfinite(Xv).all():
-                raise ValueError(f"diverged at step {s}")
+                raise ValueError(f"diverged at step {stop_at_s + 1 + i}")
 
     # One check of the final states; only a diverged batch replays to name its step.
     with np.errstate(over="ignore", invalid="ignore"):

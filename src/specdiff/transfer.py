@@ -23,18 +23,18 @@ Tweedie's formula k c is the per-bin Var[x0 | x_t].  It has no weights.
 
 A ``StepTable`` holds those per-step arrays for one (sampler, prior,
 degradation, schedule), so a solve builds them once, from one
-``step_coeffs`` call over all S steps.  For one packed weight vector it
-gives every step's (S, d) multipliers (``step_arrays``), composes them into
-the triple (``compose``), and gives a loss of the triple with its gradient
-over the weights in one call (``value_and_grad``).  Every composition runs
-in one workspace that the table allocates when it is built (the class
-docstring gives its layout).  The forward sweep writes every running state
-(p, q, m) into its (S+1, 3, d) state buffer, two in-place ufunc calls per
-step on flat (3d,) rows of one shape, and the triple comes from the last
-row; the loss scores it, and one backward sweep over the suffix products of
-G then reads the states from the buffer and turns the loss cotangents
-dL/d conj(D) into U = dL/d(w e) in O(S d), which the family pulls back to
-dL/dtheta.  Triples, step arrays and gradients are new arrays.
+``step_coeffs`` call over all S steps, in step order.  For one packed
+weight vector it gives every step's (S, d) multipliers (``step_arrays``),
+composes them into the triple (``compose``), and gives a loss of the triple
+with its gradient over the weights in one call (``value_and_grad``).  Every
+composition runs in one workspace that the table allocates when it is built
+(the class docstring gives its layout).  The forward sweep writes every
+running state (p, q, m) into its (S+1, 3, d) state buffer, two in-place
+ufunc calls per step on flat (3d,) rows of one shape, and the triple comes
+from the last row; the loss scores it, and one backward sweep over the
+suffix products of G then reads the states from the buffer and turns the
+loss cotangents dL/d conj(D) into U = dL/d(w e) in O(S d), which the family
+pulls back to dL/dtheta.  Triples, step arrays and gradients are new arrays.
 
 Both sweeps run in real float64 arithmetic, and that is exact, not an
 approximation.  lambda is a real spectrum, a, b, c, dd, |h|^2, sigma^2, w and
@@ -78,7 +78,7 @@ class _Family:
     """A guided sampler's packed weights theta: ``fields``, S entries each, gain first.
 
     ``weigh`` applies ``gains(theta, table)`` to a guidance direction, and
-    ``pullback`` turns U = dL/d(w e), (S, d) in sampling order, into dL/dtheta.
+    ``pullback`` turns U = dL/d(w e), (S, d) in step order, into dL/dtheta.
     """
 
     nonnegative = ()  # the fields floored at 0
@@ -105,10 +105,10 @@ class _Dps(_Family):
         return np.full(sched.S, 0.1)
 
     def gains(self, theta, table):
-        return 2.0 * theta[::-1, None]
+        return 2.0 * theta[:, None]
 
     def pullback(self, U, theta, gains, table):
-        return (2.0 * U.sum(axis=1))[::-1]
+        return 2.0 * U.sum(axis=1)
 
 
 class _Pigdm(_Family):
@@ -124,7 +124,7 @@ class _Pigdm(_Family):
         return np.concatenate([np.ones(sched.S), np.sqrt(1.0 - sched.alpha_bar)])
 
     def gains(self, theta, table):
-        w, r = theta[: table.S][::-1, None], theta[table.S :][::-1, None]
+        w, r = theta[: table.S, None], theta[table.S :, None]
         e = table._scratch[0]
         np.multiply(r**2, table.habs2, out=e)
         # r^2 |h|^2 + sigma^2 can only vanish without measurement noise.
@@ -141,10 +141,10 @@ class _Pigdm(_Family):
     def pullback(self, U, theta, gains, table):
         (w, e), (_, _, a1, a2, _) = gains, table._scratch
         dg = np.multiply(e, U, out=a1).sum(axis=1)
-        np.multiply(-2.0 * w * theta[table.S :][::-1, None], table.habs2, out=a1)
+        np.multiply(-2.0 * w * theta[table.S :, None], table.habs2, out=a1)
         np.multiply(a1, np.square(e, out=a2), out=a1)
         dr = np.multiply(a1, U, out=a1).sum(axis=1)
-        return np.concatenate([dg[::-1], dr[::-1]])
+        return np.concatenate([dg, dr])
 
 
 class _Ideal(_Family):
@@ -208,16 +208,17 @@ class StepTable:
 
     Building the table costs one ``step_coeffs`` call, for all S steps at
     once; every weight vector is then evaluated against it, so a solve builds
-    one table.  The arrays are real float64 (S, d), in sampling order
-    s = S..1: the unguided step (G0, M0), the guidance directions (dG, dQ,
-    dM) and the ideal sampler's fixed gains (w, e).  Every Q and dQ is held
-    without its factor conj(h), which ``step_arrays`` and the composed D2 put
-    back; the module docstring says why that is exact.
+    one table.  The arrays are real float64 (S, d), in step order s = 1..S:
+    the unguided step (G0, M0), the guidance directions (dG, dQ, dM) and the
+    ideal sampler's fixed gains (w, e).  Every Q and dQ is held without its
+    factor conj(h), which ``step_arrays`` and the composed D2 put back; the
+    module docstring says why that is exact.
 
     The table also owns one workspace, allocated here and reused by every
     composition:
 
-    * ``_x``, (S+1, 3, d): the running states (p, q, m), row j before step j;
+    * ``_x``, (S+1, 3, d): the running states (p, q, m), row s before step s
+      and row 0 the output;
     * ``_g``, (S, 3, d): each step's G copied over its three rows;
     * ``_src``, (S, 3, d): each step's sources (0, Q, M), whose p row stays 0;
     * ``_scratch``, five (S, d) arrays: PiGDM's e and the reverse sweep's
@@ -249,21 +250,20 @@ class StepTable:
         self.habs2 = np.abs(spec.lambda_h) ** 2
         self.sig2 = spec.sigma_y**2
         self._x = np.empty((S + 1, 3, d))
-        self._x[0] = [[1.0], [0.0], [0.0]]
+        self._x[S] = [[1.0], [0.0], [0.0]]
         self._g = np.empty((S, 3, d))
         self._src = np.zeros((S, 3, d))
-        rows = list(self._x.reshape(S + 1, 3 * d))
-        self._flat_steps = list(
-            zip(self._g.reshape(S, 3 * d), rows, rows[1:], self._src.reshape(S, 3 * d))
-        )
+        # The forward sweep walks the rows backwards: step s reads state row s
+        # and writes row s - 1.
+        rows, g, src = (list(x.reshape(len(x), 3 * d)) for x in (self._x, self._g, self._src))
+        self._flat_steps = list(zip(g[::-1], rows[:0:-1], rows[-2::-1], src[::-1]))
         self._gqm = (self._g[:, 0], self._src[:, 1], self._src[:, 2])
-        coeffs = step_coeffs(sched, np.arange(S, 0, -1), prior)
-        a, b, c, dd = coeffs.a_s[:, None], coeffs.b_s[:, None], coeffs.c_s, coeffs.d_s
+        a, b, c, dd = step_coeffs(sched, prior)
         self.G0, self.M0 = a + b * c, b * dd
         self.dG, self.dQ, self.dM = c**2 * self.habs2, c, c * self.habs2 * dd
         self._scratch = tuple(np.empty((S, d)) for _ in range(5))
         if kind == IDEAL:
-            k = (1.0 - sched.alpha_bar[::-1, None]) / np.sqrt(sched.alpha_bar[::-1, None])
+            k = (1.0 - sched.alpha_bar[:, None]) / np.sqrt(sched.alpha_bar[:, None])
             e = k * c * self.habs2 + self.sig2
             if np.any(e == 0):
                 raise ValueError("zero denominator bin")
@@ -273,10 +273,9 @@ class StepTable:
         """theta's real (S, d) (G, Q / conj(h), M), as views of the workspace, and its gains.
 
         The gains are the family's, the fixed (w, e) for the ideal sampler.
-        Step j of the sampling order is s = S - j, whose weights sit in entry
-        S - 1 - j of each field.  Products run in the contiguous temporary t
-        and only the last writes a strided view of the workspace: at d = 50 an
-        in-place ufunc on such a view took twice as long.
+        Products run in the contiguous temporary t and only the last writes a
+        strided view of the workspace: at d = 50 an in-place ufunc on such a
+        view took twice as long.
         """
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.width,):
@@ -294,7 +293,7 @@ class StepTable:
         return (G, Q, M), gains
 
     def step_arrays(self, theta):
-        """Every step's (G, Q, M), each (S, d), in sampling order s = S..1.
+        """Every step's (G, Q, M), each (S, d), in step order s = 1..S.
 
         ``theta`` is one packed weight vector (``WeightSchedule.theta``), empty
         for the ideal sampler.  Every step is G0 - (w dG) e, (w dQ) e,
@@ -308,10 +307,10 @@ class StepTable:
     def _sweep(self) -> np.ndarray:
         """The workspace's real (S+1, 3, d) running states after the last ``_steps``.
 
-        Row j is (p, q, m) before step j and row S the end.  From (1, 0, 0),
-        each step multiplies a flat row by its copied G into the next row and
-        adds the sources (0, Q, M) to it, in place.  Q is the real source, so
-        q is D2 / conj(h) until ``_triple`` applies conj(h).
+        Row s is (p, q, m) before step s and row 0 the end.  From (1, 0, 0) in
+        row S, each step s, from S down, multiplies row s by its copied G into
+        row s - 1 and adds the sources (0, Q, M) to it, in place.  Q is the
+        real source, so q is D2 / conj(h) until ``_triple`` applies conj(h).
         """
         multiply, add = np.multiply, np.add
         for g, before, after, src in self._flat_steps:
@@ -320,15 +319,15 @@ class StepTable:
         return self._x
 
     def _triple(self, x):
-        """Complex (D1, D2, D3), each (d,), from the last row of a sweep; new arrays."""
-        p, q, m = x[-1]
+        """Complex (D1, D2, D3), each (d,), from row 0 of a sweep; new arrays."""
+        p, q, m = x[0]
         return p.astype(complex), q * self.hbar, m.astype(complex)
 
     def compose(self, theta):
         """Composed (D1, D2, D3), each (d,), of one packed weight vector.
 
         The running state follows (p, q, m) <- (G p, G q + Q, G m + M) from
-        (1, 0, 0) over the steps in sampling order, which reproduces the
+        (1, 0, 0) over the steps from s = S down to 1, which reproduces the
         product-sum closed form because the per-bin factors commute.
         """
         self._steps(theta)
@@ -341,9 +340,10 @@ class StepTable:
         triple and its cotangents (c1, c2, c3), c_k = dL/d conj(D_k).  The
         forward sweep keeps every running state in the workspace, the reverse
         sweep maps the cotangents to U = dL/d(w e) and the family pulls U back
-        to dL/dtheta, empty for the ideal sampler.  D_k depends on step j's multipliers only through suffix_j
-        (G_j state_j + source_j), where state_j = (p, q, m) is row j of the
-        state buffer and suffix_j the product of the later G, so one backward
+        to dL/dtheta, empty for the ideal sampler.  D_k depends on step s's
+        multipliers only through suffix_s (G_s state_s + source_s), where
+        state_s = (p, q, m) is the state before step s and suffix_s the
+        product of the G of steps s-1..1, which run after it, so one
         cumulative product gives every step's sensitivity at O(S d) cost.
         ``score`` must not use the table.
         """
@@ -351,17 +351,17 @@ class StepTable:
         (G, _, _), gains = self._steps(theta)
         x = self._sweep()
         loss, (c1, c2, c3) = score(*self._triple(x))
-        p, q, m = x[:-1, 0], x[:-1, 1], x[:-1, 2]
+        p, q, m = x[1:, 0], x[1:, 1], x[1:, 2]
         _, a3, a1, a2, U = self._scratch
-        # a3 starts as the suffix products of G: 1 for the last step.
-        a3[-1] = 1.0
-        np.cumprod(G[:0:-1], axis=0, out=a3[-2::-1])
+        # a3 starts as the suffix products of G, the steps run after s: 1 for step 1.
+        a3[0] = 1.0
+        np.cumprod(G[:-1], axis=0, out=a3[1:])
         # Everything but D2's conj(h) is real, so only these real parts reach U.
         r2 = np.real(np.conj(c2) * self.hbar)
         np.multiply(a3, np.real(c1), out=a1)
         np.multiply(a3, r2, out=a2)
         np.multiply(a3, np.real(c3), out=a3)
-        # A unit of w e moves step j's multipliers by (-dG, dQ, -dM), so
+        # A unit of w e moves step s's multipliers by (-dG, dQ, -dM), so
         # U = 2 (a2 dQ - (a1 p + a2 q + a3 m) dG - a3 dM), in that order.
         np.multiply(a2, self.dQ, out=U)
         np.multiply(a2, q, out=a2)

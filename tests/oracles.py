@@ -87,18 +87,19 @@ def log_posterior(x0, mu0, Sigma0_inv, H, sigma_y, y, x_t, alpha_bar):
 def running_states(G, Q, M):
     """(S+1, 3, d) states (p, q, m) of the plain composition recurrence.
 
-    Row j holds the state before step j of the (S, d) step arrays, from
-    (1, 0, 0), under (p, q, m) <- (G p, G q + Q, G m + M); row S is the
-    composed triple.  The states take the dtype of the step arrays.
+    The (S, d) step arrays are in step order s = 1..S and run from s = S
+    down, from (1, 0, 0), under (p, q, m) <- (G p, G q + Q, G m + M).  Row s
+    holds the state before step s, row S the start and row 0 the composed
+    triple.  The states take the dtype of the step arrays.
     """
     p = np.ones(G.shape[1], dtype=np.result_type(G, Q, M))
     q = np.zeros_like(p)
     m = np.zeros_like(p)
     rows = [(p, q, m)]
-    for Gj, Qj, Mj in zip(G, Q, M):
+    for Gj, Qj, Mj in zip(G[::-1], Q[::-1], M[::-1]):
         p, q, m = Gj * p, Gj * q + Qj, Gj * m + Mj
         rows.append((p, q, m))
-    return np.array(rows)
+    return np.array(rows[::-1])
 
 
 def central_gradient(f, x, h=1e-5):

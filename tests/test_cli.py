@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from specdiff import SpectralPrior, cli, config, iterative_ladder, make_synthetic_prior, optimize_weights
+from specdiff import (
+    SpectralPrior,
+    cli,
+    config,
+    ddim_subsequence,
+    iterative_ladder,
+    linear_ddpm_schedule,
+    make_synthetic_prior,
+    optimize_weights,
+    optimizer,
+)
 from specdiff.cli import main
 from specdiff.config import ConfigError, load_config
 from specdiff.serialize import (
@@ -864,6 +874,27 @@ n_runs = 50
         reached = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
         expected = [f"dps S={S} realization={r}" for r in (0, 1) for S in (3, 6, 6)]
         assert result.stderr.splitlines() == [f"solve failed: {where}: {reached}" for where in expected]
+
+    def test_ladder_rungs_are_cut_from_the_linear_table_bit_for_bit(self, tmp_path, runner, monkeypatch):
+        # The command line cuts its schedules from the linear-beta table of
+        # schedule.T, and every ladder rung is cut from that same table.
+        rungs, solve = [], optimizer.optimize_weights
+
+        def recorded(ctx, init, opts):
+            rungs.append(ctx.schedule)
+            return solve(ctx, init, opts)
+
+        monkeypatch.setattr(optimizer, "optimize_weights", recorded)
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace("S = 5", "S = 9")
+        cfg = tmp_path / "ladder.cfg"
+        cfg.write_text(text.replace("max_iters = 60", "max_iters = 5\nladder = 3 6"))
+        result = runner.invoke(main, ["optimize", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert [r.S for r in rungs] == [3, 6, 6, 9, 9] * 2
+        full = linear_ddpm_schedule(200)
+        for rung in rungs:
+            assert rung.alpha_bar.tobytes() == ddim_subsequence(full, rung.S).alpha_bar.tobytes()
+            assert rung.full.tobytes() == full.tobytes()
 
     def test_sweep_solves_both_samplers_on_the_ladder(self, tmp_path, runner, monkeypatch):
         # The sweep used to run the ladder for DPS only, and cold solves from

@@ -143,6 +143,40 @@ class TestDimensionChecks:
         with pytest.raises(ValueError, match="degradation has length 1 but the prior has length 8"):
             LossContext(prior, spec, sched, "dps", None)
 
+    def test_mis_shaped_measurements_rejected(self):
+        # A (1, 1) stack of ones used to broadcast over the 8 bins and score
+        # 0.012275..., the loss of a (1, 8) stack of ones.
+        prior, spec, sched = self._model()
+        triple = ideal_triple(prior, spec, sched)
+        assert np.isfinite(triples_loss(*triple, prior, spec, np.ones((1, 8))))
+        for ys in (np.ones((1, 1)), np.ones((2, 9)), np.ones(8), np.ones((0, 8)), np.ones((1, 1, 8))):
+            for loss in (triples_loss, triples_loss_cotangents):
+                with pytest.raises(ValueError, match=r"not \(K, 8\) with K >= 1"):
+                    loss(*triple, prior, spec, ys)
+
+    def test_mis_shaped_triple_rejected(self):
+        # A length-1 D1 used to broadcast over the bins and score 0.1161.
+        prior, spec, sched = self._model()
+        obs = Observation(y_f=np.ones(8, complex))
+        D1, D2, D3 = ideal_triple(prior, spec, sched)
+        for k, bad in enumerate([D1[:1], D2[:, None], np.append(D3, 0.0)], 1):
+            triple = [D1, D2, D3]
+            triple[k - 1] = bad
+            with pytest.raises(ValueError, match=f"D{k} has shape"):
+                triples_loss(*triple, prior, spec, None)
+            with pytest.raises(ValueError, match=f"D{k} has shape"):
+                triples_loss_cotangents(*triple, prior, spec, obs.y_f[None])
+            with pytest.raises(ValueError, match=f"D{k} has shape"):
+                triple_realization_loss(tuple(triple), prior, spec, obs)
+
+    def test_degradation_of_another_length_rejected_by_the_triple_losses(self):
+        prior, spec, sched = self._model()
+        triple = ideal_triple(prior, spec, sched)
+        short = DegradationSpec(dim=1, lambda_h=np.ones(1, complex), sigma_y=0.1)
+        for loss in (triples_loss, triples_loss_cotangents):
+            with pytest.raises(ValueError, match="degradation has length 1 but the prior has length 8"):
+                loss(*triple, prior, short, None)
+
 
 class TestRealizationLoss:
     def test_zero_at_perfectly_matched_triple(self):

@@ -383,7 +383,7 @@ class TestOptimizeWeights:
         lam = np.array([2.0])
         prior = SpectralPrior(dim=1, mu_f=np.zeros(1, complex), lambda0=lam)
         spec = DegradationSpec(dim=1, lambda_h=np.ones(1, complex), sigma_y=0.5)
-        sched = Schedule(alpha_bar=np.array([0.5]), T_full=1)
+        sched = Schedule(alpha_bar=np.array([0.5]))
         y = 0.8
         obs = Observation(y_f=np.array([y + 0j]))
         ctx = LossContext(prior, spec, sched, "dps", (obs,))
@@ -477,6 +477,27 @@ class TestLadder:
             assert np.array_equal(a.weights.zeta, b.weights.zeta)
             assert a.final_loss == b.final_loss
         assert np.array_equal(got.weights.zeta, filtered.weights.zeta)
+
+    def test_rungs_of_a_direct_schedule_are_cut_from_its_own_table(self, monkeypatch):
+        # The rungs once came from the linear-beta table of T_full steps,
+        # whatever the context's schedule was: here the S = 4 rung ran on
+        # levels 0.994..0.886, far from the context's own steps 3, 6, 9 and 12
+        # (0.819..0.05), and T_full = 3 made the same ladder raise.
+        rng = np.random.default_rng(11)
+        ctx = replace(_small_ctx(rng, S=6), schedule=Schedule(alpha_bar=np.linspace(0.99, 0.05, 12)))
+        rungs, solve = [], optimizer.optimize_weights
+
+        def recorded(rung_ctx, init, opts):
+            rungs.append(rung_ctx.schedule)
+            return solve(rung_ctx, init, opts)
+
+        monkeypatch.setattr(optimizer, "optimize_weights", recorded)
+        iterative_ladder(ctx, OptimizeOptions(ladder=(4, 12), max_iters=5))
+        assert [r.S for r in rungs] == [4, 12, 12]
+        want = ddim_subsequence(ctx.schedule.alpha_bar, 4).alpha_bar
+        assert rungs[0].alpha_bar.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(want, ctx.schedule.alpha_bar[[2, 5, 8, 11]])
+        assert all(r is ctx.schedule for r in rungs[1:])
 
     def test_empty_ladder_rejected(self):
         with pytest.raises(ValueError, match="empty ladder"):

@@ -148,11 +148,45 @@ class TestOracles:
                 assert not hasattr(importlib.import_module(f"specdiff.{module}"), name), (module, name)
 
 
-def _fresh_python(*args: str) -> str:
-    """Stdout of a fresh interpreter that imports this checkout's package."""
+def _fresh_python(*args: str, **env: str) -> str:
+    """Stdout of a fresh interpreter that imports this checkout's package, with env added."""
     src = str(INIT.parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **env)
     return subprocess.run([sys.executable, *args], env=env, check=True, capture_output=True, text=True).stdout
+
+
+# The rerun toys.  The second solves PiGDM up a ladder, the route every solve
+# takes, on the 5 of its 8 bins with the largest prior eigenvalues
+# (keep_dims).  The third runs the ideal sampler: its step table through
+# eval-loss and the simulator's MAP step through simulate; optimize refuses it.
+RERUN_TOY = """\
+[prior]
+d = 8
+l = 0.1
+[degradation]
+V = 0.4
+[schedule]
+T = 50
+S = 3 6
+[sampler]
+zeta_prime = 0.1 0.3
+max_iters = 50
+{sampler}
+[run]
+n_realizations = 2
+n_runs = 8
+guidance = {guidance}
+"""
+RERUN_TOYS = {
+    "toy": ("", "heuristic", ("optimize", "eval-loss", "simulate", "sweep-wasserstein")),
+    "toy-pigdm": (
+        "kind = pigdm\nladder = 3 6\nkeep_dims = 5",
+        "heuristic",
+        ("optimize", "eval-loss", "simulate", "sweep-wasserstein"),
+    ),
+    "toy-ideal": ("weight_source = ideal", "optimal", ("eval-loss", "simulate")),
+}
 
 
 class TestStartUp:
@@ -192,6 +226,36 @@ class TestStartUp:
             "print('scipy.optimize' in sys.modules, 'scipy.optimize._lbfgsb' in sys.modules)\n"
         )
         assert _fresh_python("-c", code, str(cfg)).splitlines()[-1] == "False True"
+
+
+class TestReruns:
+    def test_commands_write_identical_bytes_under_two_hash_seeds(self, tmp_path):
+        # Two fresh interpreters, with PYTHONHASHSEED 1 and 2, run every
+        # command on the same toys; every output byte must agree.
+        code = (
+            "import sys\n"
+            "from specdiff.cli import main\n"
+            "args = sys.argv[1:]\n"
+            "for command, config, out in zip(args[0::3], args[1::3], args[2::3]):\n"
+            "    try:\n"
+            "        main([command, '--config', config, '--out', out])\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, (command, config, exc.code)\n"
+        )
+        runs = [tmp_path / f"run{seed}" for seed in (1, 2)]
+        for seed, run in zip((1, 2), runs):
+            args = []
+            for name, (sampler, guidance, commands) in RERUN_TOYS.items():
+                config = tmp_path / f"{name}.ini"
+                config.write_text(RERUN_TOY.format(sampler=sampler, guidance=guidance))
+                for command in commands:
+                    args += [command, str(config), str(run / name)]
+            _fresh_python("-c", code, *args, PYTHONHASHSEED=str(seed))
+        files = [sorted(p.relative_to(run) for p in run.rglob("*") if p.is_file()) for run in runs]
+        assert files[0] == files[1]
+        assert {p.parts[0] for p in files[0]} == set(RERUN_TOYS)
+        for rel in files[0]:
+            assert (runs[0] / rel).read_bytes() == (runs[1] / rel).read_bytes(), rel
 
 
 class TestBenchmarkHooks:

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 from itertools import chain
@@ -24,7 +25,6 @@ from specdiff import (
     make_synthetic_prior,
     monte_carlo,
     sample_prior,
-    step_coeffs_scalar,
     transfer_triple,
 )
 
@@ -103,8 +103,9 @@ def _dense_steps(cfg, obs, x, steps):
     x = np.array(x, dtype=float)
     realized = np.zeros((steps, len(x)))
     pigdm = guide.kind == "fixed" and guide.weights.kind == "pigdm"
+    prev = np.concatenate(([1.0], sched.alpha_bar[:-1]))
     for i, s in enumerate(range(sched.S, sched.S - steps, -1)):
-        ab, ab_prev = sched.at(s), sched.before(s)
+        ab, ab_prev = sched.alpha_bar[s - 1], prev[s - 1]
         a = np.sqrt((1 - ab_prev) / (1 - ab))
         b = np.sqrt(ab_prev) - np.sqrt(ab) * a
         J = np.sqrt(ab) * Sigma0 @ np.linalg.inv(ab * Sigma0 + (1 - ab) * np.eye(d))
@@ -140,10 +141,12 @@ def _first_nonfinite_step(cfg, obs, x, stop_at_s=0):
     lam, h, mu, y = prior.lambda0, spec.lambda_h, prior.mu_f, obs.y_f
     weights = guide.weights
     X = np.fft.fft(np.atleast_2d(x), axis=-1)
+    prev = np.concatenate(([1.0], sched.alpha_bar[:-1]))
     with np.errstate(all="ignore"):
         for s in range(sched.S, stop_at_s, -1):
-            a, b = step_coeffs_scalar(sched, s)
-            ab = sched.at(s)
+            ab, ab_prev = sched.alpha_bar[s - 1], prev[s - 1]
+            a = np.sqrt((1.0 - ab_prev) / (1.0 - ab))
+            b = np.sqrt(ab_prev) - np.sqrt(ab) * a
             reg = ab * lam + 1.0 - ab
             J = np.sqrt(ab) * lam / reg
             x0hat = J * X + (1.0 - ab) * mu / reg
@@ -168,7 +171,7 @@ def _near_fit_start(cfg, obs, rel=1e-12):
 
     Its DPS heuristic norm is tiny, so a huge zeta' overflows its weight.
     """
-    prior, spec, ab = cfg.prior, cfg.spec, cfg.schedule.at(cfg.schedule.S)
+    prior, spec, ab = cfg.prior, cfg.spec, cfg.schedule.alpha_bar[-1]
     reg = ab * prior.lambda0 + 1.0 - ab
     J = np.sqrt(ab) * prior.lambda0 / reg
     C = obs.y_f - spec.lambda_h * (1.0 - ab) * prior.mu_f / reg
@@ -355,15 +358,15 @@ class TestSimulateOne:
                 np.testing.assert_allclose(got_w, want_w, rtol=1e-10)
 
     def test_batch_takes_every_step_coefficient_from_one_call(self):
-        # A batch tabulates its steps' (a, b) from one array call, whose rows
-        # equal the per-step scalars.
+        # A batch tabulates its steps' (a, b) from one call over the whole
+        # schedule, whose rows equal the per-step DDIM formulas bit for bit.
         rng = np.random.default_rng(31)
         prior, spec, sched, obs = _setup(rng, S=9)
         scalars, calls = simulator.step_coeffs_scalar, []
 
-        def counted(sched_arg, s):
-            calls.append(np.ndim(s))
-            return scalars(sched_arg, s)
+        def counted(sched_arg):
+            calls.append(sched_arg is sched)
+            return scalars(sched_arg)
 
         cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=Guidance.none())
         x_s = rng.standard_normal((3, prior.dim))
@@ -371,13 +374,16 @@ class TestSimulateOne:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "step_coeffs_scalar", counted)
             _run_batch(cfg, obs, x_s, stop_at_s=2)
-            assert calls == [1]
+            assert calls == [True]
             got, _ = _run_batch(cfg, obs, x_s)
-        assert calls == [1, 1]
+        assert calls == [True, True]
         assert got.tobytes() == want.tobytes()
-        a, b = scalars(sched, np.arange(sched.S, 0, -1))
-        for j, s in enumerate(range(sched.S, 0, -1)):
-            assert (a[j], b[j]) == scalars(sched, s)
+        a, b = scalars(sched)
+        for s in range(1, sched.S + 1):
+            ab = float(sched.alpha_bar[s - 1])
+            ab_prev = 1.0 if s == 1 else float(sched.alpha_bar[s - 2])
+            a_s = math.sqrt((1.0 - ab_prev) / (1.0 - ab))
+            assert (a[s - 1], b[s - 1]) == (a_s, math.sqrt(ab_prev) - math.sqrt(ab) * a_s)
 
 
 class TestDivergence:
@@ -553,7 +559,7 @@ class TestMonteCarlo:
         lam = np.array([2.0])
         prior = SpectralPrior(dim=1, mu_f=np.zeros(1, complex), lambda0=lam)
         spec = DegradationSpec(dim=1, lambda_h=np.ones(1, complex), sigma_y=0.3)
-        sched = Schedule(alpha_bar=np.array([0.5]), T_full=1)
+        sched = Schedule(alpha_bar=np.array([0.5]))
         ab = 0.5
         c = np.sqrt(ab) * lam[0] / (ab * lam[0] + 1 - ab)
         zeta_kill = 1.0 / (2.0 * c)
@@ -713,7 +719,7 @@ class TestHeuristicProfile:
             Sigma0 = dense_operator_from_multiplier(prior.lambda0).real
             H = dense_operator_from_multiplier(spec.lambda_h).real
             y = obs.y_time()
-            ab = sched.at(sched.S)
+            ab = sched.alpha_bar[-1]
             x0 = [dense_prior_denoiser(prior.mu_time(), Sigma0, x, ab) for x in x_s]
             norms = np.array([np.linalg.norm(y - H @ x) for x in x0])
             np.testing.assert_allclose(realized[-1], 0.7 / norms, rtol=1e-10, err_msg=label)

@@ -56,13 +56,13 @@ def _reference_model():
 
 
 def all_steps(kind, theta, prior, spec, sched):
-    """Every step's (G, Q, M) for one packed weight vector, each (d,), s = S..1."""
+    """Every step's (G, Q, M) for one packed weight vector, each (d,), in step order s = 1..S."""
     return list(zip(*StepTable(kind, prior, spec, sched).step_arrays(theta)))
 
 
 def one_step(kind, theta, prior, spec, sched, s):
     """(G, Q, M) of step s alone."""
-    return all_steps(kind, theta, prior, spec, sched)[sched.S - s]
+    return all_steps(kind, theta, prior, spec, sched)[s - 1]
 
 
 def at_step(S, s, value, fill=0.0):
@@ -73,9 +73,9 @@ def at_step(S, s, value, fill=0.0):
 
 
 def unroll(steps, x_f, y_f, mu_f):
-    """Concrete step-by-step recursion, the reference for the composition."""
+    """Concrete step-by-step recursion over steps in step order, run from s = S down to 1."""
     x = x_f.copy()
-    for G, Q, M in steps:
+    for G, Q, M in reversed(steps):
         x = G * x + Q * y_f + M * mu_f
     return x
 
@@ -198,34 +198,32 @@ class TestStepTransfers:
         rng = np.random.default_rng(7)
         prior, spec, _ = _random_setup(rng)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
-        coeffs = step_coeffs(sched, 3, prior)
+        a, b, c, dd = (v[3 - 1] for v in step_coeffs(sched, prior))
         G, Q, M = one_step("dps", np.zeros(4), prior, spec, sched, 3)
-        np.testing.assert_allclose(G, coeffs.a_s + coeffs.b_s * coeffs.c_s)
+        np.testing.assert_allclose(G, a + b * c)
         np.testing.assert_array_equal(Q, np.zeros(8))
-        np.testing.assert_allclose(M, coeffs.b_s * coeffs.d_s)
+        np.testing.assert_allclose(M, b * dd)
 
     def test_guidance_dead_on_unobserved_bins(self):
         prior = make_synthetic_prior(8, 0.2)
         spec = make_lpf(8, 0.375, sigma_y=0.1)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
-        coeffs = step_coeffs(sched, 2, prior)
+        a, b, c, dd = (v[2 - 1] for v in step_coeffs(sched, prior))
         G, Q, M = one_step("dps", at_step(4, 2, 0.8), prior, spec, sched, 2)
         blocked = spec.lambda_h == 0
-        np.testing.assert_allclose(
-            G[blocked], (coeffs.a_s + coeffs.b_s * coeffs.c_s)[blocked]
-        )
+        np.testing.assert_allclose(G[blocked], (a + b * c)[blocked])
         np.testing.assert_array_equal(Q[blocked], 0)
-        np.testing.assert_allclose(M[blocked], (coeffs.b_s * coeffs.d_s)[blocked])
+        np.testing.assert_allclose(M[blocked], (b * dd)[blocked])
 
     def test_pigdm_zero_gain_is_prior_step(self):
         rng = np.random.default_rng(8)
         prior, spec, _ = _random_setup(rng)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
-        coeffs = step_coeffs(sched, 2, prior)
+        a, b, c, _ = (v[2 - 1] for v in step_coeffs(sched, prior))
         theta = np.concatenate([np.zeros(4), np.full(4, 0.5)])
         G, Q, M = one_step("pigdm", theta, prior, spec, sched, 2)
         np.testing.assert_array_equal(Q, np.zeros(8))
-        np.testing.assert_allclose(G, coeffs.a_s + coeffs.b_s * coeffs.c_s)
+        np.testing.assert_allclose(G, a + b * c)
 
     def test_pigdm_guidance_suppressed_by_huge_noise(self):
         rng = np.random.default_rng(9)
@@ -252,8 +250,8 @@ class TestStepTransfers:
             prior, spec, obs = _random_setup(rng)
             sched = ddim_subsequence(linear_ddpm_schedule(200), 6)
             s = int(rng.integers(1, 7))
-            ab = sched.at(s)
-            coeffs = step_coeffs(sched, s, prior)
+            ab = sched.alpha_bar[s - 1]
+            a, b = (v[s - 1] for v in step_coeffs(sched, prior)[:2])
             G, Q, M = one_step("ideal", np.empty(0), prior, spec, sched, s)
             x_s = rng.standard_normal(8)
 
@@ -267,10 +265,10 @@ class TestStepTransfers:
             )
             inv = np.linalg.inv(Sbar)
             dense_next = (
-                coeffs.a_s * x_s
-                + coeffs.b_s * inv @ (s2 * np.sqrt(ab) * Sigma0 @ x_s)
-                + coeffs.b_s * inv @ ((1 - ab) * Sigma0 @ H.T @ obs.y_time())
-                + coeffs.b_s * inv @ (s2 * (1 - ab) * prior.mu_time())
+                a * x_s
+                + b * inv @ (s2 * np.sqrt(ab) * Sigma0 @ x_s)
+                + b * inv @ ((1 - ab) * Sigma0 @ H.T @ obs.y_time())
+                + b * inv @ (s2 * (1 - ab) * prior.mu_time())
             )
             spectral_next = G * np.fft.fft(x_s) + Q * obs.y_f + M * prior.mu_f
             np.testing.assert_allclose(spectral_next, np.fft.fft(dense_next), atol=1e-10)
@@ -282,7 +280,7 @@ class TestStepTransfers:
         sched = ddim_subsequence(linear_ddpm_schedule(200), 6)
         G, Q, M = one_step("ideal", np.empty(0), prior, spec, sched, 1)
         x_f = np.fft.fft(rng.standard_normal(8))
-        want = posterior_optimal_denoise(prior, spec, obs.y_f, x_f, sched.at(1))
+        want = posterior_optimal_denoise(prior, spec, obs.y_f, x_f, sched.alpha_bar[0])
         np.testing.assert_allclose(G * x_f + Q * obs.y_f + M * prior.mu_f, want, atol=1e-12)
 
     def test_pigdm_zero_covariance_bin_rejected(self):
@@ -323,7 +321,7 @@ class TestTimeDomainOracle:
                 prior, spec, obs = _random_setup(rng, d=d)
                 ab_prev = float(rng.uniform(0.05, 0.999))
                 ab_s = float(rng.uniform(0.01, ab_prev - 1e-3))
-                two = Schedule(alpha_bar=np.array([ab_prev, ab_s]), T_full=2)
+                two = Schedule(alpha_bar=np.array([ab_prev, ab_s]))
                 x_s = rng.standard_normal(d)
                 if kind == "dps":
                     zeta = float(rng.uniform(-2, 2))
@@ -366,12 +364,12 @@ class TestCompose:
         prior, spec, _ = _random_setup(rng)
         two = ddim_subsequence(linear_ddpm_schedule(100), 2)
         theta = np.array([0.7, 0.3])
-        (G2, Q2, M2), (G1, Q1, M1) = zip(*StepTable("dps", prior, spec, two)._steps(theta)[0])
+        (G1, Q1, M1), (G2, Q2, M2) = zip(*StepTable("dps", prior, spec, two)._steps(theta)[0])
         D1, D2, D3 = transfer_triple(WeightSchedule.dps(theta), prior, spec, two)
         np.testing.assert_array_equal(D1, G1 * G2)
         np.testing.assert_array_equal(D2, (G1 * Q2 + Q1) * np.conj(spec.lambda_h))
         np.testing.assert_array_equal(D3, G1 * M2 + M1)
-        (G2, Q2, M2), (G1, Q1, M1) = all_steps("dps", theta, prior, spec, two)
+        (G1, Q1, M1), (G2, Q2, M2) = all_steps("dps", theta, prior, spec, two)
         assert not np.allclose(D2, G2 * Q1 + Q2)
 
     def test_pure_product_when_no_sources(self):
@@ -384,7 +382,8 @@ class TestCompose:
         np.testing.assert_allclose(D1, np.prod(Gs, axis=0))
         np.testing.assert_array_equal(D2, np.zeros(5))
         # With no measurement source, D3 is the product-sum over the M terms.
-        product_sum = sum(np.prod(Gs[j + 1 :], axis=0) * M for j, (_, _, M) in enumerate(steps))
+        # Step s is followed by steps s - 1, ..., 1, the first s - 1 in step order.
+        product_sum = sum(np.prod(Gs[: s - 1], axis=0) * M for s, (_, _, M) in enumerate(steps, 1))
         np.testing.assert_allclose(D3, product_sum)
 
     def test_empty_list_rejected(self):
@@ -423,8 +422,9 @@ class TestCompose:
 
     @pytest.mark.parametrize("kind", ["dps", "pigdm", "ideal"])
     def test_state_buffer_rows_equal_plain_recurrence(self, kind):
-        # Row j of the forward sweep's buffer is the state before step j; every
-        # row carries the plain recurrence's bits, at the reference size too.
+        # Row s of the forward sweep's buffer is the state before step s and
+        # row 0 the output; every row carries the plain recurrence's bits, at
+        # the reference size too.
         rng = np.random.default_rng(23)
         for S, (prior, spec) in (
             (1, _random_setup(rng)[:2]),
@@ -462,7 +462,7 @@ class TestCompose:
             assert not np.allclose(spec.lambda_h, np.conj(np.roll(spec.lambda_h[::-1], 1)))
             table = StepTable(kind, prior, spec, ddim_subsequence(linear_ddpm_schedule(1000), S))
             theta = rng.uniform(0, 0.2, table.width)
-            want = running_states(*table.step_arrays(theta))[-1]
+            want = running_states(*table.step_arrays(theta))[0]
             for got, ref in zip(table.compose(theta), want):
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
 
