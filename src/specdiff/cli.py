@@ -236,44 +236,40 @@ class _Runtime:
         return rows
 
 
-def _common_options(fn):
-    fn = click.option("--config", "config_path", required=True, type=click.Path())(fn)
-    fn = click.option("--seed", type=int, default=None, help="Overrides the config seed.")(fn)
-    fn = click.option("--out", type=click.Path(), default=None, help="Output directory.")(fn)
-    return fn
-
-
-def _load_runtime(config_path, seed, out) -> _Runtime:
-    return _Runtime(load_config(config_path), seed, out)
-
-
 @click.group()
 @click.version_option(__version__)
 def main():
     """Spectral analysis and weight optimization for guided DDIM samplers."""
 
 
-def _cli_command(fn):
-    """Shared error handling: config errors exit 2, numerical failures exit 3."""
+def _command(name: str):
+    """Register fn(rt) as the command name, which takes --config, --seed and --out.
 
-    def wrapper(config_path, seed, out, **kwargs):
-        try:
-            fn(_load_runtime(config_path, seed, out), **kwargs)
-        except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(2)
-        except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
-            sys.exit(3)
+    The command runs fn on the ``_Runtime`` of the loaded config; config
+    errors exit 2 and numerical failures exit 3.
+    """
 
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
+    def register(fn):
+        @main.command(name, help=fn.__doc__)
+        @click.option("--out", type=click.Path(), default=None, help="Output directory.")
+        @click.option("--seed", type=int, default=None, help="Overrides the config seed.")
+        @click.option("--config", "config_path", required=True, type=click.Path())
+        def command(config_path, seed, out):
+            try:
+                fn(_Runtime(load_config(config_path), seed, out))
+            except ConfigError as exc:
+                click.echo(f"config error: {exc}", err=True)
+                sys.exit(2)
+            except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+                click.echo(f"numerical failure: {exc}", err=True)
+                sys.exit(3)
+
+        return command
+
+    return register
 
 
-@main.command("optimize")
-@_common_options
-@_cli_command
+@_command("optimize")
 def cmd_optimize(rt: _Runtime):
     """Optimize weight schedules for each configured step count."""
     cfg = rt.cfg
@@ -308,17 +304,12 @@ def cmd_optimize(rt: _Runtime):
             for s in range(sched.S)
         ]
         write_csv(rt.out / f"weights_S{S}.csv", cols, rows, rt.header())
-        for k, sol in enumerate(sols):
-            loss_rows.append(
-                (cfg.sampler_kind, S, 0 if averaged else 1, sol.final_loss, rt.seed)
-            )
+        loss_rows += [(cfg.sampler_kind, S, 0 if averaged else 1, sol.final_loss, rt.seed) for sol in sols]
     write_csv(rt.out / "losses.csv", ["sampler", "S", "K", "loss", "seed"], loss_rows, rt.header())
     click.echo(f"wrote {len(cfg.S_list)} weight files to {rt.out}")
 
 
-@main.command("sweep-wasserstein")
-@_common_options
-@_cli_command
+@_command("sweep-wasserstein")
 def cmd_sweep_wasserstein(rt: _Runtime):
     """Wasserstein-2 sweep: heuristics, optimized weights, and the ideal sampler."""
     rt.require_posterior(PIGDM)
@@ -334,9 +325,7 @@ def cmd_sweep_wasserstein(rt: _Runtime):
     click.echo(f"wrote {len(all_rows)} sweep rows to {rt.out / 'sweep.csv'}")
 
 
-@main.command("simulate")
-@_common_options
-@_cli_command
+@_command("simulate")
 def cmd_simulate(rt: _Runtime):
     """Monte-Carlo output statistics and realized heuristic weight profiles."""
     cfg = rt.cfg
@@ -361,9 +350,7 @@ def cmd_simulate(rt: _Runtime):
     click.echo(f"wrote simulation outputs to {rt.out}")
 
 
-@main.command("estimate-prior")
-@_common_options
-@_cli_command
+@_command("estimate-prior")
 def cmd_estimate_prior(rt: _Runtime):
     """Estimate a stationary prior from a CSV of time-domain samples."""
     if not rt.cfg.samples_file:
@@ -375,9 +362,7 @@ def cmd_estimate_prior(rt: _Runtime):
     click.echo(f"wrote estimated prior ({prior.dim} bins) to {out_path}")
 
 
-@main.command("eval-loss")
-@_common_options
-@_cli_command
+@_command("eval-loss")
 def cmd_eval_loss(rt: _Runtime):
     """Evaluate configured weight schedules against the exact posterior."""
     cfg = rt.cfg

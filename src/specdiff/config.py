@@ -36,7 +36,7 @@ def _optional(parse):
 def _at_least(cast, low, message: str):
     def parse(key: str, raw: str):
         value = cast(raw)
-        if value < low:
+        if not low <= value < float("inf"):  # NaN fails too
             raise ConfigError(f"{key}: {message}")
         return value
 
@@ -89,7 +89,7 @@ class ExperimentConfig:
     prior_mu_const: float = _key("prior.mu_const", _plain(float), "0.0")
     prior_file: str | None = _key("prior.file", _plain(str))
     V: float = _key("degradation.V", _plain(float), "0.5")
-    sigma_y: float = _key("degradation.sigma_y", _at_least(float, 0, "must be nonnegative"), "0.1")
+    sigma_y: float = _key("degradation.sigma_y", _at_least(float, 0, "must be finite and >= 0"), "0.1")
     T: int = _key("schedule.T", _plain(int), "1000")
     S_list: tuple[int, ...] = _key(
         "schedule.S", _list(int, bool, "must list at least one step count", unique=True), "70"

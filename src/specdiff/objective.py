@@ -187,11 +187,13 @@ def triples_loss_cotangents(
 
 
 def batch_loss(kind: str, theta: np.ndarray, ctx: LossContext) -> float:
-    """The context's loss of one packed weight vector.
+    """The context's loss of one packed weight vector of the context's sampler kind.
 
     It takes one vector, not a batch; the name stays until the benchmark
     hooks that wrap it move in a declared benchmark change.
     """
+    if kind != ctx.sampler_kind:
+        raise ValueError("weights do not match the context's sampler kind")
     return _score(*batch_triples(kind, theta, ctx.prior, ctx.spec, ctx.schedule), ctx._target)
 
 

@@ -134,7 +134,7 @@ class MinimizeResult:
 
 
 def minimize(
-    fun, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray], max_iters: int, f_tol: float, start=None
+    fun, x0: np.ndarray, bounds: tuple[np.ndarray, np.ndarray], max_iters: int, f_tol: float, start
 ) -> MinimizeResult:
     """Minimize fun over the box bounds = (lower, upper) with L-BFGS-B.
 
@@ -146,8 +146,8 @@ def minimize(
     bound is absent; the same evaluations, one at the clipped start and one
     more only where setulb asks at a point that differs from the last one;
     and the same status message.  Every iterate therefore has scipy's bits.
-    ``start``, if given, is fun(x0) for an x0 inside the box: it stands for
-    the evaluation at the start, which ``nfev`` still counts.
+    ``start`` is fun at the clipped x0, which the caller has already
+    evaluated; ``nfev`` counts it as the first evaluation.
     """
     setulb = _setulb()
     lower, upper = (np.asarray(b, dtype=float) for b in bounds)
@@ -169,7 +169,7 @@ def minimize(
     factr = f_tol / np.finfo(float).eps
 
     x_eval = x.copy()
-    f_eval, g_eval = fun(x.copy()) if start is None else start
+    f_eval, g_eval = start
     nfev = 1
     nit = 0
     while True:

@@ -68,15 +68,12 @@ def linear_ddpm_schedule(T: int) -> np.ndarray:
 
 
 def ddim_subsequence(full: np.ndarray, S: int) -> Schedule:
-    """DDIM's uniform-stride subsequence of a full schedule, always ending at T."""
+    """DDIM's uniform stride: indices floor(k T / S + 1/2), k = 1..S, step by T / S >= 1 and end at T."""
     full = np.asarray(full, dtype=float)
     T = len(full)
     if not 1 <= S <= T:
         raise ValueError(f"S must lie in 1..{T}")
-    idx = np.clip(np.floor(np.arange(1, S + 1) * (T / S) + 0.5).astype(int), 1, T)
-    # The indices never decrease: keep the first of each run of equal ones.
-    # (np.unique would do the same, but it imports numpy.ma.)
-    idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+    idx = np.floor(np.arange(1, S + 1) * (T / S) + 0.5).astype(int)
     return Schedule(alpha_bar=full[idx - 1], full=full)
 
 

@@ -18,8 +18,8 @@ The weights come from a ``WeightSchedule`` or, for the DPS heuristic, from
 each trajectory's residual norm ||y - H x0hat|| (``heuristic_zeta``), which
 Parseval gives from the half spectrum.  The MAP ("optimal") denoiser is
 affine in the state as well, so its step is X <- A X + B too.  Before the
-first step a batch tabulates these per-bin multipliers for every step it
-runs, so the loop holds only per-bin arithmetic.  The state is stored bins
+first step a batch tabulates these per-bin multipliers for all S steps,
+so the loop holds only per-bin arithmetic.  The state is stored bins
 by trajectories, (d // 2 + 1, n), so that each per-bin factor scales a whole
 row and numpy's inner loops run over the n trajectories, not the few bins.
 
@@ -110,8 +110,8 @@ class Guidance:
         if self.kind == GUIDANCE_DPS_HEURISTIC:
             if self.zeta_prime is None:
                 raise ValueError("dps-heuristic guidance requires zeta_prime")
-            if self.zeta_prime <= 0:
-                raise ValueError("zeta_prime must be positive")
+            if not 0 < self.zeta_prime < np.inf:
+                raise ValueError("zeta_prime must be positive and finite")
 
     @classmethod
     def none(cls) -> "Guidance":
@@ -157,11 +157,11 @@ class RunStats:
 
     ``emp_var`` is the per-bin spectral power divided by d, i.e. in the same
     covariance-eigenvalue units as everything else in the package.
+    ``per_step_zeta`` is the DPS heuristic's realized (S, n_runs) zeta, else None.
     """
 
     emp_mean: np.ndarray
     emp_var: np.ndarray
-    n_runs: int
     per_step_zeta: np.ndarray | None = None
 
 
@@ -216,16 +216,13 @@ def _support_end(table: np.ndarray) -> int:
 
 
 def _run_spectrum(
-    cfg: SimConfig, obs: Observation, x_start: np.ndarray, stop_at_s: int = 0
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Advance a (n, d) batch of starting states through the sampler.
+    cfg: SimConfig, obs: Observation, x_start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Advance a (n, d) batch of starting states through steps s = S down to 1.
 
-    Runs steps s = S down to stop_at_s + 1 (the full trajectory by default).
-    Returns the resulting states' half spectrum, (d // 2 + 1, n) bins by
-    trajectories (None if no step ran), and the realized weights (S, n):
-    zeta for DPS, g for PiGDM, zero without guidance or for steps not run.
-    Only the DPS heuristic realizes weights that differ between runs; for the
-    other kinds the weights are a read-only broadcast of one column.
+    Returns the final states' half spectrum, (d // 2 + 1, n) bins by
+    trajectories, and for the DPS heuristic the (S, n) zeta each trajectory
+    realized (None for the other kinds, whose weights are the schedule's).
 
     Each step scales all d // 2 + 1 bins by A.  The guidance G (C - HJ X) is
     formed and added on bins [0, nh) and the offset B added on [0, nb), nh
@@ -252,18 +249,8 @@ def _run_spectrum(
     pigdm = weights is not None and weights.kind == PIGDM
     heuristic = guide.kind == GUIDANCE_DPS_HEURISTIC
     guided = heuristic or guide.kind == GUIDANCE_FIXED
-    column = np.zeros(sched.S)
-    if weights is not None:
-        column[stop_at_s:] = (weights.g if pigdm else weights.zeta)[stop_at_s:]
-    if heuristic:
-        realized = np.zeros((sched.S, n))
-        parseval = _parseval_weights(d)
-    else:
-        realized = np.broadcast_to(column[:, None], (sched.S, n))
-    if stop_at_s == sched.S:
-        return None, realized
 
-    # Per-step multiplier tables in step order, row i for step stop_at_s + 1 + i.
+    # Per-step multiplier tables in step order, row i for step i + 1.
     _require_hermitian(obs.y_f, "y_f")
     m = d // 2 + 1
     lam = prior.lambda0[:m]
@@ -271,8 +258,8 @@ def _run_spectrum(
     mu = prior.mu_f[:m]
     y = obs.y_f[:m]
     sig2 = spec.sigma_y**2
-    a, b = (v[stop_at_s:, None] for v in step_coeffs_scalar(sched))
-    ab = sched.alpha_bar[stop_at_s:, None]  # (steps, 1), broadcast over the bins
+    a, b = (v[:, None] for v in step_coeffs_scalar(sched))
+    ab = sched.alpha_bar[:, None]  # (S, 1), broadcast over the bins
     if guide.kind == GUIDANCE_OPTIMAL:
         # MAP denoiser x0hat = K^-1 ((1 - ab) Sigma H^T y + sig2 sqrt(ab) Sigma x
         # + sig2 (1 - ab) mu) with K = (1 - ab) Sigma H^T H + sig2 (ab Sigma + (1 - ab) I).
@@ -295,21 +282,24 @@ def _run_spectrum(
         C = y - h * x0_offset  # y - H x0hat = C - HJ x, x0hat = J x + offset
         if heuristic:
             # Parseval's share of the bins past nh, where the residual is C.
+            parseval = _parseval_weights(d)
             tail = (C.real[:, nh:] ** 2 + C.imag[:, nh:] ** 2) @ parseval[nh:]
             parseval = parseval[:nh]
             squares = _aligned_empty((nh, 2 * n), np.float64)
         C = C[:, :nh, None]
         HJ = (h * J)[:, :nh, None]
-        cov = weights.r[stop_at_s:, None] ** 2 * np.abs(h) ** 2 + sig2 if pigdm else 1.0
+        cov = weights.r[:, None] ** 2 * np.abs(h) ** 2 + sig2 if pigdm else 1.0
         if np.any(cov == 0):  # r^2 H H^T + sig2 I, singular only without noise
             raise ValueError("zero likelihood-covariance bin")
         E = 1.0 / cov
         G = (J * np.conj(h) * E)[:, :nh, None]  # J^T H^T E; J is real and symmetric
-        w_fixed = column[stop_at_s:] if pigdm else 2.0 * column[stop_at_s:]
         R = _aligned_empty((nh, n), complex)
         Rv = R.view(np.float64)  # (nh, 2n): the re and im parts of each trajectory
+    realized = np.empty((sched.S, n)) if heuristic else None  # each step fills its row
     if heuristic:
         sums, norms, w_pairs = np.empty(2 * n), np.empty(n), np.empty(2 * n)
+    elif guided:
+        w_fixed = weights.g if pigdm else 2.0 * weights.zeta
 
     Xf = _aligned_empty((m, n), complex)
     Xv = Xf.view(np.float64)  # (m, 2n), as Rv
@@ -317,7 +307,7 @@ def _run_spectrum(
     def advance(check: bool) -> None:
         """Run every step from the starting states; with check, raise at the first non-finite one."""
         Xf[...] = np.fft.rfft(X, axis=-1).T
-        for i in range(len(ab) - 1, -1, -1):  # from step S down
+        for i in range(sched.S - 1, -1, -1):  # from step S down
             if guided:
                 np.multiply(HJ[i], Xf[:nh], out=R)
                 np.subtract(C[i], R, out=R)
@@ -327,7 +317,7 @@ def _run_spectrum(
                     np.add(sums[0::2], sums[1::2], out=norms)
                     np.add(norms, tail[i], out=norms)
                     np.sqrt(norms, out=norms)
-                    zeta = heuristic_zeta(guide.zeta_prime, norms, guide.cap, out=realized[stop_at_s + i])
+                    zeta = heuristic_zeta(guide.zeta_prime, norms, guide.cap, out=realized[i])
                     # 2 zeta once for the re and once for the im part of each trajectory.
                     np.multiply(zeta, 2.0, out=w_pairs[0::2])
                     np.multiply(zeta, 2.0, out=w_pairs[1::2])
@@ -343,7 +333,7 @@ def _run_spectrum(
             if guided:
                 Xf[:nh] += R
             if check and not np.isfinite(Xv).all():
-                raise ValueError(f"diverged at step {stop_at_s + 1 + i}")
+                raise ValueError(f"diverged at step {i + 1}")
 
     # One check of the final states; only a diverged batch replays to name its step.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -378,7 +368,7 @@ def _require_stat_runs(n_runs: int) -> None:
 def monte_carlo(cfg: SimConfig, obs: Observation) -> RunStats:
     """Empirical output moments over i.i.d. standard-normal starting states."""
     _require_stat_runs(cfg.n_runs)
-    Xf, realized = _run_spectrum(cfg, obs, _start_states(cfg))
+    Xf, zeta = _run_spectrum(cfg, obs, _start_states(cfg))
     d = cfg.prior.dim
     # DC and, for even d, Nyquist are their own mirror: real, as irfft reads them.
     Xf.imag[[0, d // 2] if d % 2 == 0 else [0]] = 0.0
@@ -386,8 +376,7 @@ def monte_carlo(cfg: SimConfig, obs: Observation) -> RunStats:
     var = np.mean(np.abs(Xf - mean[:, None]) ** 2, axis=1) / d
     # Bin d - k of a real signal's spectrum is the conjugate of bin k.
     emp_mean, emp_var = (np.concatenate([v, v[(d - 1) // 2 : 0 : -1].conj()]) for v in (mean, var))
-    zeta = realized if cfg.guidance.kind == GUIDANCE_DPS_HEURISTIC else None
-    return RunStats(emp_mean=emp_mean, emp_var=emp_var, n_runs=cfg.n_runs, per_step_zeta=zeta)
+    return RunStats(emp_mean=emp_mean, emp_var=emp_var, per_step_zeta=zeta)
 
 
 def heuristic_weight_profile(

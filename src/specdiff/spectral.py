@@ -71,8 +71,10 @@ class SpectralPrior:
         object.__setattr__(self, "lambda0", lam)
         if self.dim < 1 or mu_f.shape != (self.dim,) or lam.shape != (self.dim,):
             raise ValueError("prior vectors must have length dim")
-        if np.any(lam < 0):
-            raise ValueError("lambda0 must be nonnegative")
+        if not np.all((lam >= 0) & (lam < np.inf)):
+            raise ValueError("lambda0 must be finite and nonnegative")
+        if not np.all(np.isfinite(mu_f)):
+            raise ValueError("mu_f must be finite")
 
     def mu_time(self) -> np.ndarray:
         """Time-domain mean vector."""
@@ -92,8 +94,10 @@ class DegradationSpec:
         object.__setattr__(self, "lambda_h", lh)
         if lh.shape != (self.dim,):
             raise ValueError("lambda_h must have length dim")
-        if self.sigma_y < 0:
-            raise ValueError("sigma_y must be nonnegative")
+        if not np.all(np.isfinite(lh)):
+            raise ValueError("lambda_h must be finite")
+        if not 0 <= self.sigma_y < np.inf:
+            raise ValueError("sigma_y must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -136,8 +140,10 @@ def make_synthetic_prior(d: int, l: float, mu_const: float = 0.0) -> SpectralPri
     """
     if d < 2:
         raise ValueError("d must be at least 2")
-    if l <= 0:
-        raise ValueError("l must be positive")
+    if not 0 < l < np.inf:
+        raise ValueError("l must be positive and finite")
+    if not np.isfinite(mu_const):
+        raise ValueError("mu_const must be finite")
     row = np.linspace(-l, l, d)
     lam = np.abs(circulant_eigenvalues(row)) ** 2
     mu_f = np.zeros(d, dtype=complex)

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from specdiff import (
     SpectralPrior,
+    WeightSchedule,
     cli,
     config,
     ddim_subsequence,
@@ -16,6 +17,7 @@ from specdiff import (
     make_synthetic_prior,
     optimize_weights,
     optimizer,
+    transfer_triple,
 )
 from specdiff.cli import main
 from specdiff.config import ConfigError, load_config
@@ -25,6 +27,8 @@ from specdiff.serialize import (
     read_samples_csv,
     write_csv,
 )
+
+from oracles import output_distribution, true_posterior, w2_diag
 
 BASE_CONFIG = """\
 [experiment]
@@ -83,7 +87,7 @@ class TestSerialize:
         prior = make_synthetic_prior(10, 0.2, mu_const=0.7)
         path = tmp_path / "prior.txt"
         lam = " ".join(repr(float(v)) for v in prior.lambda0)
-        path.write_text(f"dim = 10\nmu_const = 0.7\nlambda0 = {lam}\n")
+        path.write_text(f"# written by hand\ndim = 10\nmu_const = 0.7\nlambda0 = {lam}\n")
         back = prior_from_file(path)
         assert back.dim == 10
         np.testing.assert_allclose(back.lambda0, prior.lambda0)
@@ -530,6 +534,21 @@ class TestCliCommands:
                 "optimize", "sigma_y = 0.1", "sigma_y = -0.1", [], "degradation.sigma_y",
                 id="sigma_y",
             ),
+            # NaN and inf used to pass "< 0": simulate then wrote noiseless
+            # stats with exit 0, and the prior's l and mean exited 3.
+            pytest.param(
+                "simulate", "sigma_y = 0.1", "sigma_y = nan", [], "degradation.sigma_y",
+                id="sigma_y-nan",
+            ),
+            pytest.param(
+                "simulate", "sigma_y = 0.1", "sigma_y = inf", [], "degradation.sigma_y",
+                id="sigma_y-inf",
+            ),
+            pytest.param("optimize", "l = 0.1", "l = inf", [], "prior.l", id="l-inf"),
+            pytest.param(
+                "optimize", "l = 0.1", "l = 0.1\nmu_const = nan", [], "prior.mu_const",
+                id="mu_const-nan",
+            ),
         ],
     )
     def test_out_of_range_value_exits_2_naming_key(self, tmp_path, runner, command, old, new, args, key):
@@ -619,6 +638,20 @@ class TestCliCommands:
                 "optimize", {"max_iters = 60": "max_iters = 60\nf_tol = inf"}, "sampler.f_tol",
                 id="f_tol-inf",
             ),
+            pytest.param(
+                "sweep-wasserstein", {"0.1, 0.3": "0.1, nan"}, "sampler.zeta_prime",
+                id="zeta_prime-nan",
+            ),
+            # The config's own errors, which name no key.
+            pytest.param(
+                "optimize", {"[experiment]": "stray line\n[experiment]"}, "unreadable config",
+                id="unreadable",
+            ),
+            pytest.param(
+                "optimize", {"[run]": "[bogus]\nx = 1\n\n[run]"}, "unknown section: [bogus]",
+                id="unknown-section",
+            ),
+            pytest.param("optimize", {"d = 12": "d = twelve"}, "invalid config value", id="invalid-value"),
         ],
     )
     def test_value_rejected_when_config_loads(self, tmp_path, runner, command, edits, key):
@@ -650,6 +683,16 @@ class TestCliCommands:
         [
             pytest.param("optimize", "prior.file", None, id="prior-missing"),
             pytest.param("optimize", "prior.file", "dim = 12\n", id="prior-without-lambda0"),
+            # A NaN eigenvalue or sample used to load: the prior file's then
+            # exited 3 and the sample's wrote lambda0 = nan nan with exit 0.
+            pytest.param("optimize", "prior.file", "dim = 2\nlambda0 = nan 1.0\n", id="prior-nan"),
+            pytest.param(
+                "estimate-prior", "estimate.samples", "sample,index,value\n0,0,1.0\n1,0,nan\n",
+                id="samples-nan",
+            ),
+            pytest.param(
+                "estimate-prior", "estimate.samples", "sample,index,value\n", id="samples-no-rows"
+            ),
             pytest.param("estimate-prior", "estimate.samples", None, id="samples-missing"),
             pytest.param(
                 "estimate-prior", "estimate.samples", "sample,index,value\n0,0,1.0\n1,0,abc\n",
@@ -732,6 +775,47 @@ class TestCliCommands:
         data = [r for r in rows[4:] if r]
         assert len(data) == 2  # one S, two realizations
         assert all(r.startswith("ideal,5,1,") for r in data)
+
+    def test_eval_loss_pigdm_heuristic_rows_match_the_oracle(self, tmp_path, runner):
+        # The published PiGDM weighting is g = 1 and r = sqrt(1 - ab) at every step.
+        text = BASE_CONFIG.format(out=tmp_path / "ev").replace("optimize-k1", "pigdm-heuristic")
+        cfg = tmp_path / "ev.cfg"
+        cfg.write_text(text)
+        result = runner.invoke(main, ["eval-loss", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        rt = cli._Runtime(load_config(cfg), None, None)
+        sched = rt.schedules[5]
+        weights = WeightSchedule.pigdm(np.ones(5), np.sqrt(1.0 - sched.alpha_bar))
+        triple = transfer_triple(weights, rt.prior, rt.spec, sched)
+        rows = [r for r in (tmp_path / "ev" / "eval_loss.csv").read_text().splitlines()[4:] if r]
+        observations = rt.observations()
+        assert len(rows) == len(observations) == 2
+        for row, obs in zip(rows, observations):
+            name, S, K, loss, seed = row.split(",")
+            assert (name, S, K, seed) == ("pigdm-heuristic", "5", "1", "7")
+            out, post = output_distribution(triple, obs, rt.prior), true_posterior(rt.prior, rt.spec, obs)
+            assert float(loss) == pytest.approx(w2_diag(out, post) ** 2, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize(
+        "command, summary",
+        [
+            ("optimize", "Optimize weight schedules for each configured step count."),
+            ("sweep-wasserstein", "Wasserstein-2 sweep: heuristics, optimized weights, and the ideal sampler."),
+            ("simulate", "Monte-Carlo output statistics and realized heuristic weight profiles."),
+            ("estimate-prior", "Estimate a stationary prior from a CSV of time-domain samples."),
+            ("eval-loss", "Evaluate configured weight schedules against the exact posterior."),
+        ],
+    )
+    def test_help_text(self, runner, command, summary):
+        result = runner.invoke(main, [command, "--help"], prog_name="specdiff")
+        assert result.exit_code == 0, result.output
+        assert result.output == (
+            f"Usage: specdiff {command} [OPTIONS]\n\n  {summary}\n\nOptions:\n"
+            "  --out PATH      Output directory.\n"
+            "  --seed INTEGER  Overrides the config seed.\n"
+            "  --config PATH   [required]\n"
+            "  --help          Show this message and exit.\n"
+        )
 
     def test_seed_override_changes_outputs(self, tmp_path, runner):
         cfg = _write_config(tmp_path)

@@ -178,6 +178,24 @@ class TestDimensionChecks:
                 loss(*triple, prior, short, None)
 
 
+class TestContextChecks:
+    def test_unknown_kind_and_empty_observations_rejected(self):
+        prior, spec, sched = TestDimensionChecks()._model()
+        with pytest.raises(ValueError, match="unknown sampler kind: ideal"):
+            LossContext(prior, spec, sched, "ideal")
+        with pytest.raises(ValueError, match="need at least one observation"):
+            LossContext(prior, spec, sched, "dps", ())
+
+    def test_loss_of_another_samplers_weights_rejected(self):
+        # A DPS context used to score PiGDM weights by PiGDM's loss and
+        # "ideal" by the ideal sampler's.
+        ctx = _random_ctx(np.random.default_rng(24), S=3)
+        with pytest.raises(ValueError, match="weights do not match the context's sampler kind"):
+            weights_loss(WeightSchedule.pigdm(np.ones(3), np.ones(3)), ctx)
+        with pytest.raises(ValueError, match="weights do not match the context's sampler kind"):
+            batch_loss("ideal", np.empty(0), ctx)
+
+
 class TestRealizationLoss:
     def test_zero_at_perfectly_matched_triple(self):
         # Force D1 = sqrt(lambda_post), D2 = A, D3 = 1 - A h directly.

@@ -321,6 +321,19 @@ class TestOptimizeWeights:
             with pytest.raises(ValueError, match="non-finite loss or gradient"):
                 optimize_weights(ctx, default_init(ctx))
 
+    def test_start_of_another_kind_or_length_rejected(self):
+        ctx = _small_ctx(np.random.default_rng(23))
+        S = ctx.schedule.S
+        with pytest.raises(ValueError, match="do not match the context's sampler kind"):
+            optimize_weights(ctx, WeightSchedule.pigdm(np.ones(S), np.ones(S)))
+        with pytest.raises(ValueError, match="must match the schedule length"):
+            optimize_weights(ctx, WeightSchedule.dps(np.ones(S + 1)))
+
+    def test_mapping_to_pigdm_needs_noise(self):
+        for sigma_y in (0.0, -0.1):
+            with pytest.raises(ValueError, match="requires sigma_y > 0"):
+                pigdm_from_dps(np.ones(3), sigma_y)
+
     def test_pigdm_box_below_zero_rejected(self):
         # r >= 0 leaves PiGDM nothing in a box whose upper end is below 0;
         # the solve used to hand L-BFGS-B the empty box [0, hi].  DPS solves.
@@ -602,7 +615,7 @@ def _assert_matches_scipy(fun, x0, bounds, max_iters, f_tol):
     """The driver's result equals scipy's L-BFGS-B on the same problem, bit for bit."""
     from scipy.optimize import minimize as scipy_minimize
 
-    ours = optimizer.minimize(fun, x0, bounds, max_iters, f_tol)
+    ours = optimizer.minimize(fun, x0, bounds, max_iters, f_tol, start=fun(np.clip(x0, *bounds)))
     ref = scipy_minimize(
         fun,
         x0,
@@ -667,6 +680,11 @@ class TestMinimize:
         assert result.message == "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
         np.testing.assert_array_equal(result.x, [0.5, 0.0, 0.5])
 
+    def test_crossed_bounds_rejected(self):
+        box = (np.zeros(2), np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="upper bound is less than the corresponding lower bound"):
+            optimizer.minimize(lambda x: (0.0, x), np.zeros(2), box, 1, 1e-6, (0.0, np.zeros(2)))
+
     @pytest.mark.parametrize(
         "kernel",
         [
@@ -683,4 +701,6 @@ class TestMinimize:
         with pytest.MonkeyPatch.context() as mp:
             mp.setitem(sys.modules, "scipy.optimize._lbfgsb", kernel)
             with pytest.raises(ImportError, match=rf"scipy>=1\.17.*found scipy {scipy.__version__}"):
-                optimizer.minimize(lambda x: (0.0, x), np.zeros(1), (np.zeros(1), np.ones(1)), 1, 1e-6)
+                optimizer.minimize(
+                    lambda x: (0.0, x), np.zeros(1), (np.zeros(1), np.ones(1)), 1, 1e-6, (0.0, np.zeros(1))
+                )

@@ -55,6 +55,16 @@ class TestDdimSubsequence:
             sched = ddim_subsequence(linear_ddpm_schedule(T), S)
             assert np.all(np.diff(sched.alpha_bar) < 0)
 
+    def test_indices_strictly_increase_to_T(self):
+        # Indices floor(k T / S + 1/2), k = 1..S: before rounding they step by
+        # T / S >= 1, so none repeats, the first is at least 1 and the last is T.
+        for T in range(1, 201):
+            full = np.arange(T, 0, -1) / (T + 1)  # index i holds (T + 1 - i) / (T + 1)
+            for S in range(1, T + 1):
+                idx = T + 1 - np.rint(ddim_subsequence(full, S).alpha_bar * (T + 1)).astype(int)
+                assert len(idx) == S and idx[0] >= 1 and idx[-1] == T, (T, S)
+                assert np.all(np.diff(idx) > 0), (T, S)
+
     def test_oversized_subsequence_rejected(self):
         with pytest.raises(ValueError):
             ddim_subsequence(linear_ddpm_schedule(10), 11)

@@ -41,11 +41,9 @@ from oracles import (
 )
 
 
-def _run_batch(cfg, obs, x_start, stop_at_s=0):
-    """_run_spectrum with time-domain (n, d) states: x_start itself if no step ran."""
-    Xf, realized = _run_spectrum(cfg, obs, x_start, stop_at_s)
-    if Xf is None:
-        return x_start, realized
+def _run_batch(cfg, obs, x_start):
+    """_run_spectrum with time-domain (n, d) final states."""
+    Xf, realized = _run_spectrum(cfg, obs, x_start)
     return np.fft.irfft(Xf.T, n=cfg.prior.dim, axis=-1), realized
 
 
@@ -89,10 +87,11 @@ def _every_guidance(rng, S):
     ]
 
 
-def _dense_steps(cfg, obs, x, steps):
-    """Run the given steps with dense matrices: x <- a x + b x0hat + w J^T H^T E (y - H x0hat).
+def _dense_steps(cfg, obs, x):
+    """Run every step with dense matrices: x <- a x + b x0hat + w J^T H^T E (y - H x0hat).
 
-    Returns the final states and the (steps, n) weights w / 2 for DPS, w for PiGDM.
+    Returns the final states and the (S, n) weights in sampling order, from
+    s = S down: w / 2 for DPS, w for PiGDM.
     """
     prior, spec, sched, guide = cfg.prior, cfg.spec, cfg.schedule, cfg.guidance
     d = prior.dim
@@ -101,10 +100,10 @@ def _dense_steps(cfg, obs, x, steps):
     H = dense_operator_from_multiplier(spec.lambda_h).real
     sig2 = spec.sigma_y**2
     x = np.array(x, dtype=float)
-    realized = np.zeros((steps, len(x)))
+    realized = np.zeros((sched.S, len(x)))
     pigdm = guide.kind == "fixed" and guide.weights.kind == "pigdm"
     prev = np.concatenate(([1.0], sched.alpha_bar[:-1]))
-    for i, s in enumerate(range(sched.S, sched.S - steps, -1)):
+    for i, s in enumerate(range(sched.S, 0, -1)):
         ab, ab_prev = sched.alpha_bar[s - 1], prev[s - 1]
         a = np.sqrt((1 - ab_prev) / (1 - ab))
         b = np.sqrt(ab_prev) - np.sqrt(ab) * a
@@ -129,7 +128,7 @@ def _dense_steps(cfg, obs, x, steps):
     return x, realized
 
 
-def _first_nonfinite_step(cfg, obs, x, stop_at_s=0):
+def _first_nonfinite_step(cfg, obs, x):
     """Per-step-checked reference: the first step whose states are not all finite, or None.
 
     Each trajectory's full spectrum takes the guided step
@@ -143,7 +142,7 @@ def _first_nonfinite_step(cfg, obs, x, stop_at_s=0):
     X = np.fft.fft(np.atleast_2d(x), axis=-1)
     prev = np.concatenate(([1.0], sched.alpha_bar[:-1]))
     with np.errstate(all="ignore"):
-        for s in range(sched.S, stop_at_s, -1):
+        for s in range(sched.S, 0, -1):
             ab, ab_prev = sched.alpha_bar[s - 1], prev[s - 1]
             a = np.sqrt((1.0 - ab_prev) / (1.0 - ab))
             b = np.sqrt(ab_prev) - np.sqrt(ab) * a
@@ -188,7 +187,7 @@ class TestSimulateOne:
         D1, _, D3 = transfer_triple(WeightSchedule.dps(np.zeros(sched.S)), prior, spec, sched)
         want = D1 * np.fft.fft(x_start) + D3 * prior.mu_f
         np.testing.assert_allclose(np.fft.fft(X[0]), want, atol=1e-10 * max(1, np.max(np.abs(want))))
-        assert np.all(realized == 0)
+        assert realized is None
 
     def test_fixed_weight_trajectory_matches_composed_triple(self):
         rng = np.random.default_rng(1)
@@ -208,7 +207,7 @@ class TestSimulateOne:
             np.testing.assert_allclose(
                 np.fft.fft(X[0]), want, atol=1e-10 * max(1, np.max(np.abs(want)))
             )
-            np.testing.assert_array_equal(realized[:, 0], zeta)
+            assert realized is None
 
     def test_pigdm_trajectory_matches_composed_triple(self):
         rng = np.random.default_rng(2)
@@ -225,7 +224,7 @@ class TestSimulateOne:
             np.testing.assert_allclose(
                 np.fft.fft(X[0]), want, atol=1e-10 * max(1, np.max(np.abs(want)))
             )
-            np.testing.assert_array_equal(realized[:, 0], g)
+            assert realized is None
 
     def test_optimal_guidance_with_huge_noise_follows_prior_trajectory(self):
         rng = np.random.default_rng(3)
@@ -260,20 +259,16 @@ class TestSimulateOne:
 
     def test_unvaried_weights_are_not_allocated(self):
         # Only the DPS heuristic realizes weights that differ between runs;
-        # the other kinds return one column broadcast over the runs.
+        # the other kinds return none, since their weights are the schedule's.
         rng = np.random.default_rng(13)
         prior, spec, sched, obs = _setup(rng, S=5)
-        zeta = rng.uniform(-0.5, 0.5, sched.S)
-        for guide, column in [
-            (Guidance.none(), np.zeros(sched.S)),
-            (Guidance.optimal(), np.zeros(sched.S)),
-            (Guidance.fixed(WeightSchedule.dps(zeta)), zeta),
-        ]:
+        for guide in _every_guidance(rng, sched.S):
             cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
             _, realized = _run_batch(cfg, obs, rng.standard_normal((4, prior.dim)))
-            assert realized.shape == (sched.S, 4) and realized.strides[1] == 0
-            assert not realized.flags.writeable
-            np.testing.assert_array_equal(realized[:, 3], column)
+            if guide.kind == "dps-heuristic":
+                assert realized.shape == (sched.S, 4) and realized.flags.c_contiguous
+            else:
+                assert realized is None, guide.kind
 
     def test_steps_match_dense_time_domain_loop(self):
         # The state stays on the half spectrum between steps; check it there
@@ -281,19 +276,18 @@ class TestSimulateOne:
         # The random h have full support; the restricted setups make the
         # guidance and the offset skip bins where they are zero.
         rng = np.random.default_rng(15)
-        steps = 3
         setups = (("full", *_setup(rng, d=d, S=6, lam_floor=0.1)) for d in (4, 5))
         for label, prior, spec, sched, obs in chain(setups, _restricted_setups(rng, 6, 0.1)):
             for guide in _every_guidance(rng, sched.S):
                 cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
                 x_s = rng.standard_normal((4, prior.dim))
-                got, realized = _run_batch(cfg, obs, x_s, stop_at_s=sched.S - steps)
-                want, want_w = _dense_steps(cfg, obs, x_s, steps)
+                got, realized = _run_batch(cfg, obs, x_s)
+                want, want_w = _dense_steps(cfg, obs, x_s)
                 scale = max(1.0, np.max(np.abs(want)))
                 msg = f"{label} {guide.kind}"
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * scale, err_msg=msg)
-                np.testing.assert_allclose(realized[-steps:][::-1], want_w, rtol=1e-10, err_msg=msg)
-                assert np.all(realized[:-steps] == 0)
+                if guide.kind == "dps-heuristic":
+                    np.testing.assert_allclose(realized[::-1], want_w, rtol=1e-10, err_msg=msg)
 
     def test_one_real_fft_and_no_inverse_per_batch(self, monkeypatch):
         # monte_carlo once took an inverse real FFT of the final states and
@@ -317,18 +311,6 @@ class TestSimulateOne:
                 calls.update(rfft=0, irfft=0, fft=0)
                 run()
                 assert calls == {"rfft": 1, "irfft": 0, "fft": 0}, guide.kind
-
-    def test_zero_step_batch_returns_its_input(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        prior, spec, sched, obs = _setup(rng, S=5)
-        monkeypatch.setattr(np.fft, "rfft", None)  # no FFT may run
-        monkeypatch.setattr(np.fft, "irfft", None)
-        for guide in _every_guidance(rng, sched.S):
-            cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
-            x_s = rng.standard_normal((3, prior.dim))
-            got, realized = _run_spectrum(cfg, obs, x_s, stop_at_s=sched.S)
-            assert got is None
-            assert realized.shape == (sched.S, 3) and np.all(realized == 0)
 
     def test_dc_and_nyquist_round_off_does_not_feed_back(self):
         # SimConfig accepts imaginary parts of up to 1e-12 relative on the
@@ -355,7 +337,8 @@ class TestSimulateOne:
                 got, got_w = _run_batch(bent, bent_obs, x_s)
                 scale = max(1.0, np.max(np.abs(want)))
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * scale, err_msg=guide.kind)
-                np.testing.assert_allclose(got_w, want_w, rtol=1e-10)
+                if guide.kind == "dps-heuristic":
+                    np.testing.assert_allclose(got_w, want_w, rtol=1e-10)
 
     def test_batch_takes_every_step_coefficient_from_one_call(self):
         # A batch tabulates its steps' (a, b) from one call over the whole
@@ -373,10 +356,8 @@ class TestSimulateOne:
         want, _ = _run_batch(cfg, obs, x_s)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "step_coeffs_scalar", counted)
-            _run_batch(cfg, obs, x_s, stop_at_s=2)
-            assert calls == [True]
             got, _ = _run_batch(cfg, obs, x_s)
-        assert calls == [True, True]
+        assert calls == [True]
         assert got.tobytes() == want.tobytes()
         a, b = scalars(sched)
         for s in range(1, sched.S + 1):
@@ -392,7 +373,7 @@ class TestDivergence:
     S = 6
 
     def _cases(self):
-        """(label, cfg, obs, starts, stop_at_s, step): the batch diverges first at step."""
+        """(label, cfg, obs, starts, step): the batch diverges first at step."""
         S = self.S
         rng = np.random.default_rng(41)
         prior, spec, sched, obs = _setup(rng, S=S)
@@ -406,35 +387,33 @@ class TestDivergence:
         for kind, weights in fixed.items():
             every = Guidance.fixed(weights(np.full(S, 1e30)))
             # Each step scales a state by about 1e30: an unscaled one stays finite.
-            for label, guide, scale, stop, step in [
-                ("first step", every, 1e300, 0, S),
-                ("later step", every, 1e250, 0, S - 1),
-                ("last step", Guidance.fixed(weights(last_only)), 1e290, 0, 1),
-                ("stop_at_s > 0", every, 1e250, 3, S - 1),
+            for label, guide, scale, step in [
+                ("first step", every, 1e300, S),
+                ("later step", every, 1e250, S - 1),
+                ("last step", Guidance.fixed(weights(last_only)), 1e290, 1),
             ]:
                 starts = rng.standard_normal((4, d))
                 starts[2] *= scale
                 cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
-                yield f"{kind} {label}", cfg, obs, starts, stop, step
+                yield f"{kind} {label}", cfg, obs, starts, step
         # The heuristic steps a trajectory by about zeta' whatever its
         # residual, unless the norm is so small that 2 zeta overflows.
         guide = Guidance.dps_heuristic(1e300, cap=1e300)
         cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
-        for stop in (0, 3):
-            starts = rng.standard_normal((4, d))
-            starts[1] = _near_fit_start(cfg, obs)
-            yield f"heuristic stop_at_s={stop}", cfg, obs, starts, stop, S
+        starts = rng.standard_normal((4, d))
+        starts[1] = _near_fit_start(cfg, obs)
+        yield "heuristic", cfg, obs, starts, S
 
     def test_reports_the_first_diverging_step_without_warnings(self):
-        for label, cfg, obs, starts, stop, step in self._cases():
-            assert _first_nonfinite_step(cfg, obs, starts, stop) == step, label
+        for label, cfg, obs, starts, step in self._cases():
+            assert _first_nonfinite_step(cfg, obs, starts) == step, label
             # Only the scaled or fitted trajectory diverges.
-            alone = [_first_nonfinite_step(cfg, obs, x, stop) for x in starts]
+            alone = [_first_nonfinite_step(cfg, obs, x) for x in starts]
             assert sum(s is not None for s in alone) == 1, (label, alone)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match=f"^diverged at step {step}$"):
-                    _run_batch(cfg, obs, starts, stop_at_s=stop)
+                    _run_batch(cfg, obs, starts)
 
     def test_batch_restores_numpy_error_state_and_buffer_size(self):
         before = (np.geterr(), np.getbufsize())
@@ -443,9 +422,9 @@ class TestDivergence:
         cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=Guidance.none())
         _run_batch(cfg, obs, rng.standard_normal((40, prior.dim)))
         assert (np.geterr(), np.getbufsize()) == before
-        label, cfg, obs, starts, stop, step = next(self._cases())
+        label, cfg, obs, starts, step = next(self._cases())
         with pytest.raises(ValueError):
-            _run_batch(cfg, obs, starts, stop_at_s=stop)
+            _run_batch(cfg, obs, starts)
         assert (np.geterr(), np.getbufsize()) == before
 
     def test_one_finiteness_check_per_batch_and_one_replay(self, monkeypatch):
@@ -465,10 +444,10 @@ class TestDivergence:
             assert calls == {"isfinite": 1, "rfft": 1, "irfft": 1}, guide.kind
         # A diverged batch replays once, checking each step up to the first
         # non-finite one, and returns no states.
-        for label, cfg, obs, starts, stop, step in self._cases():
+        for label, cfg, obs, starts, step in self._cases():
             calls.update(isfinite=0, rfft=0, irfft=0)
             with pytest.raises(ValueError):
-                _run_batch(cfg, obs, starts, stop_at_s=stop)
+                _run_batch(cfg, obs, starts)
             assert calls == {"isfinite": 1 + self.S - step + 1, "rfft": 2, "irfft": 0}, label
 
 
@@ -483,6 +462,18 @@ class TestGuidance:
             Guidance(kind="dps-heuristic")
         with pytest.raises(ValueError, match="must be positive"):
             Guidance.dps_heuristic(0.0)
+        # A NaN zeta' used to pass "<= 0" and end as "diverged at step 3".
+        for zeta_prime in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                Guidance.dps_heuristic(zeta_prime)
+
+    def test_malformed_config_rejected(self):
+        prior, spec, sched, _ = _setup(np.random.default_rng(19), S=4)
+        short = Guidance.fixed(WeightSchedule.dps(np.zeros(3)))
+        with pytest.raises(ValueError, match="must match the schedule length"):
+            SimConfig(prior, spec, sched, short)
+        with pytest.raises(ValueError, match="n_runs must be positive"):
+            SimConfig(prior, spec, sched, Guidance.none(), n_runs=0)
 
     def test_degradation_of_another_length_rejected(self):
         # SimConfig used to accept a length-1 operator next to a d = 8 prior.
@@ -715,7 +706,7 @@ class TestHeuristicProfile:
             guide = Guidance.dps_heuristic(0.7, cap=1e6)
             cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide)
             x_s = rng.standard_normal((4, d))
-            _, realized = _run_batch(cfg, obs, x_s, stop_at_s=sched.S - 1)
+            _, realized = _run_batch(cfg, obs, x_s)
             Sigma0 = dense_operator_from_multiplier(prior.lambda0).real
             H = dense_operator_from_multiplier(spec.lambda_h).real
             y = obs.y_time()
@@ -723,7 +714,6 @@ class TestHeuristicProfile:
             x0 = [dense_prior_denoiser(prior.mu_time(), Sigma0, x, ab) for x in x_s]
             norms = np.array([np.linalg.norm(y - H @ x) for x in x0])
             np.testing.assert_allclose(realized[-1], 0.7 / norms, rtol=1e-10, err_msg=label)
-            assert np.all(realized[:-1] == 0)
 
     def test_replay_is_exactly_linear_in_the_constant(self):
         # The heuristic replayed on frozen residual norms scales with zeta'.

@@ -273,6 +273,59 @@ class TestConventionAndTypes:
         with pytest.raises(ValueError):
             SpectralPrior(dim=2, mu_f=np.zeros(2, complex), lambda0=np.array([1.0, -0.1]))
 
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            # Each non-finite value used to construct: NaN passes a "< 0" test.
+            pytest.param(
+                lambda: SpectralPrior(dim=2, mu_f=np.zeros(2), lambda0=[np.nan, 1.0]),
+                "lambda0 must be finite and nonnegative", id="lambda0-nan",
+            ),
+            pytest.param(
+                lambda: SpectralPrior(dim=2, mu_f=np.zeros(2), lambda0=[np.inf, 1.0]),
+                "lambda0 must be finite and nonnegative", id="lambda0-inf",
+            ),
+            pytest.param(
+                lambda: SpectralPrior(dim=2, mu_f=[np.nan, 0.0], lambda0=np.ones(2)),
+                "mu_f must be finite", id="mu_f-nan",
+            ),
+            pytest.param(
+                lambda: SpectralPrior(dim=3, mu_f=np.zeros(2), lambda0=np.ones(2)),
+                "prior vectors must have length dim", id="prior-length",
+            ),
+            pytest.param(
+                lambda: DegradationSpec(dim=2, lambda_h=np.ones(2), sigma_y=np.nan),
+                "sigma_y must be finite and nonnegative", id="sigma_y-nan",
+            ),
+            pytest.param(
+                lambda: DegradationSpec(dim=2, lambda_h=np.ones(2), sigma_y=np.inf),
+                "sigma_y must be finite and nonnegative", id="sigma_y-inf",
+            ),
+            pytest.param(
+                lambda: DegradationSpec(dim=2, lambda_h=np.ones(2), sigma_y=-0.1),
+                "sigma_y must be finite and nonnegative", id="sigma_y-negative",
+            ),
+            pytest.param(
+                lambda: DegradationSpec(dim=2, lambda_h=[1.0, np.nan], sigma_y=0.1),
+                "lambda_h must be finite", id="lambda_h-nan",
+            ),
+            pytest.param(
+                lambda: DegradationSpec(dim=3, lambda_h=np.ones(2), sigma_y=0.1),
+                "lambda_h must have length dim", id="degradation-length",
+            ),
+            pytest.param(
+                lambda: make_synthetic_prior(4, np.inf), "l must be positive and finite", id="l-inf"
+            ),
+            pytest.param(
+                lambda: make_synthetic_prior(4, 0.1, mu_const=np.nan), "mu_const must be finite",
+                id="mu_const-nan",
+            ),
+        ],
+    )
+    def test_model_out_of_range_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
     def test_prior_arrays_read_only(self):
         prior = make_synthetic_prior(8, 0.1)
         with pytest.raises(ValueError):

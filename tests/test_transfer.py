@@ -309,12 +309,14 @@ class TestTimeDomainOracle:
     """Single guided updates in the time domain must match the spectral transfers."""
 
     def test_guided_steps_match_spectral_transfers(self):
-        # Exercise each sampler's single-step update on random interior steps
-        # by advancing only the noisiest step of a two-step schedule.
+        # Exercise each sampler's update on random interior steps: a two-step
+        # schedule takes its noisiest step at a random level with random
+        # weights, then its final step, and must match the two steps' triples
+        # unrolled.
         from specdiff.simulator import _run_spectrum
 
         rng = np.random.default_rng(14)
-        kinds = ["dps", "pigdm", "optimal"]
+        kinds = ["dps", "pigdm", "ideal"]
         for kind in kinds:
             for _ in range(100):
                 d = int(rng.integers(2, 12))
@@ -324,21 +326,19 @@ class TestTimeDomainOracle:
                 two = Schedule(alpha_bar=np.array([ab_prev, ab_s]))
                 x_s = rng.standard_normal(d)
                 if kind == "dps":
-                    zeta = float(rng.uniform(-2, 2))
-                    G, Q, M = one_step("dps", [0.0, zeta], prior, spec, two, 2)
-                    guide = Guidance.fixed(WeightSchedule.dps([0.0, zeta]))
+                    theta = [0.0, float(rng.uniform(-2, 2))]
+                    guide = Guidance.fixed(WeightSchedule.dps(theta))
                 elif kind == "pigdm":
-                    g = float(rng.uniform(-2, 2))
-                    r = float(rng.uniform(0, 2))
-                    G, Q, M = one_step("pigdm", [0.0, g, 1.0, r], prior, spec, two, 2)
-                    guide = Guidance.fixed(WeightSchedule.pigdm([0.0, g], [1.0, r]))
+                    theta = [0.0, float(rng.uniform(-2, 2)), 1.0, float(rng.uniform(0, 2))]
+                    guide = Guidance.fixed(WeightSchedule.pigdm(theta[:2], theta[2:]))
                 else:
-                    G, Q, M = one_step("ideal", np.empty(0), prior, spec, two, 2)
+                    theta = np.empty(0)
                     guide = Guidance.optimal()
                 cfg = SimConfig(prior=prior, spec=spec, schedule=two, guidance=guide)
-                Xf, _ = _run_spectrum(cfg, obs, x_s[None, :], stop_at_s=1)
+                Xf, _ = _run_spectrum(cfg, obs, x_s[None, :])
                 X = np.fft.irfft(Xf.T, n=d, axis=-1)
-                want = G * np.fft.fft(x_s) + Q * obs.y_f + M * prior.mu_f
+                steps = all_steps(kind, np.asarray(theta, dtype=float), prior, spec, two)
+                want = unroll(steps, np.fft.fft(x_s), obs.y_f, prior.mu_f)
                 np.testing.assert_allclose(
                     np.fft.fft(X[0]), want, atol=1e-10 * max(1.0, np.max(np.abs(want)))
                 )
