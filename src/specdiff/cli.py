@@ -83,8 +83,15 @@ class _Runtime:
         self.seed = cfg.seed if seed is None else seed
         _config_value("experiment.seed", np.random.SeedSequence, self.seed)
         self.out = Path(out if out is not None else cfg.out)
+        named = {}
         for zp in cfg.zeta_primes:
             _config_value("sampler.zeta_prime", Guidance.dps_heuristic, zp)
+            # Outputs name a zeta' by {zp:g}, so two values must not share it.
+            other = named.setdefault(f"{zp:g}", zp)
+            if other != zp:
+                raise ConfigError(
+                    f"sampler.zeta_prime: {other!r} and {zp!r} share the output name {zp:g}"
+                )
         if cfg.prior_file:
             self.prior = _config_value("prior.file", prior_from_file, cfg.prior_file)
         else:

@@ -32,7 +32,7 @@ import numpy as np
 from .objective import LossContext, batch_loss, loss_and_gradient
 from .schedule import ddim_subsequence
 from .spectral import DegradationSpec, Observation, SpectralPrior
-from .transfer import FAMILIES, WeightSchedule
+from .transfer import DEFAULT_BOUNDS, FAMILIES, WeightSchedule
 
 __all__ = [
     "OptimizeOptions",
@@ -43,8 +43,6 @@ __all__ = [
     "interpolate_weights",
     "pigdm_from_dps",
 ]
-
-DEFAULT_BOUNDS = (-5.0, 5.0)
 
 
 # setulb's reverse-communication codes: task[0] is the state, task[1] the
@@ -278,8 +276,8 @@ def _kept_bins(ctx: LossContext, keep_dims: int) -> LossContext:
     prior, spec, obs = ctx.prior, ctx.spec, ctx.observations
     return replace(
         ctx,
-        prior=SpectralPrior(dim=len(keep), mu_f=prior.mu_f[keep], lambda0=prior.lambda0[keep]),
-        spec=DegradationSpec(dim=len(keep), lambda_h=spec.lambda_h[keep], sigma_y=spec.sigma_y),
+        prior=SpectralPrior(mu_f=prior.mu_f[keep], lambda0=prior.lambda0[keep]),
+        spec=DegradationSpec(lambda_h=spec.lambda_h[keep], sigma_y=spec.sigma_y),
         observations=None if obs is None else tuple(Observation(y_f=o.y_f[keep]) for o in obs),
     )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralPrior, _freeze
+from .spectral import SpectralPrior, _vector
 
 __all__ = [
     "Schedule",
@@ -43,13 +43,11 @@ class Schedule:
     full: np.ndarray | None = None
 
     def __post_init__(self):
-        ab = _freeze(np.array(self.alpha_bar, dtype=float))
-        full = ab if self.full is None else _freeze(np.array(self.full, dtype=float))
+        ab = _vector(self.alpha_bar, float, "alpha_bar")
+        full = ab if self.full is None else _vector(self.full, float, "full")
         object.__setattr__(self, "alpha_bar", ab)
         object.__setattr__(self, "full", full)
-        if ab.ndim != 1 or len(ab) < 1:
-            raise ValueError("alpha_bar must be a nonempty vector")
-        if not np.all((ab > 0) & (ab < 1)):  # NaN fails too
+        if not np.all((ab > 0) & (ab < 1)):
             raise ValueError("alpha_bar values must lie in (0, 1)")
         if np.any(np.diff(ab) >= 0):
             raise ValueError("alpha_bar must be strictly decreasing in s")

@@ -67,6 +67,9 @@ def read_samples_csv(path) -> np.ndarray:
     rows = _data_rows(path)[1:]
     if not rows:
         raise ValueError("no sample rows")
+    for r in rows:
+        if len(r) != 3:
+            raise ValueError(f"row {','.join(r)!r} is not sample,index,value")
     cells = np.array([(int(r[0]), int(r[1])) for r in rows])
     if np.any(cells < 0):
         raise ValueError("sample and index must be nonnegative")
@@ -98,24 +101,35 @@ def _fmt_complex(v: complex) -> str:
 
 
 def prior_from_file(path) -> SpectralPrior:
-    """Read the text form; ``mu_const = c`` may stand in for mu_f (mean c)."""
+    """Read the text form; ``mu_const = c`` may stand in for mu_f (mean c).
+
+    Every line that is not blank or a '#' comment sets one of the keys dim,
+    mu_f, lambda0 and mu_const, each at most once, and dim must count lambda0.
+    """
     entries = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ValueError(f"line {line!r} is not key = value")
+        if key not in ("dim", "mu_f", "lambda0", "mu_const") or key in entries:
+            raise ValueError(f"{'repeated' if key in entries else 'unknown'} key {key!r}")
+        entries[key] = value.strip()
     if "dim" not in entries or "lambda0" not in entries:
         raise ValueError("prior file must define dim and lambda0")
     d = int(entries["dim"])
-    lam = np.array([float(v) for v in entries["lambda0"].split()])
+    lam = [float(v) for v in entries["lambda0"].split()]
+    if d != len(lam):
+        raise ValueError(f"dim = {d} but lambda0 has {len(lam)} values")
     if "mu_f" in entries:
-        mu_f = np.array([complex(v) for v in entries["mu_f"].split()])
+        mu_f = [complex(v) for v in entries["mu_f"].split()]
     else:
         mu_f = np.zeros(d, dtype=complex)
-        mu_f[0] = d * float(entries.get("mu_const", "0"))
-    return SpectralPrior(dim=d, mu_f=mu_f, lambda0=lam)
+        mu_f[:1] = d * float(entries.get("mu_const", "0"))  # no bin at dim = 0, which the prior refuses
+    return SpectralPrior(mu_f=mu_f, lambda0=lam)
 
 
 def runstats_to_csv(stats: RunStats, path, header: dict | None = None) -> None:

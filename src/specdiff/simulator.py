@@ -72,7 +72,7 @@ from .spectral import (
     _require_hermitian,
     _require_same_dim,
 )
-from .transfer import PIGDM, WeightSchedule
+from .transfer import DEFAULT_BOUNDS, PIGDM, WeightSchedule
 
 __all__ = [
     "Guidance",
@@ -89,7 +89,7 @@ GUIDANCE_DPS_HEURISTIC = "dps-heuristic"
 GUIDANCE_OPTIMAL = "optimal"
 _GUIDANCE_KINDS = (GUIDANCE_NONE, GUIDANCE_FIXED, GUIDANCE_DPS_HEURISTIC, GUIDANCE_OPTIMAL)
 
-DEFAULT_ZETA_CAP = 5.0
+DEFAULT_ZETA_CAP = max(abs(b) for b in DEFAULT_BOUNDS)  # the box's largest |weight|, as the CLI's cap
 _ALIGN = 64  # bytes; the start of every step-loop buffer
 
 

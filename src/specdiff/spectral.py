@@ -5,6 +5,11 @@ transform is unnormalized (``numpy.fft.fft``) and the inverse divides by the
 length, so Parseval reads ``sum(|fft(x)|**2) / d == sum(x**2)``.  Spectral
 means are stored in forward-transform units; variances are stored as
 covariance eigenvalues (equivalently, spectral power divided by ``d``).
+
+Every value type of the package, here and in ``schedule`` and ``transfer``,
+takes its arrays through one helper, ``_vector``: a read-only 1-D copy,
+nonempty and finite, or a ValueError naming the field.  Each class then
+checks only its own rule, such as lambda >= 0 or a decreasing schedule.
 """
 
 from __future__ import annotations
@@ -27,7 +32,11 @@ __all__ = [
 ]
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _vector(values, dtype, name: str) -> np.ndarray:
+    """A read-only copy of values as dtype; raises unless it is 1-D, nonempty and finite."""
+    arr = np.array(values, dtype=dtype)
+    if arr.ndim != 1 or not arr.size or not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be a finite, nonempty 1-D array")
     arr.setflags(write=False)
     return arr
 
@@ -60,21 +69,20 @@ def _require_same_dim(
 class SpectralPrior:
     """Gaussian prior diagonalized by the DFT: spectral mean and eigenvalues."""
 
-    dim: int
     mu_f: np.ndarray
     lambda0: np.ndarray
 
     def __post_init__(self):
-        mu_f = _freeze(np.array(self.mu_f, dtype=complex))
-        lam = _freeze(np.array(self.lambda0, dtype=float))
-        object.__setattr__(self, "mu_f", mu_f)
-        object.__setattr__(self, "lambda0", lam)
-        if self.dim < 1 or mu_f.shape != (self.dim,) or lam.shape != (self.dim,):
-            raise ValueError("prior vectors must have length dim")
-        if not np.all((lam >= 0) & (lam < np.inf)):
-            raise ValueError("lambda0 must be finite and nonnegative")
-        if not np.all(np.isfinite(mu_f)):
-            raise ValueError("mu_f must be finite")
+        object.__setattr__(self, "mu_f", _vector(self.mu_f, complex, "mu_f"))
+        object.__setattr__(self, "lambda0", _vector(self.lambda0, float, "lambda0"))
+        if len(self.mu_f) != self.dim:
+            raise ValueError("mu_f and lambda0 must have the same length")
+        if np.any(self.lambda0 < 0):
+            raise ValueError("lambda0 must be nonnegative")
+
+    @property
+    def dim(self) -> int:
+        return len(self.lambda0)
 
     def mu_time(self) -> np.ndarray:
         """Time-domain mean vector."""
@@ -85,19 +93,17 @@ class SpectralPrior:
 class DegradationSpec:
     """Circulant measurement operator (spectral multipliers) plus noise level."""
 
-    dim: int
     lambda_h: np.ndarray
     sigma_y: float
 
     def __post_init__(self):
-        lh = _freeze(np.array(self.lambda_h, dtype=complex))
-        object.__setattr__(self, "lambda_h", lh)
-        if lh.shape != (self.dim,):
-            raise ValueError("lambda_h must have length dim")
-        if not np.all(np.isfinite(lh)):
-            raise ValueError("lambda_h must be finite")
+        object.__setattr__(self, "lambda_h", _vector(self.lambda_h, complex, "lambda_h"))
         if not 0 <= self.sigma_y < np.inf:
             raise ValueError("sigma_y must be finite and nonnegative")
+
+    @property
+    def dim(self) -> int:
+        return len(self.lambda_h)
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,7 @@ class Observation:
     y_f: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "y_f", _freeze(np.array(self.y_f, dtype=complex)))
+        object.__setattr__(self, "y_f", _vector(self.y_f, complex, "y_f"))
 
     @property
     def dim(self) -> int:
@@ -148,7 +154,7 @@ def make_synthetic_prior(d: int, l: float, mu_const: float = 0.0) -> SpectralPri
     lam = np.abs(circulant_eigenvalues(row)) ** 2
     mu_f = np.zeros(d, dtype=complex)
     mu_f[0] = d * mu_const
-    return SpectralPrior(dim=d, mu_f=mu_f, lambda0=lam)
+    return SpectralPrior(mu_f=mu_f, lambda0=lam)
 
 
 def make_lpf(d: int, V: float, sigma_y: float = 0.0) -> DegradationSpec:
@@ -166,7 +172,7 @@ def make_lpf(d: int, V: float, sigma_y: float = 0.0) -> DegradationSpec:
         lo = k // 2
         raise ValueError(f"keeping {k} of {d} bins splits the conjugate pair ({lo}, {d - lo})")
     dist = np.minimum(np.arange(d), d - np.arange(d))  # circular distance from DC
-    return DegradationSpec(dim=d, lambda_h=(dist <= k // 2).astype(complex), sigma_y=sigma_y)
+    return DegradationSpec(lambda_h=(dist <= k // 2).astype(complex), sigma_y=sigma_y)
 
 
 def sample_prior(prior: SpectralPrior, rng: np.random.Generator) -> np.ndarray:
@@ -203,4 +209,4 @@ def estimate_spectral_prior(samples: np.ndarray) -> SpectralPrior:
     mu_f = np.fft.fft(mean)
     dev_f = np.fft.fft(samples - mean, axis=1)
     lam = np.mean(np.abs(dev_f) ** 2, axis=0) / d
-    return SpectralPrior(dim=d, mu_f=mu_f, lambda0=lam)
+    return SpectralPrior(mu_f=mu_f, lambda0=lam)

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import Schedule, step_coeffs
-from .spectral import DegradationSpec, SpectralPrior, _freeze, _require_same_dim
+from .spectral import DegradationSpec, SpectralPrior, _require_same_dim, _vector
 
 __all__ = [
     "DPS",
@@ -72,6 +72,8 @@ __all__ = [
 DPS = "dps"
 PIGDM = "pigdm"
 IDEAL = "ideal"
+
+DEFAULT_BOUNDS = (-5.0, 5.0)  # the box of every weight, and the config's sampler.bounds
 
 
 class _Family:
@@ -175,9 +177,9 @@ class WeightSchedule:
     def __post_init__(self):
         if self.kind not in FAMILIES:
             raise ValueError(f"unknown sampler kind: {self.kind}")
-        family, theta = FAMILIES[self.kind], _freeze(np.array(self.theta, dtype=float))
-        if theta.ndim != 1 or len(theta) % len(family.fields):
-            raise ValueError(f"theta must be 1-D, {' and '.join(family.fields)} of the same length")
+        family, theta = FAMILIES[self.kind], _vector(self.theta, float, "theta")
+        if len(theta) % len(family.fields):
+            raise ValueError(f"theta must split into {' and '.join(family.fields)} of the same length")
         object.__setattr__(self, "theta", theta)
         if np.any(theta < family.box(self.steps, (-np.inf, np.inf))[0]):
             raise ValueError(f"{' and '.join(family.nonnegative)} must be nonnegative")

@@ -96,7 +96,7 @@ class TestSerialize:
     def test_prior_file_roundtrip_inline_mu(self, tmp_path):
         rng = np.random.default_rng(0)
         mu_f = np.fft.fft(rng.standard_normal(6))
-        prior = SpectralPrior(dim=6, mu_f=mu_f, lambda0=np.abs(mu_f))
+        prior = SpectralPrior(mu_f=mu_f, lambda0=np.abs(mu_f))
         path = tmp_path / "prior.txt"
         prior_to_file(prior, path)
         back = prior_from_file(path)
@@ -141,6 +141,15 @@ class TestConfig:
                 continue
             for module in modules:
                 assert module.split(".")[0] not in ("numpy", ""), f"config.py imports {module}"
+
+    def test_default_bounds_are_the_family_box(self):
+        # config.py writes the default box itself, for the same reason: it
+        # must parse to the one constant the solves and the heuristic's cap use.
+        from specdiff.config import ExperimentConfig
+        from specdiff.transfer import DEFAULT_BOUNDS
+
+        (box,) = [f for f in fields(ExperimentConfig) if f.metadata.get("key") == "sampler.bounds"]
+        assert box.metadata["parse"]("sampler.bounds", box.metadata["default"]) == DEFAULT_BOUNDS
 
     def test_invalid_source_rejected(self, tmp_path):
         text = BASE_CONFIG.format(out=tmp_path).replace("optimize-k1", "banana")
@@ -623,6 +632,12 @@ class TestCliCommands:
                 "sweep-wasserstein", {"0.1, 0.3": "0.3, 0.3"}, "sampler.zeta_prime",
                 id="zeta_prime-repeated",
             ),
+            pytest.param(
+                "simulate",
+                {"0.1, 0.3": "0.1, 0.1000001", "n_runs = 16": "n_runs = 16\nguidance = heuristic"},
+                "sampler.zeta_prime",
+                id="zeta_prime-same-name",
+            ),
             pytest.param("sweep-wasserstein", {"S = 5": "S = 3 3"}, "schedule.S", id="S-repeated"),
             pytest.param(
                 "optimize",
@@ -665,7 +680,10 @@ class TestCliCommands:
         # rows.  A repeated S or zeta' used to write sweep rows whose
         # (method, S, realization) keys repeat, with different values.
         # n_realizations = 0 was checked only where measurements were drawn,
-        # so the averaged optimize, which draws none, exited 0.  f_tol = nan
+        # so the averaged optimize, which draws none, exited 0.  Two zeta'
+        # that print alike under {:g}, such as 0.1 and 0.1000001, used to
+        # share output names: simulate's second batch overwrote the first's
+        # files and the sweep wrote two dps-heuristic-0.1 rows.  f_tol = nan
         # turned off L-BFGS-B's relative-reduction test and f_tol = inf
         # stopped every solve after its first iteration, both with exit 0.
         text = BASE_CONFIG.format(out=tmp_path / "out").replace("T = 200", "T = 50")
@@ -686,6 +704,25 @@ class TestCliCommands:
             # A NaN eigenvalue or sample used to load: the prior file's then
             # exited 3 and the sample's wrote lambda0 = nan nan with exit 0.
             pytest.param("optimize", "prior.file", "dim = 2\nlambda0 = nan 1.0\n", id="prior-nan"),
+            # Each of these used to load with exit 0: a misspelt key was
+            # ignored, a repeated one silently won and a line without "="
+            # was skipped.  dim = 0 with no values ended in an IndexError.
+            pytest.param(
+                "optimize", "prior.file", "dim = 2\nmuf = 5+0j 0j\nlambda0 = 1.0 2.0\n",
+                id="prior-unknown-key",
+            ),
+            pytest.param(
+                "optimize", "prior.file", "dim = 2\nlambda0 = 1.0 2.0\nlambda0 = 3.0 4.0\n",
+                id="prior-repeated-key",
+            ),
+            pytest.param(
+                "optimize", "prior.file", "dim = 2\nlambda0 1.0 2.0\nlambda0 = 1.0 2.0\n",
+                id="prior-line-without-equals",
+            ),
+            pytest.param(
+                "optimize", "prior.file", "dim = 3\nlambda0 = 1.0 2.0\n", id="prior-dim-mismatch"
+            ),
+            pytest.param("optimize", "prior.file", "dim = 0\nlambda0 =\n", id="prior-empty"),
             pytest.param(
                 "estimate-prior", "estimate.samples", "sample,index,value\n0,0,1.0\n1,0,nan\n",
                 id="samples-nan",
@@ -721,6 +758,17 @@ class TestCliCommands:
                 "estimate-prior", "estimate.samples",
                 "sample,index,value\n0,0,1.0\n1,0,2.0\n0,-1,3.0\n1,-1,4.0\n",
                 id="samples-negative-index",
+            ),
+            # A short row used to end in an IndexError traceback (exit 1), and
+            # a long one was read with its extra field ignored.
+            pytest.param(
+                "estimate-prior", "estimate.samples", "sample,index,value\n0,0,1.0\n1,0\n",
+                id="samples-short-row",
+            ),
+            pytest.param(
+                "estimate-prior", "estimate.samples",
+                "sample,index,value\n0,0,1.0\n1,0,2.0,9\n",
+                id="samples-long-row",
             ),
         ],
     )

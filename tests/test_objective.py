@@ -36,9 +36,9 @@ from oracles import (
 
 def _random_ctx(rng, d=8, S=6, kind="dps", sigma=None, K=1):
     mu_f, lam = random_prior_arrays(d, rng)
-    prior = SpectralPrior(dim=d, mu_f=mu_f, lambda0=lam)
+    prior = SpectralPrior(mu_f=mu_f, lambda0=lam)
     sigma = float(rng.uniform(0.1, 0.8)) if sigma is None else sigma
-    spec = DegradationSpec(dim=d, lambda_h=np.fft.fft(rng.standard_normal(d)), sigma_y=sigma)
+    spec = DegradationSpec(lambda_h=np.fft.fft(rng.standard_normal(d)), sigma_y=sigma)
     sched = ddim_subsequence(linear_ddpm_schedule(200), S)
     obs = tuple(
         degrade(sample_prior(prior, rng), spec, rng) for _ in range(K)
@@ -79,8 +79,8 @@ class TestW2Diag:
 
 class TestWienerGain:
     def test_exact_inversion_without_noise(self):
-        prior = SpectralPrior(dim=3, mu_f=np.zeros(3, complex), lambda0=np.ones(3))
-        spec = DegradationSpec(dim=3, lambda_h=np.ones(3, complex), sigma_y=0.0)
+        prior = SpectralPrior(mu_f=np.zeros(3, complex), lambda0=np.ones(3))
+        spec = DegradationSpec(lambda_h=np.ones(3, complex), sigma_y=0.0)
         np.testing.assert_allclose(wiener_gain(prior, spec), np.ones(3))
 
     def test_blocked_bin_gain_is_zero(self):
@@ -90,18 +90,18 @@ class TestWienerGain:
         assert np.all(A[spec.lambda_h == 0] == 0)
 
     def test_unit_snr_scalar_value(self):
-        prior = SpectralPrior(dim=2, mu_f=np.zeros(2, complex), lambda0=np.ones(2))
+        prior = SpectralPrior(mu_f=np.zeros(2, complex), lambda0=np.ones(2))
         h = np.array([1j, -1j])
-        spec = DegradationSpec(dim=2, lambda_h=h, sigma_y=1.0)
+        spec = DegradationSpec(lambda_h=h, sigma_y=1.0)
         np.testing.assert_allclose(wiener_gain(prior, spec), np.conj(h) / 2)
 
     def test_gain_never_over_inverts(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             mu_f, lam = random_prior_arrays(8, rng)
-            prior = SpectralPrior(dim=8, mu_f=mu_f, lambda0=lam)
+            prior = SpectralPrior(mu_f=mu_f, lambda0=lam)
             spec = DegradationSpec(
-                dim=8, lambda_h=np.fft.fft(rng.standard_normal(8)), sigma_y=rng.uniform(0.01, 1)
+                lambda_h=np.fft.fft(rng.standard_normal(8)), sigma_y=rng.uniform(0.01, 1)
             )
             A = wiener_gain(prior, spec)
             assert np.all(np.abs(A * spec.lambda_h) <= 1 + 1e-12)
@@ -109,8 +109,8 @@ class TestWienerGain:
     def test_degenerate_bin_rejected(self):
         # A bin with no prior variance, no signal and no noise has no Wiener
         # gain; the package's losses refuse it rather than divide by zero.
-        prior = SpectralPrior(dim=2, mu_f=np.zeros(2, complex), lambda0=np.zeros(2))
-        spec = DegradationSpec(dim=2, lambda_h=np.zeros(2, complex), sigma_y=0.0)
+        prior = SpectralPrior(mu_f=np.zeros(2, complex), lambda0=np.zeros(2))
+        spec = DegradationSpec(lambda_h=np.zeros(2, complex), sigma_y=0.0)
         D = np.ones(2, complex)
         with pytest.raises(ValueError, match="degenerate"):
             triples_loss(D, D, D, prior, spec, None)
@@ -139,7 +139,7 @@ class TestDimensionChecks:
 
     def test_degradation_of_another_length_rejected(self):
         prior, _, sched = self._model()
-        spec = DegradationSpec(dim=1, lambda_h=np.ones(1, complex), sigma_y=0.1)
+        spec = DegradationSpec(lambda_h=np.ones(1, complex), sigma_y=0.1)
         with pytest.raises(ValueError, match="degradation has length 1 but the prior has length 8"):
             LossContext(prior, spec, sched, "dps", None)
 
@@ -172,7 +172,7 @@ class TestDimensionChecks:
     def test_degradation_of_another_length_rejected_by_the_triple_losses(self):
         prior, spec, sched = self._model()
         triple = ideal_triple(prior, spec, sched)
-        short = DegradationSpec(dim=1, lambda_h=np.ones(1, complex), sigma_y=0.1)
+        short = DegradationSpec(lambda_h=np.ones(1, complex), sigma_y=0.1)
         for loss in (triples_loss, triples_loss_cotangents):
             with pytest.raises(ValueError, match="degradation has length 1 but the prior has length 8"):
                 loss(*triple, prior, short, None)
@@ -284,8 +284,8 @@ class TestAveragedLoss:
         # so the closed-form average coincides with the single-realization loss.
         d, S = 6, 4
         lam = np.full(d, 1e-30)
-        prior = SpectralPrior(dim=d, mu_f=np.fft.fft(np.full(d, 0.7)), lambda0=lam)
-        spec = DegradationSpec(dim=d, lambda_h=np.ones(d, complex), sigma_y=0.0)
+        prior = SpectralPrior(mu_f=np.fft.fft(np.full(d, 0.7)), lambda0=lam)
+        spec = DegradationSpec(lambda_h=np.ones(d, complex), sigma_y=0.0)
         sched = ddim_subsequence(linear_ddpm_schedule(100), S)
         obs = Observation(y_f=spec.lambda_h * prior.mu_f)
         post = true_posterior(prior, spec, obs)
@@ -342,8 +342,8 @@ class TestBatchLoss:
         # the packed-vector path must reject that like the weight-schedule loss.
         rng = np.random.default_rng(14)
         mu_f, lam = random_prior_arrays(8, rng, lam_floor=0.05)
-        prior = SpectralPrior(dim=8, mu_f=mu_f, lambda0=lam)
-        spec = DegradationSpec(dim=8, lambda_h=np.ones(8, complex), sigma_y=0.0)
+        prior = SpectralPrior(mu_f=mu_f, lambda0=lam)
+        spec = DegradationSpec(lambda_h=np.ones(8, complex), sigma_y=0.0)
         sched = ddim_subsequence(linear_ddpm_schedule(200), 6)
         obs = degrade(sample_prior(prior, rng), spec, rng)
         ctx = LossContext(prior, spec, sched, "pigdm", (obs,))

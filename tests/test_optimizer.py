@@ -40,9 +40,9 @@ from oracles import central_gradient, five_point_gradient, random_prior_arrays
 
 def _small_ctx(rng, d=8, S=6, kind="dps", K=1):
     mu_f, lam = random_prior_arrays(d, rng)
-    prior = SpectralPrior(dim=d, mu_f=mu_f, lambda0=lam)
+    prior = SpectralPrior(mu_f=mu_f, lambda0=lam)
     spec = DegradationSpec(
-        dim=d, lambda_h=np.fft.fft(rng.standard_normal(d)), sigma_y=float(rng.uniform(0.1, 0.6))
+        lambda_h=np.fft.fft(rng.standard_normal(d)), sigma_y=float(rng.uniform(0.1, 0.6))
     )
     sched = ddim_subsequence(linear_ddpm_schedule(200), S)
     obs = tuple(degrade(sample_prior(prior, rng), spec, rng) for _ in range(K))
@@ -394,8 +394,8 @@ class TestOptimizeWeights:
         # d = 1 makes every transfer scalar; with S = 1 the loss is an explicit
         # quadratic in zeta wherever G stays positive.
         lam = np.array([2.0])
-        prior = SpectralPrior(dim=1, mu_f=np.zeros(1, complex), lambda0=lam)
-        spec = DegradationSpec(dim=1, lambda_h=np.ones(1, complex), sigma_y=0.5)
+        prior = SpectralPrior(mu_f=np.zeros(1, complex), lambda0=lam)
+        spec = DegradationSpec(lambda_h=np.ones(1, complex), sigma_y=0.5)
         sched = Schedule(alpha_bar=np.array([0.5]))
         y = 0.8
         obs = Observation(y_f=np.array([y + 0j]))
@@ -417,8 +417,12 @@ class TestOptimizeWeights:
     def test_invalid_starting_point_rejected(self):
         rng = np.random.default_rng(4)
         ctx = _small_ctx(rng)
-        with pytest.raises(ValueError, match="invalid starting point"):
-            optimize_weights(ctx, WeightSchedule.dps(np.full(ctx.schedule.S, np.nan)))
+        # A NaN start is refused by WeightSchedule itself; a finite start in
+        # a box wide enough to overflow the loss reaches the solver's check.
+        start = WeightSchedule.dps(np.full(ctx.schedule.S, 1e200))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="invalid starting point"):
+                optimize_weights(ctx, start, OptimizeOptions(bounds=(-1e300, 1e300)))
 
     def test_beats_heuristic_baselines_on_reference_config(self):
         rng = np.random.default_rng(5)
@@ -543,8 +547,8 @@ class TestReduceDimensions:
         assert np.isclose(sol_full.final_loss, sol_red.final_loss, rtol=1e-12)
 
     def test_ties_break_to_lower_index(self):
-        prior = SpectralPrior(dim=4, mu_f=np.zeros(4, complex), lambda0=np.array([1.0, 2.0, 2.0, 1.0]))
-        spec = DegradationSpec(dim=4, lambda_h=np.arange(4) + 1j, sigma_y=0.1)
+        prior = SpectralPrior(mu_f=np.zeros(4, complex), lambda0=np.array([1.0, 2.0, 2.0, 1.0]))
+        spec = DegradationSpec(lambda_h=np.arange(4) + 1j, sigma_y=0.1)
         obs = Observation(y_f=np.arange(4) - 1j)
         ctx = LossContext(prior, spec, ddim_subsequence(linear_ddpm_schedule(100), 5), "dps", (obs,))
         kept = optimizer._kept_bins(ctx, 3)
@@ -555,8 +559,8 @@ class TestReduceDimensions:
 
     def test_dominant_eigenvalue_reduction_changes_little(self):
         lam = np.array([5.0, 1e-13, 1e-13, 1e-13])
-        prior = SpectralPrior(dim=4, mu_f=np.zeros(4, complex), lambda0=lam)
-        spec = DegradationSpec(dim=4, lambda_h=np.ones(4, complex), sigma_y=0.1)
+        prior = SpectralPrior(mu_f=np.zeros(4, complex), lambda0=lam)
+        spec = DegradationSpec(lambda_h=np.ones(4, complex), sigma_y=0.1)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 5)
         rng = np.random.default_rng(11)
         obs = degrade(sample_prior(prior, rng), spec, rng)

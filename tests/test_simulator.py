@@ -49,8 +49,8 @@ def _run_batch(cfg, obs, x_start):
 
 def _setup(rng, d=8, S=6, sigma=0.2, lam_floor=0.0):
     mu_f, lam = random_prior_arrays(d, rng, lam_floor=lam_floor)
-    prior = SpectralPrior(dim=d, mu_f=mu_f, lambda0=lam)
-    spec = DegradationSpec(dim=d, lambda_h=np.fft.fft(rng.standard_normal(d)), sigma_y=sigma)
+    prior = SpectralPrior(mu_f=mu_f, lambda0=lam)
+    spec = DegradationSpec(lambda_h=np.fft.fft(rng.standard_normal(d)), sigma_y=sigma)
     sched = ddim_subsequence(linear_ddpm_schedule(200), S)
     obs = degrade(sample_prior(prior, rng), spec, rng)
     return prior, spec, sched, obs
@@ -71,7 +71,7 @@ def _restricted_setups(rng, S, lam_floor=0.0):
         for name, h in operators.items():
             op = replace(spec, lambda_h=h)
             for mean, mu_f in [("mu=0", np.zeros(d)), ("mu!=0", base.mu_f)]:
-                prior = SpectralPrior(dim=d, mu_f=mu_f, lambda0=base.lambda0)
+                prior = SpectralPrior(mu_f=mu_f, lambda0=base.lambda0)
                 obs = degrade(sample_prior(prior, rng), op, rng)
                 yield f"d={d} {name} {mean}", prior, op, sched, obs
 
@@ -326,7 +326,7 @@ class TestSimulateOne:
                 out[own_mirror] += 1e-13j * max(1.0, np.max(np.abs(v)))
                 return out
 
-            bent_prior = SpectralPrior(dim=d, mu_f=nudged(prior.mu_f), lambda0=prior.lambda0)
+            bent_prior = SpectralPrior(mu_f=nudged(prior.mu_f), lambda0=prior.lambda0)
             bent_spec = replace(spec, lambda_h=nudged(spec.lambda_h))
             bent_obs = Observation(y_f=nudged(obs.y_f))
             x_s = rng.standard_normal((4, d))
@@ -478,7 +478,7 @@ class TestGuidance:
     def test_degradation_of_another_length_rejected(self):
         # SimConfig used to accept a length-1 operator next to a d = 8 prior.
         prior = make_synthetic_prior(8, 0.2)
-        spec = DegradationSpec(dim=1, lambda_h=np.ones(1, complex), sigma_y=0.1)
+        spec = DegradationSpec(lambda_h=np.ones(1, complex), sigma_y=0.1)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
         with pytest.raises(ValueError, match="degradation has length 1 but the prior has length 8"):
             SimConfig(prior=prior, spec=spec, schedule=sched, guidance=Guidance.none())
@@ -490,8 +490,8 @@ class TestGuidance:
         # The simulator keeps its own MAP step; on a white prior PiGDM at
         # g = b (1 - ab) / sqrt(ab), r^2 = 1 - ab runs the same trajectories.
         rng = np.random.default_rng(10 * d + S)
-        prior = SpectralPrior(dim=d, mu_f=np.fft.fft(rng.standard_normal(d)), lambda0=np.ones(d))
-        spec = DegradationSpec(dim=d, lambda_h=np.fft.fft(rng.standard_normal(d)), sigma_y=0.3)
+        prior = SpectralPrior(mu_f=np.fft.fft(rng.standard_normal(d)), lambda0=np.ones(d))
+        spec = DegradationSpec(lambda_h=np.fft.fft(rng.standard_normal(d)), sigma_y=0.3)
         sched = ddim_subsequence(linear_ddpm_schedule(1000), S)
         obs = degrade(sample_prior(prior, rng), spec, rng)
         x_start = rng.standard_normal((16, d))
@@ -512,7 +512,7 @@ class TestRealOperators:
         prior = make_synthetic_prior(50, 0.05)
         mask = np.zeros(50, complex)
         mask[[0, 1, 2, 3, 48, 49]] = 1.0
-        spec = DegradationSpec(dim=50, lambda_h=mask, sigma_y=0.1)
+        spec = DegradationSpec(lambda_h=mask, sigma_y=0.1)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 5)
         with pytest.raises(ValueError, match="lambda_h is not Hermitian"):
             SimConfig(prior=prior, spec=spec, schedule=sched, guidance=Guidance.none())
@@ -522,7 +522,7 @@ class TestRealOperators:
         prior, spec, sched, obs = _setup(rng)
         mu_f = prior.mu_f.copy()
         mu_f[1] += 1e-6j
-        bad = SpectralPrior(dim=prior.dim, mu_f=mu_f, lambda0=prior.lambda0)
+        bad = SpectralPrior(mu_f=mu_f, lambda0=prior.lambda0)
         with pytest.raises(ValueError, match="mu_f is not Hermitian"):
             SimConfig(prior=bad, spec=spec, schedule=sched, guidance=Guidance.none())
         with pytest.raises(ValueError, match="y_f is not Hermitian"):
@@ -548,8 +548,8 @@ class TestMonteCarlo:
         # One bin, one step: pick zeta so the composed D1 vanishes and the
         # output no longer depends on the starting noise.
         lam = np.array([2.0])
-        prior = SpectralPrior(dim=1, mu_f=np.zeros(1, complex), lambda0=lam)
-        spec = DegradationSpec(dim=1, lambda_h=np.ones(1, complex), sigma_y=0.3)
+        prior = SpectralPrior(mu_f=np.zeros(1, complex), lambda0=lam)
+        spec = DegradationSpec(lambda_h=np.ones(1, complex), sigma_y=0.3)
         sched = Schedule(alpha_bar=np.array([0.5]))
         ab = 0.5
         c = np.sqrt(ab) * lam[0] / (ab * lam[0] + 1 - ab)
@@ -579,7 +579,7 @@ class TestMonteCarlo:
             own_mirror = [0, d // 2] if d % 2 == 0 else [0]
             mu_f = prior.mu_f.copy()
             mu_f[own_mirror] += 1e-13j * max(1.0, np.max(np.abs(mu_f)))
-            bent = SpectralPrior(dim=d, mu_f=mu_f, lambda0=prior.lambda0)
+            bent = SpectralPrior(mu_f=mu_f, lambda0=prior.lambda0)
             for guide in _every_guidance(rng, sched.S):
                 cfg = SimConfig(prior=bent, spec=spec, schedule=sched, guidance=guide, n_runs=5, seed=3)
                 stats = monte_carlo(cfg, obs)

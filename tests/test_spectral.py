@@ -108,7 +108,7 @@ class TestMakeLpf:
 
 class TestSamplePrior:
     def test_degenerate_prior_returns_mean(self):
-        prior = SpectralPrior(dim=6, mu_f=np.fft.fft(np.arange(6.0)), lambda0=np.zeros(6))
+        prior = SpectralPrior(mu_f=np.fft.fft(np.arange(6.0)), lambda0=np.zeros(6))
         rng = np.random.default_rng(0)
         np.testing.assert_allclose(sample_prior(prior, rng), np.arange(6.0), atol=1e-12)
 
@@ -131,7 +131,7 @@ class TestSamplePrior:
 
 class TestDegrade:
     def test_noiseless_identity_passthrough(self):
-        spec = DegradationSpec(dim=8, lambda_h=np.ones(8, complex), sigma_y=0.0)
+        spec = DegradationSpec(lambda_h=np.ones(8, complex), sigma_y=0.0)
         x = np.random.default_rng(1).standard_normal(8)
         obs = degrade(x, spec, np.random.default_rng(2))
         np.testing.assert_allclose(obs.y_f, np.fft.fft(x), atol=1e-12)
@@ -144,7 +144,7 @@ class TestDegrade:
         assert np.all(obs.y_f[blocked] == 0)
 
     def test_noise_variance_per_bin(self):
-        spec = DegradationSpec(dim=8, lambda_h=np.zeros(8, complex), sigma_y=0.1)
+        spec = DegradationSpec(lambda_h=np.zeros(8, complex), sigma_y=0.1)
         rng = np.random.default_rng(11)
         x = np.zeros(8)
         ys = np.stack([degrade(x, spec, rng).y_f for _ in range(100_000)])
@@ -161,7 +161,7 @@ class TestDegrade:
 class TestTruePosterior:
     def test_noiseless_invertible_limit(self):
         prior = make_synthetic_prior(8, 0.2, mu_const=0.1)
-        spec = DegradationSpec(dim=8, lambda_h=np.ones(8, complex), sigma_y=1e-12)
+        spec = DegradationSpec(lambda_h=np.ones(8, complex), sigma_y=1e-12)
         x = sample_prior(prior, np.random.default_rng(0))
         obs = degrade(x, spec, np.random.default_rng(1))
         post = true_posterior(prior, spec, obs)
@@ -184,10 +184,10 @@ class TestTruePosterior:
             d = int(rng.integers(2, 17))
             mu_f = np.fft.fft(rng.standard_normal(d))
             lam = np.abs(np.fft.fft(rng.standard_normal(d))) ** 2
-            prior = SpectralPrior(dim=d, mu_f=mu_f, lambda0=lam)
+            prior = SpectralPrior(mu_f=mu_f, lambda0=lam)
             lam_h = np.fft.fft(rng.standard_normal(d))
             sigma = float(rng.uniform(0.05, 1.0))
-            spec = DegradationSpec(dim=d, lambda_h=lam_h, sigma_y=sigma)
+            spec = DegradationSpec(lambda_h=lam_h, sigma_y=sigma)
             x0 = sample_prior(prior, rng)
             obs = degrade(x0, spec, rng)
             post = true_posterior(prior, spec, obs)
@@ -207,12 +207,11 @@ class TestTruePosterior:
         for _ in range(20):
             d = 12
             prior = SpectralPrior(
-                dim=d,
                 mu_f=np.fft.fft(rng.standard_normal(d)),
                 lambda0=np.abs(np.fft.fft(rng.standard_normal(d))) ** 2,
             )
             spec = DegradationSpec(
-                dim=d, lambda_h=np.fft.fft(rng.standard_normal(d)), sigma_y=0.3
+                lambda_h=np.fft.fft(rng.standard_normal(d)), sigma_y=0.3
             )
             obs = degrade(sample_prior(prior, rng), spec, rng)
             post = true_posterior(prior, spec, obs)
@@ -220,8 +219,8 @@ class TestTruePosterior:
             assert np.all(post.var <= prior.lambda0 + 1e-12)
 
     def test_fully_degenerate_bins_fall_back_to_prior(self):
-        prior = SpectralPrior(dim=4, mu_f=np.zeros(4, complex), lambda0=np.zeros(4))
-        spec = DegradationSpec(dim=4, lambda_h=np.zeros(4, complex), sigma_y=0.0)
+        prior = SpectralPrior(mu_f=np.zeros(4, complex), lambda0=np.zeros(4))
+        spec = DegradationSpec(lambda_h=np.zeros(4, complex), sigma_y=0.0)
         obs = Observation(y_f=np.zeros(4, complex))
         post = true_posterior(prior, spec, obs)
         np.testing.assert_array_equal(post.var, np.zeros(4))
@@ -271,47 +270,56 @@ class TestConventionAndTypes:
 
     def test_negative_eigenvalues_rejected(self):
         with pytest.raises(ValueError):
-            SpectralPrior(dim=2, mu_f=np.zeros(2, complex), lambda0=np.array([1.0, -0.1]))
+            SpectralPrior(mu_f=np.zeros(2, complex), lambda0=np.array([1.0, -0.1]))
 
     @pytest.mark.parametrize(
         "build, match",
         [
             # Each non-finite value used to construct: NaN passes a "< 0" test.
             pytest.param(
-                lambda: SpectralPrior(dim=2, mu_f=np.zeros(2), lambda0=[np.nan, 1.0]),
-                "lambda0 must be finite and nonnegative", id="lambda0-nan",
+                lambda: SpectralPrior(mu_f=np.zeros(2), lambda0=[np.nan, 1.0]),
+                "lambda0 must be a finite, nonempty 1-D array", id="lambda0-nan",
             ),
             pytest.param(
-                lambda: SpectralPrior(dim=2, mu_f=np.zeros(2), lambda0=[np.inf, 1.0]),
-                "lambda0 must be finite and nonnegative", id="lambda0-inf",
+                lambda: SpectralPrior(mu_f=np.zeros(2), lambda0=[np.inf, 1.0]),
+                "lambda0 must be a finite, nonempty 1-D array", id="lambda0-inf",
             ),
             pytest.param(
-                lambda: SpectralPrior(dim=2, mu_f=[np.nan, 0.0], lambda0=np.ones(2)),
-                "mu_f must be finite", id="mu_f-nan",
+                lambda: SpectralPrior(mu_f=[np.nan, 0.0], lambda0=np.ones(2)),
+                "mu_f must be a finite, nonempty 1-D array", id="mu_f-nan",
             ),
             pytest.param(
-                lambda: SpectralPrior(dim=3, mu_f=np.zeros(2), lambda0=np.ones(2)),
-                "prior vectors must have length dim", id="prior-length",
+                lambda: SpectralPrior(mu_f=np.zeros(2), lambda0=np.ones(3)),
+                "mu_f and lambda0 must have the same length", id="prior-length",
             ),
             pytest.param(
-                lambda: DegradationSpec(dim=2, lambda_h=np.ones(2), sigma_y=np.nan),
+                lambda: DegradationSpec(lambda_h=np.ones(2), sigma_y=np.nan),
                 "sigma_y must be finite and nonnegative", id="sigma_y-nan",
             ),
             pytest.param(
-                lambda: DegradationSpec(dim=2, lambda_h=np.ones(2), sigma_y=np.inf),
+                lambda: DegradationSpec(lambda_h=np.ones(2), sigma_y=np.inf),
                 "sigma_y must be finite and nonnegative", id="sigma_y-inf",
             ),
             pytest.param(
-                lambda: DegradationSpec(dim=2, lambda_h=np.ones(2), sigma_y=-0.1),
+                lambda: DegradationSpec(lambda_h=np.ones(2), sigma_y=-0.1),
                 "sigma_y must be finite and nonnegative", id="sigma_y-negative",
             ),
             pytest.param(
-                lambda: DegradationSpec(dim=2, lambda_h=[1.0, np.nan], sigma_y=0.1),
-                "lambda_h must be finite", id="lambda_h-nan",
+                lambda: DegradationSpec(lambda_h=[1.0, np.nan], sigma_y=0.1),
+                "lambda_h must be a finite, nonempty 1-D array", id="lambda_h-nan",
+            ),
+            # A measurement used to take NaN and inf, which then scored as nan.
+            pytest.param(
+                lambda: Observation(y_f=[np.nan, 0.0]),
+                "y_f must be a finite, nonempty 1-D array", id="y_f-nan",
             ),
             pytest.param(
-                lambda: DegradationSpec(dim=3, lambda_h=np.ones(2), sigma_y=0.1),
-                "lambda_h must have length dim", id="degradation-length",
+                lambda: Observation(y_f=[1.0, np.inf]),
+                "y_f must be a finite, nonempty 1-D array", id="y_f-inf",
+            ),
+            pytest.param(
+                lambda: Observation(y_f=[]),
+                "y_f must be a finite, nonempty 1-D array", id="y_f-empty",
             ),
             pytest.param(
                 lambda: make_synthetic_prior(4, np.inf), "l must be positive and finite", id="l-inf"
@@ -334,14 +342,14 @@ class TestConventionAndTypes:
     def test_prior_leaves_the_callers_arrays_writable(self):
         # The prior freezes its own copies, not the float64 and complex arrays passed in.
         mu_f, lam = np.zeros(4, complex), np.ones(4)
-        prior = SpectralPrior(dim=4, mu_f=mu_f, lambda0=lam)
+        prior = SpectralPrior(mu_f=mu_f, lambda0=lam)
         mu_f[0], lam[0] = 1.0, 2.0
         assert prior.mu_f[0] == 0.0 and prior.lambda0[0] == 1.0
         assert not prior.lambda0.flags.writeable and not prior.mu_f.flags.writeable
 
     def test_degradation_leaves_the_callers_array_writable(self):
         lambda_h = np.ones(4, complex)
-        spec = DegradationSpec(dim=4, lambda_h=lambda_h, sigma_y=0.1)
+        spec = DegradationSpec(lambda_h=lambda_h, sigma_y=0.1)
         lambda_h[0] = 2.0
         assert spec.lambda_h[0] == 1.0 and not spec.lambda_h.flags.writeable
 

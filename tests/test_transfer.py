@@ -42,10 +42,10 @@ from oracles import (
 
 def _random_setup(rng, d=8, sigma=None, lam_floor=0.0):
     mu_f, lam = random_prior_arrays(d, rng, lam_floor=lam_floor)
-    prior = SpectralPrior(dim=d, mu_f=mu_f, lambda0=lam)
+    prior = SpectralPrior(mu_f=mu_f, lambda0=lam)
     lam_h = np.fft.fft(rng.standard_normal(d))
     sigma = float(rng.uniform(0.1, 1.0)) if sigma is None else sigma
-    spec = DegradationSpec(dim=d, lambda_h=lam_h, sigma_y=sigma)
+    spec = DegradationSpec(lambda_h=lam_h, sigma_y=sigma)
     obs = degrade(sample_prior(prior, rng), spec, rng)
     return prior, spec, obs
 
@@ -166,6 +166,20 @@ class TestWeightSchedule:
     def test_theta_that_is_not_1d_rejected(self, theta):
         with pytest.raises(ValueError, match="1-D"):
             WeightSchedule("dps", theta)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: WeightSchedule.dps([np.nan] * 4),
+            lambda: WeightSchedule.dps([0.1, np.inf]),
+            lambda: WeightSchedule.pigdm([1.0, 1.0], [0.5, np.nan]),
+        ],
+        ids=["zeta-nan", "zeta-inf", "r-nan"],
+    )
+    def test_non_finite_theta_rejected(self, build):
+        # Each used to be accepted: NaN passes the r >= 0 test.
+        with pytest.raises(ValueError, match="theta must be a finite, nonempty 1-D array"):
+            build()
 
     @pytest.mark.parametrize("kind", ["ddpm", "ideal"])
     def test_unknown_kind_rejected(self, kind):
@@ -299,7 +313,7 @@ class TestStepTransfers:
     def test_degradation_of_another_length_rejected(self):
         # A length-1 operator used to broadcast over the d = 8 bins.
         prior = make_synthetic_prior(8, 0.2)
-        spec = DegradationSpec(dim=1, lambda_h=np.ones(1, complex), sigma_y=0.1)
+        spec = DegradationSpec(lambda_h=np.ones(1, complex), sigma_y=0.1)
         sched = ddim_subsequence(linear_ddpm_schedule(100), 4)
         with pytest.raises(ValueError, match="degradation has length 1 but the prior has length 8"):
             StepTable("dps", prior, spec, sched)
@@ -569,8 +583,8 @@ class TestIdealIsExactPigdm:
     def test_white_prior_closed_form(self, d, S):
         # A white prior (lambda = 1) with a random mean, under a random real blur.
         rng = np.random.default_rng(100 * d + S)
-        prior = SpectralPrior(dim=d, mu_f=np.fft.fft(rng.standard_normal(d)), lambda0=np.ones(d))
-        spec = DegradationSpec(dim=d, lambda_h=np.fft.fft(rng.standard_normal(d)), sigma_y=0.3)
+        prior = SpectralPrior(mu_f=np.fft.fft(rng.standard_normal(d)), lambda0=np.ones(d))
+        spec = DegradationSpec(lambda_h=np.fft.fft(rng.standard_normal(d)), sigma_y=0.3)
         sched = ddim_subsequence(linear_ddpm_schedule(1000), S)
         exact = WeightSchedule.pigdm(*tweedie_pigdm_weights(sched.alpha_bar))
         got = transfer_triple(exact, prior, spec, sched)
