@@ -75,6 +75,9 @@ _TASK = {
     712: "N <= 0",
     713: "INVALID NBD",
 }
+# A trial point's non-finite loss or gradient ends the solve: setulb, handed
+# an infinite loss, can stop at once and report CONVERGENCE.
+_NON_FINITE = "ABNORMAL: NON-FINITE LOSS OR GRADIENT AT A TRIAL POINT"
 _KERNEL = "scipy.optimize._lbfgsb"
 _SETULB_CALL = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
 
@@ -145,7 +148,9 @@ def minimize(
     more only where setulb asks at a point that differs from the last one;
     and the same status message.  Every iterate therefore has scipy's bits.
     ``start`` is fun at the clipped x0, which the caller has already
-    evaluated; ``nfev`` counts it as the first evaluation.
+    evaluated and checked; ``nfev`` counts it as the first evaluation.  Where
+    scipy would hand setulb a non-finite loss or gradient, the solve ends
+    instead, failed, at its last finite evaluation.
     """
     setulb = _setulb()
     lower, upper = (np.asarray(b, dtype=float) for b in bounds)
@@ -175,9 +180,11 @@ def minimize(
         setulb(m, x, low, up, nbd, f, g, factr, 1e-5, wa, iwa, task, lsave, isave, dsave, 20, ln_task)
         if task[0] == _FG:
             if not np.array_equal(x, x_eval):
-                x_eval = x.copy()
-                f_eval, g_eval = fun(x.copy())
+                f_new, g_new = fun(x.copy())
                 nfev += 1
+                if not (np.isfinite(f_new) and np.all(np.isfinite(g_new))):
+                    return MinimizeResult(x_eval, f_eval, g_eval, nit, nfev, False, _NON_FINITE)
+                x_eval, f_eval, g_eval = x.copy(), f_new, g_new
             f, g = f_eval, g_eval
         elif task[0] == _NEW_X:
             nit += 1
@@ -261,12 +268,6 @@ def pigdm_from_dps(zeta: np.ndarray, sigma_y: float) -> WeightSchedule:
     return WeightSchedule.pigdm(2.0 * sigma_y**2 * zeta, np.zeros(len(zeta)))
 
 
-def _finite(f: float, grad: np.ndarray) -> tuple[float, np.ndarray]:
-    if not (np.isfinite(f) and np.all(np.isfinite(grad))):
-        raise ValueError("non-finite loss or gradient")
-    return f, grad
-
-
 def _kept_bins(ctx: LossContext, keep_dims: int) -> LossContext:
     """The context on its keep_dims bins of largest prior eigenvalue, in index order.
 
@@ -306,14 +307,17 @@ def optimize_weights(
     kind = ctx.sampler_kind
     box = FAMILIES[kind].box(ctx.schedule.S, opts.bounds)
     theta0 = np.clip(init.theta, *box)
-    f0, grad0 = loss_and_gradient(theta0, work_ctx)
-    if not np.isfinite(f0):
-        raise ValueError("invalid starting point")
 
     def fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        return _finite(*loss_and_gradient(theta, work_ctx))
+        return loss_and_gradient(theta, work_ctx)
 
-    result = minimize(fun, theta0, box, opts.max_iters, opts.f_tol, start=_finite(f0, grad0))
+    # A trial point may overflow the loss; minimize ends the solve there, so
+    # its warnings would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0, grad0 = fun(theta0)
+        if not (np.isfinite(f0) and np.all(np.isfinite(grad0))):
+            raise ValueError("invalid starting point: non-finite loss or gradient")
+        result = minimize(fun, theta0, box, opts.max_iters, opts.f_tol, start=(f0, grad0))
     theta_best = np.clip(result.x, *box)
     f_best = float(result.fun)
     if f_best > f0:

@@ -104,7 +104,8 @@ def prior_from_file(path) -> SpectralPrior:
     """Read the text form; ``mu_const = c`` may stand in for mu_f (mean c).
 
     Every line that is not blank or a '#' comment sets one of the keys dim,
-    mu_f, lambda0 and mu_const, each at most once, and dim must count lambda0.
+    mu_f, lambda0 and mu_const, each at most once, mu_f and mu_const not
+    both, and dim must count lambda0.
     """
     entries = {}
     for line in Path(path).read_text().splitlines():
@@ -120,6 +121,8 @@ def prior_from_file(path) -> SpectralPrior:
         entries[key] = value.strip()
     if "dim" not in entries or "lambda0" not in entries:
         raise ValueError("prior file must define dim and lambda0")
+    if "mu_f" in entries and "mu_const" in entries:
+        raise ValueError("mu_f and mu_const both set the mean; keep one")
     d = int(entries["dim"])
     lam = [float(v) for v in entries["lambda0"].split()]
     if d != len(lam):

@@ -14,35 +14,41 @@ x0hat = J x + (1 - ab) (ab Sigma + (1 - ab) I)^-1 mu, where
 J = sqrt(ab) Sigma (ab Sigma + (1 - ab) I)^-1 is its Jacobian; per bin that
 is X <- A X + B.  A guided step adds w J^T H^T E (y - H x0hat): DPS takes
 w = 2 zeta and E = I, PiGDM takes w = g and E = (r^2 H H^T + sigma^2 I)^-1.
-The weights come from a ``WeightSchedule`` or, for the DPS heuristic, from
-each trajectory's residual norm ||y - H x0hat|| (``heuristic_zeta``), which
-Parseval gives from the half spectrum.  The MAP ("optimal") denoiser is
-affine in the state as well, so its step is X <- A X + B too.  Before the
-first step a batch tabulates these per-bin multipliers for all S steps,
-so the loop holds only per-bin arithmetic.  The state is stored bins
-by trajectories, (d // 2 + 1, n), so that each per-bin factor scales a whole
-row and numpy's inner loops run over the n trajectories, not the few bins.
+With the weights of a ``WeightSchedule`` that term is affine in the state as
+well, since y - H x0hat = C - H J x with C = y - H (x0hat - J x), so it
+folds into A and B.  The MAP ("optimal") denoiser is affine in the state
+too, so every kind steps X <- A X + B but the DPS heuristic: its weight
+zeta' / ||y - H x0hat|| (``heuristic_zeta``) depends on each trajectory's
+residual, so it alone forms y - H x0hat at every step, and Parseval gives
+the norm from the half spectrum.  Before the first step a batch tabulates
+these per-bin multipliers for all S steps, so the loop holds only per-bin
+arithmetic.  The state is stored bins by trajectories, (d // 2 + 1, n), so
+that each per-bin factor scales a whole row and numpy's inner loops run over
+the n trajectories, not the few bins.
 
 Two terms vanish on bins the inputs fix.  The guidance carries a factor
 conj(h), so it is exactly zero wherever the degradation multiplier h is; the
-offset B is exactly zero wherever mu is (and, for the MAP step, h y too).
-Each step scales every bin but forms and adds these terms only up to their
-last nonzero bin, which is exact: adding a zero to a finite state changes
-nothing.  A low-pass h keeps 13 of the 26 bins at d = 50, V = 0.5,
-and a zero-mean prior sampler adds no offset at all.
+offset B is exactly zero wherever mu is and, for the fixed-weight and MAP
+steps, conj(h) y too.  Each step scales every bin but forms and adds these
+terms only up to their last nonzero bin, which is exact: adding a zero to a
+finite state changes nothing.  A low-pass h keeps 13 of the 26 bins at
+d = 50, V = 0.5, and a zero-mean prior sampler adds no offset at all.
 
 A batch checks its states for divergence once, after its last step.  That
 is exact because a non-finite entry of the state stays non-finite through
 every later step: inf times a multiplier is inf or nan, inf - inf and
 inf * 0 are nan, and a trajectory whose heuristic norm is inf gets zeta = 0,
-so its inf residual scales to nan.  The steps run under
-``np.errstate(over="ignore", invalid="ignore")``, scoped to the loop, so a
-diverging batch warns nothing on the way, and with numpy's ufunc buffer cut
-to one row of trajectories, which keeps numpy from buffering the per-bin
+so its inf residual scales to nan.  The tables are built and the steps run
+under ``np.errstate(over="ignore", invalid="ignore")``, scoped to the batch,
+so a diverging batch (or a weight so large that its table overflows) warns
+nothing on the way; the steps also run with numpy's ufunc buffer cut to one
+row of trajectories, which keeps numpy from buffering the per-bin
 multipliers that broadcast along the rows.  Only a diverged batch pays to
 locate the step: it takes a fresh real FFT of its starting states and replays
 the same steps with a check after each, which repeats the same arithmetic and
 so raises ``ValueError("diverged at step s")`` at the first non-finite step.
+Final states can be finite and still too large for their moments, whose
+squares overflow: ``monte_carlo`` then raises ValueError as well.
 
 This stays an independent check on ``transfer.py``, which it takes nothing
 from: its tables are built here from one ``step_coeffs_scalar`` call and
@@ -224,31 +230,30 @@ def _run_spectrum(
     trajectories, and for the DPS heuristic the (S, n) zeta each trajectory
     realized (None for the other kinds, whose weights are the schedule's).
 
-    Each step scales all d // 2 + 1 bins by A.  The guidance G (C - HJ X) is
-    formed and added on bins [0, nh) and the offset B added on [0, nb), nh
-    and nb one past the last bin where h, respectively any step's B, is
-    nonzero: past them both terms are exact zeros.  Past nh the residual
-    C - HJ X is C = y whatever the state, so that part of the heuristic's
-    norm comes from a per-step table.  The heuristic's sums, norms, realized
-    weights and interleaved 2 zeta pairs go to buffers made before the loop,
-    not to new arrays at every step.
+    Each step scales all d // 2 + 1 bins by A and adds the offset B on
+    [0, nb), nb one past the last bin where any step's B is nonzero.  Fixed
+    weights w fold into these tables: the guidance w G (C - HJ X), with
+    G = J^T H^T E, adds -w G HJ to A and w G C to B.  Only the heuristic,
+    whose weight depends on each trajectory's residual, forms C - HJ X at
+    every step, on bins [0, nh), nh one past the last bin where h is
+    nonzero; past nh the residual is C whatever the state, so that part of
+    its norm comes from a per-step table.  Its sums, norms, realized weights
+    and interleaved 2 zeta pairs go to buffers made before the loop, not to
+    new arrays at every step.
 
-    The loop runs under an errstate that silences overflow and invalid
-    values and with a ufunc buffer no longer than a row of trajectories
-    (both restored on exit), and one ``np.isfinite`` check of the final
-    states finds any divergence (the module docstring says why that is
-    exact).  A diverged batch is replayed from a fresh real FFT of x_start
-    with a check after every step, and raises ValueError naming the first
-    non-finite step.
+    The tables are built and the loop runs under an errstate that silences
+    overflow and invalid values, the loop with a ufunc buffer no longer than
+    a row of trajectories (both restored on exit), and one ``np.isfinite``
+    check of the final states finds any divergence (the module docstring
+    says why that is exact).  A diverged batch is replayed from a fresh real
+    FFT of x_start with a check after every step, and raises ValueError
+    naming the first non-finite step.
     """
     prior, spec, sched, guide = cfg.prior, cfg.spec, cfg.schedule, cfg.guidance
     d = prior.dim
     X = np.atleast_2d(np.asarray(x_start, dtype=float))
     n = X.shape[0]
-    weights = guide.weights
-    pigdm = weights is not None and weights.kind == PIGDM
     heuristic = guide.kind == GUIDANCE_DPS_HEURISTIC
-    guided = heuristic or guide.kind == GUIDANCE_FIXED
 
     # Per-step multiplier tables in step order, row i for step i + 1.
     _require_hermitian(obs.y_f, "y_f")
@@ -260,58 +265,61 @@ def _run_spectrum(
     sig2 = spec.sigma_y**2
     a, b = (v[:, None] for v in step_coeffs_scalar(sched))
     ab = sched.alpha_bar[:, None]  # (S, 1), broadcast over the bins
-    if guide.kind == GUIDANCE_OPTIMAL:
-        # MAP denoiser x0hat = K^-1 ((1 - ab) Sigma H^T y + sig2 sqrt(ab) Sigma x
-        # + sig2 (1 - ab) mu) with K = (1 - ab) Sigma H^T H + sig2 (ab Sigma + (1 - ab) I).
-        K = (1.0 - ab) * lam * np.abs(h) ** 2 + sig2 * ab * lam + sig2 * (1.0 - ab)
-        if np.any(K == 0):
-            raise ValueError("zero denominator bin")
-        A = a + b * sig2 * np.sqrt(ab) * lam / K
-        B = b * ((1.0 - ab) * lam * np.conj(h) * y + sig2 * (1.0 - ab) * mu) / K
-    else:
-        reg = ab * lam + (1.0 - ab)
-        J = np.sqrt(ab) * lam / reg
-        x0_offset = (1.0 - ab) * mu / reg
-        A = a + b * J
-        B = b * x0_offset
-    # Each table gets a trailing axis that broadcasts over the trajectories.
-    nb = _support_end(B)
-    A, B = A[:, :, None], B[:, :nb, None]
-    if guided:
-        nh = _support_end(h)
-        C = y - h * x0_offset  # y - H x0hat = C - HJ x, x0hat = J x + offset
+    Xf = _aligned_empty((m, n), complex)
+    Xv = Xf.view(np.float64)  # (m, 2n): the re and im parts of each trajectory
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        if guide.kind == GUIDANCE_OPTIMAL:
+            # MAP denoiser x0hat = K^-1 ((1 - ab) Sigma H^T y + sig2 sqrt(ab) Sigma x
+            # + sig2 (1 - ab) mu) with K = (1 - ab) Sigma H^T H + sig2 (ab Sigma + (1 - ab) I).
+            K = (1.0 - ab) * lam * np.abs(h) ** 2 + sig2 * ab * lam + sig2 * (1.0 - ab)
+            if np.any(K == 0):
+                raise ValueError("zero denominator bin")
+            A = a + b * sig2 * np.sqrt(ab) * lam / K
+            B = b * ((1.0 - ab) * lam * np.conj(h) * y + sig2 * (1.0 - ab) * mu) / K
+        else:
+            reg = ab * lam + (1.0 - ab)
+            J = np.sqrt(ab) * lam / reg
+            x0_offset = (1.0 - ab) * mu / reg
+            C = y - h * x0_offset  # y - H x0hat = C - HJ x, x0hat = J x + offset
+            A = a + b * J
+            B = b * x0_offset
+            if guide.kind == GUIDANCE_FIXED:
+                weights = guide.weights
+                if weights.kind == PIGDM:
+                    cov = weights.r[:, None] ** 2 * np.abs(h) ** 2 + sig2
+                    if np.any(cov == 0):  # r^2 H H^T + sig2 I, singular only without noise
+                        raise ValueError("zero likelihood-covariance bin")
+                    w, E = weights.g[:, None], 1.0 / cov
+                else:
+                    w, E = 2.0 * weights.zeta[:, None], 1.0
+                # The guidance w G (C - HJ x), G = J^T H^T E = J conj(h) E as J is
+                # real and symmetric, is affine in x: it folds into A and B.
+                A = A - w * (E * J**2 * np.abs(h) ** 2)
+                B = B + w * (E * J * np.conj(h) * C)
+        # Each table gets a trailing axis that broadcasts over the trajectories.
+        nb = _support_end(B)
+        A, B = A[:, :, None], B[:, :nb, None]
+        realized = np.empty((sched.S, n)) if heuristic else None  # each step fills its row
         if heuristic:
+            nh = _support_end(h)
             # Parseval's share of the bins past nh, where the residual is C.
             parseval = _parseval_weights(d)
             tail = (C.real[:, nh:] ** 2 + C.imag[:, nh:] ** 2) @ parseval[nh:]
             parseval = parseval[:nh]
+            C, HJ, G = C[:, :nh, None], (h * J)[:, :nh, None], (J * np.conj(h))[:, :nh, None]
             squares = _aligned_empty((nh, 2 * n), np.float64)
-        C = C[:, :nh, None]
-        HJ = (h * J)[:, :nh, None]
-        cov = weights.r[:, None] ** 2 * np.abs(h) ** 2 + sig2 if pigdm else 1.0
-        if np.any(cov == 0):  # r^2 H H^T + sig2 I, singular only without noise
-            raise ValueError("zero likelihood-covariance bin")
-        E = 1.0 / cov
-        G = (J * np.conj(h) * E)[:, :nh, None]  # J^T H^T E; J is real and symmetric
-        R = _aligned_empty((nh, n), complex)
-        Rv = R.view(np.float64)  # (nh, 2n): the re and im parts of each trajectory
-    realized = np.empty((sched.S, n)) if heuristic else None  # each step fills its row
-    if heuristic:
-        sums, norms, w_pairs = np.empty(2 * n), np.empty(n), np.empty(2 * n)
-    elif guided:
-        w_fixed = weights.g if pigdm else 2.0 * weights.zeta
+            R = _aligned_empty((nh, n), complex)
+            Rv = R.view(np.float64)  # (nh, 2n), as Xv
+            sums, norms, w_pairs = np.empty(2 * n), np.empty(n), np.empty(2 * n)
 
-    Xf = _aligned_empty((m, n), complex)
-    Xv = Xf.view(np.float64)  # (m, 2n), as Rv
-
-    def advance(check: bool) -> None:
-        """Run every step from the starting states; with check, raise at the first non-finite one."""
-        Xf[...] = np.fft.rfft(X, axis=-1).T
-        for i in range(sched.S - 1, -1, -1):  # from step S down
-            if guided:
-                np.multiply(HJ[i], Xf[:nh], out=R)
-                np.subtract(C[i], R, out=R)
+        def advance(check: bool) -> None:
+            """Run every step from the starting states; with check, raise at the first non-finite one."""
+            Xf[...] = np.fft.rfft(X, axis=-1).T
+            for i in range(sched.S - 1, -1, -1):  # from step S down
                 if heuristic:
+                    np.multiply(HJ[i], Xf[:nh], out=R)
+                    np.subtract(C[i], R, out=R)
                     np.square(Rv, out=squares)
                     np.matmul(parseval, squares, out=sums)
                     np.add(sums[0::2], sums[1::2], out=norms)
@@ -321,28 +329,24 @@ def _run_spectrum(
                     # 2 zeta once for the re and once for the im part of each trajectory.
                     np.multiply(zeta, 2.0, out=w_pairs[0::2])
                     np.multiply(zeta, 2.0, out=w_pairs[1::2])
-                    w = w_pairs
-                else:
-                    w = w_fixed[i]
-                np.multiply(R, G[i], out=R)
-                # Scale the real view: an overflow gives inf, never inf * 0 = nan.
-                np.multiply(Rv, w, out=Rv)
-            np.multiply(Xv, A[i], out=Xv)  # A is real
-            if nb:
-                Xf[:nb] += B[i]
-            if guided:
-                Xf[:nh] += R
-            if check and not np.isfinite(Xv).all():
-                raise ValueError(f"diverged at step {i + 1}")
+                    np.multiply(R, G[i], out=R)
+                    # Scale the real view: an overflow gives inf, never inf * 0 = nan.
+                    np.multiply(Rv, w_pairs, out=Rv)
+                np.multiply(Xv, A[i], out=Xv)  # A is real
+                if nb:
+                    Xf[:nb] += B[i]
+                if heuristic:
+                    Xf[:nh] += R
+                if check and not np.isfinite(Xv).all():
+                    raise ValueError(f"diverged at step {i + 1}")
 
-    # One check of the final states; only a diverged batch replays to name its step.
-    with np.errstate(over="ignore", invalid="ignore"):
         # Each per-bin multiplier broadcasts along a row of n trajectories.
         # When the ufunc buffer holds two rows or more, numpy 2.4 buffers such
         # an op to run several rows per inner loop, which made it 2-3 times
         # slower at n = 1000 and 2000.  A buffer of at most one row (numpy
         # wants a multiple of 16) runs them row by row.
         bufsize = np.setbufsize(min(np.getbufsize(), max(16, n - n % 16)))
+        # One check of the final states; only a diverged batch replays to name its step.
         try:
             advance(check=False)
             if not np.isfinite(Xv).all():
@@ -372,8 +376,11 @@ def monte_carlo(cfg: SimConfig, obs: Observation) -> RunStats:
     d = cfg.prior.dim
     # DC and, for even d, Nyquist are their own mirror: real, as irfft reads them.
     Xf.imag[[0, d // 2] if d % 2 == 0 else [0]] = 0.0
-    mean = Xf.mean(axis=1)
-    var = np.mean(np.abs(Xf - mean[:, None]) ** 2, axis=1) / d
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = Xf.mean(axis=1)
+        var = np.mean(np.abs(Xf - mean[:, None]) ** 2, axis=1) / d
+    if not np.isfinite(var).all():  # a non-finite mean makes its bin's var so too
+        raise ValueError("output moments overflow: the final states are finite but too large")
     # Bin d - k of a real signal's spectrum is the conjugate of bin k.
     emp_mean, emp_var = (np.concatenate([v, v[(d - 1) // 2 : 0 : -1].conj()]) for v in (mean, var))
     return RunStats(emp_mean=emp_mean, emp_var=emp_var, per_step_zeta=zeta)

@@ -228,6 +228,49 @@ class TestCliCommands:
         assert result.exit_code == 3, result.output
         assert result.output == "numerical failure: diverged at step 5\n"
 
+    def test_overflowing_simulation_moments_exit_3(self, tmp_path, runner):
+        # zeta' = 1e300 leaves some final states finite but near 1e300, so
+        # their variance overflows.  The run used to warn and write
+        # emp_var = inf and std_zeta = inf with exit 0.
+        text = (
+            BASE_CONFIG.format(out=tmp_path / "mom")
+            .replace("T = 200", "T = 50")
+            .replace("S = 5", "S = 4")
+            .replace("zeta_prime = 0.1, 0.3", "zeta_prime = 1e300\nbounds = -1e300, 1e300")
+            .replace("n_runs = 16", "n_runs = 50\nguidance = heuristic")
+        )
+        cfg = tmp_path / "mom.cfg"
+        cfg.write_text(text)
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--seed", "0"])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("numerical failure: output moments overflow")
+        assert not (tmp_path / "mom").exists()
+
+    def test_overflowing_trial_point_is_a_failed_solve(self, tmp_path, runner):
+        # At seed 4 the PiGDM solve from the default start tries a point whose
+        # loss overflows.  That used to print numpy warnings and exit 3 with
+        # "non-finite loss or gradient", writing nothing.  It is now one
+        # failed solve, and the sweep writes every row.
+        text = (
+            BASE_CONFIG.format(out=tmp_path / "out")
+            .replace("l = 0.1", "l = 0.2")
+            .replace("S = 5", "S = 100")
+            .replace("max_iters = 60", "max_iters = 60\nbounds = -50 50")
+            .replace("n_realizations = 2", "n_realizations = 1")
+        )
+        cfg = tmp_path / "trial.cfg"
+        cfg.write_text(text)
+        result = runner.invoke(main, ["sweep-wasserstein", "--config", str(cfg), "--seed", "4"])
+        assert result.exit_code == 0, result.output
+        failed = "ABNORMAL: NON-FINITE LOSS OR GRADIENT AT A TRIAL POINT"
+        assert result.stderr.splitlines() == [f"solve failed: pigdm S=100 realization=0: {failed}"]
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        assert [row[0] for row in rows] == [
+            "dps-heuristic-0.1", "dps-heuristic-0.3", "dps-optimized", "ideal", "pigdm-optimized"
+        ]
+        assert all(np.isfinite(float(row[3])) for row in rows)
+
     @pytest.mark.parametrize(
         "command, guidance",
         [
@@ -718,6 +761,12 @@ class TestCliCommands:
             pytest.param(
                 "optimize", "prior.file", "dim = 2\nlambda0 1.0 2.0\nlambda0 = 1.0 2.0\n",
                 id="prior-line-without-equals",
+            ),
+            # Both means used to load, mu_f winning and mu_const ignored.
+            pytest.param(
+                "optimize", "prior.file",
+                "dim = 2\nmu_f = 1+0j 0j\nmu_const = 7\nlambda0 = 1.0 2.0\n",
+                id="prior-mu_f-and-mu_const",
             ),
             pytest.param(
                 "optimize", "prior.file", "dim = 3\nlambda0 = 1.0 2.0\n", id="prior-dim-mismatch"

@@ -1,5 +1,6 @@
 import sys
 import types
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -289,21 +290,36 @@ class TestOptimizeWeights:
             assert sol.iterations > 1
             assert len(calls) == 1
 
-    def test_non_finite_gradient_raises(self):
+    def test_non_finite_trial_point_ends_the_solve_as_failed(self):
+        # A trial point whose loss or gradient is not finite used to raise,
+        # which aborted the whole command.  The solve now ends there, failed,
+        # at its last finite evaluation, and warns nothing.
         rng = np.random.default_rng(21)
         ctx = _small_ctx(rng)
         evaluate = optimizer.loss_and_gradient
-        calls = []
+        for poison in ("gradient", "loss"):
+            evaluated = []
 
-        def poisoned(*args):
-            f, g = evaluate(*args)
-            calls.append(1)
-            return f, (g if len(calls) == 1 else np.full_like(g, np.nan))
+            def poisoned(theta, *args):
+                f, g = evaluate(theta, *args)
+                evaluated.append((theta.copy(), f))
+                if len(evaluated) < 3:
+                    return f, g
+                return (f, np.full_like(g, np.nan)) if poison == "gradient" else (np.inf, g)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(optimizer, "loss_and_gradient", poisoned)
-            with pytest.raises(ValueError, match="non-finite loss or gradient"):
-                optimize_weights(ctx, default_init(ctx))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(optimizer, "loss_and_gradient", poisoned)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    sol = optimize_weights(ctx, default_init(ctx))
+            assert not sol.success and sol.nfev == 3, poison
+            assert sol.message == "ABNORMAL: NON-FINITE LOSS OR GRADIENT AT A TRIAL POINT"
+            assert np.isfinite(sol.grad_norm)
+            # It stopped at the second evaluation, the last finite one, which
+            # optimize_weights keeps unless the start was better.
+            theta, f = min(evaluated[:2], key=lambda point: point[1])
+            np.testing.assert_array_equal(sol.weights.theta, theta)
+            assert sol.final_loss == f
 
     def test_start_with_finite_loss_and_non_finite_gradient_raises(self):
         # The start's evaluation is handed to L-BFGS-B, not requested by it,

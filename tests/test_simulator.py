@@ -243,7 +243,6 @@ class TestSimulateOne:
         )
         np.testing.assert_allclose(x_opt, x_none, atol=1e-6 * max(1, np.max(np.abs(x_none))))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_reports_step(self):
         cases = [
             (WeightSchedule.dps([1e300] * 4), 3),
@@ -414,6 +413,31 @@ class TestDivergence:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match=f"^diverged at step {step}$"):
                     _run_batch(cfg, obs, starts)
+
+    def test_huge_fixed_weight_at_one_step_raises_without_warnings(self):
+        # Fixed weights fold into the step tables, so a weight this large
+        # overflows a table (1e308: DPS's 2 zeta is inf) or leaves final
+        # states near 1e300 whose variance overflows (1e300).  All but the
+        # PiGDM 1e308 batch used to warn, and the 1e300 ones returned
+        # infinite variances.
+        rng = np.random.default_rng(44)
+        prior, spec, sched, obs = _setup(rng, S=4)
+        step = 2
+        fixed = {
+            "dps": lambda w: WeightSchedule.dps(w),
+            "pigdm": lambda w: WeightSchedule.pigdm(w, np.ones(sched.S)),
+        }
+        causes = {1e300: "^output moments overflow", 1e308: f"^diverged at step {step}$"}
+        for kind, weights in fixed.items():
+            for weight, cause in causes.items():
+                w = np.zeros(sched.S)
+                w[step - 1] = weight
+                guide = Guidance.fixed(weights(w))
+                cfg = SimConfig(prior=prior, spec=spec, schedule=sched, guidance=guide, n_runs=8)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match=cause):
+                        monte_carlo(cfg, obs)
 
     def test_batch_restores_numpy_error_state_and_buffer_size(self):
         before = (np.geterr(), np.getbufsize())
