@@ -1,18 +1,22 @@
 """Wasserstein-2 losses between reconstructed and true posteriors.
 
 The squared distance between two diagonal Gaussians, taken per frequency
-bin, splits into a variance term over |D1| and a mean term over the
-Wiener-filtered measurement.  Everything here is expressed per frequency
-bin, in the package's DFT units (means in forward-transform units, variances
-as covariance eigenvalues), so the measurement-power term of the analytic
-average carries the factor d that relates the two.  One private routine,
-``_score``, scores a sampler's (d,) triple against a ``_Target``, the
-posterior's per-bin constants and the products each evaluation reuses, and
-on request gives the cotangents dL/d conj(D) too.  A ``LossContext`` builds
-its target and its sampler's step table once, on first use; every public
-function is a short call of ``_score``, and ``loss_and_gradient`` hands
-``_score`` to the table's ``value_and_grad``, whose reverse sweep turns the
-cotangents into the exact gradient over the weights.
+bin, splits into a variance term over |D1| and a mean term.  The mean term
+is one formula: the squared norm of the residual M y + (D3 - 1 + A h) mu,
+M = D2 - A, averaged over the measurements y.  Over K given measurements
+that is their mean; the closed-form average over the measurement law is the
+same formula at the one mean measurement h mu plus the measurement
+covariance M picks up, d * sum |M|^2 (lambda |h|^2 + sigma^2).  Everything
+here is expressed per frequency bin, in the package's DFT units (means in
+forward-transform units, variances as covariance eigenvalues), which is why
+that covariance carries the factor d.  One private routine, ``_score``,
+scores a sampler's (d,) triple against a ``_Target``, the posterior's
+per-bin constants and the measurements it scores, and gives the loss with
+its cotangents dL/d conj(D).  A ``LossContext`` builds its target and its
+sampler's step table once, on first use; every public function is a short
+call of ``_score``, and ``loss_and_gradient`` hands ``_score`` to the
+table's ``value_and_grad``, whose reverse sweep turns the cotangents into
+the exact gradient over the weights.
 """
 
 from __future__ import annotations
@@ -82,13 +86,16 @@ class LossContext:
 
 
 class _Target:
-    """The true posterior's per-bin constants and the products a score reuses.
+    """The true posterior's per-bin constants and the measurements a score averages over.
 
     ``A`` is the Wiener gain, ``std`` the posterior std and ``power`` the
     measurement power lambda |h|^2 + sigma^2: the per-bin measurement
-    variance (d times it in DFT units) and the denominator of both others.
-    ``ys`` stacks the (K >= 1, d) measurements to average over, or is None for
-    the closed-form average over the measurement law.
+    variance (d times it, ``d_power``, in DFT units) and the denominator of
+    both others.  ``ys`` holds the measurements the mean term scores: the
+    (K >= 1, d) stack given, which ``mean`` averages over K, or, for the
+    closed-form average over the measurement law (``averaged``), the one mean
+    measurement h mu with no K axis, which ``mean`` returns as it is.  The
+    average's score then adds the covariance term of ``d_power``.
     """
 
     def __init__(self, prior: SpectralPrior, spec: DegradationSpec, ys: np.ndarray | None):
@@ -103,50 +110,49 @@ class _Target:
         self.A = lam * np.conj(h) / power
         self.std = np.sqrt(np.maximum(lam - lam**2 * habs2 / power, 0.0))
         self.dim, self.power, self.d_power = prior.dim, power, prior.dim * power
-        self.Ah, self.hmu = self.A * h, h * mu
-        self.mu, self.conj_mu, self.conj_hmu = mu, np.conj(mu), np.conj(self.hmu)
-        self.ys, self.conj_ys = ys, None if ys is None else np.conj(ys)
+        self.Ah, self.mu, self.conj_mu = self.A * h, mu, np.conj(mu)
+        self.averaged = ys is None
+        self.ys = h * mu if self.averaged else ys
+        self.conj_ys = np.conj(self.ys)
+
+    def mean(self, x):
+        """The mean of x over the measurements' K axis; the average's one measurement has none."""
+        return x if self.averaged else np.add.reduce(x, axis=0) / len(self.ys)
 
 
-def _score(D1, D2, D3, t: _Target, cotangents: bool = False):
-    """Squared W2 of the triple (D1, D2, D3) to t and, with cotangents, (loss, (c1, c2, c3)).
+def _score(D1, D2, D3, t: _Target):
+    """Squared W2 of the triple (D1, D2, D3) to t and its cotangents: (loss, (c1, c2, c3)).
 
-    Sums are ``np.add.reduce`` and means its quotient by K, which is what
-    ``np.sum`` and ``np.mean`` compute.
+    The loss is the variance term, plus the average's covariance term, plus
+    ``t.mean`` of the squared residual norm.  Sums are ``np.add.reduce`` and
+    ``t.mean`` their quotient by K, which is what ``np.sum`` and ``np.mean``
+    compute.
     """
     absD1 = np.abs(D1)
     M = D2 - t.A
     bcoef = D3 - 1.0 + t.Ah
-    var_term = np.add.reduce((t.std - absD1) ** 2)
-    if t.ys is None:
-        resid = M * t.hmu + bcoef * t.mu
-        trace_term = t.dim * np.add.reduce(np.abs(M) ** 2 * t.power)
-        loss = float(var_term + trace_term + np.add.reduce(np.abs(resid) ** 2))
-    else:
-        K = len(t.ys)
-        resid = M * t.ys + bcoef * t.mu
-        loss = float(var_term + np.add.reduce(np.add.reduce(np.abs(resid) ** 2, axis=1)) / K)
-    if not cotangents:
-        return loss
+    loss = np.add.reduce((t.std - absD1) ** 2)
+    resid = M * t.ys + bcoef * t.mu
+    c2 = t.mean(resid * t.conj_ys)
+    if t.averaged:  # the measurement covariance that M picks up
+        loss = loss + t.dim * np.add.reduce(np.abs(M) ** 2 * t.power)
+        c2 = t.d_power * M + c2
+    loss = float(loss + t.mean(np.add.reduce(np.abs(resid) ** 2, -1)))
     # The unit D1/|D1| must stay a complex division, which numpy rounds as
     # D1 * (1/|D1|).  A real np.sign changed the last bit of c1 in all 600
     # evaluations tried on the reference model, and so where solves stop:
     # sweep's S=20 dps-optimized W2 0.6406427646966131 -> 0.6407687634102257,
     # ladder-avg's S=200 DPS loss 0.020148829994948533 -> 0.020221708796690167.
     unit = np.divide(D1, absD1, out=np.zeros_like(D1), where=absD1 > 0)
-    c1 = (absD1 - t.std) * unit
-    if t.ys is None:
-        return loss, (c1, t.d_power * M + resid * t.conj_hmu, resid * t.conj_mu)
-    c2 = np.add.reduce(resid * t.conj_ys, axis=0) / K
-    return loss, (c1, c2, np.add.reduce(resid, axis=0) / K * t.conj_mu)
+    return loss, ((absD1 - t.std) * unit, c2, t.mean(resid) * t.conj_mu)
 
 
-def _score_triple(triple, prior: SpectralPrior, spec: DegradationSpec, ys, cotangents: bool = False):
+def _score_triple(triple, prior: SpectralPrior, spec: DegradationSpec, ys):
     """``_score`` of a caller's triple, whose components must each be (d,)."""
     for k, D in enumerate(triple, 1):
         if np.shape(D) != (prior.dim,):
             raise ValueError(f"D{k} has shape {np.shape(D)}, not the prior's ({prior.dim},)")
-    return _score(*triple, _Target(prior, spec, ys), cotangents)
+    return _score(*triple, _Target(prior, spec, ys))
 
 
 def triples_loss(
@@ -161,11 +167,11 @@ def triples_loss(
 
     ``ys`` stacks the (K, d) measurements to average over.  ``None`` takes the
     closed-form average over the measurement law instead, the K -> infinity
-    limit: the mean term then splits into the measurement covariance picked
-    up by M = D2 - A (the per-bin power d * (lambda |h|^2 + sigma^2)) plus the
-    deterministic offset.
+    limit: the loss at the one mean measurement h mu plus the measurement
+    covariance picked up by M = D2 - A (the per-bin power
+    d * (lambda |h|^2 + sigma^2)).
     """
-    return _score_triple((D1, D2, D3), prior, spec, ys)
+    return _score_triple((D1, D2, D3), prior, spec, ys)[0]
 
 
 def triples_loss_cotangents(
@@ -183,7 +189,7 @@ def triples_loss_cotangents(
     them into the gradient over the weights.  Where |D1| = 0 the variance
     term is not differentiable and its cotangent is taken as 0.
     """
-    return _score_triple((D1, D2, D3), prior, spec, ys, cotangents=True)[1]
+    return _score_triple((D1, D2, D3), prior, spec, ys)[1]
 
 
 def batch_loss(kind: str, theta: np.ndarray, ctx: LossContext) -> float:
@@ -194,7 +200,7 @@ def batch_loss(kind: str, theta: np.ndarray, ctx: LossContext) -> float:
     """
     if kind != ctx.sampler_kind:
         raise ValueError("weights do not match the context's sampler kind")
-    return _score(*batch_triples(kind, theta, ctx.prior, ctx.spec, ctx.schedule), ctx._target)
+    return _score(*batch_triples(kind, theta, ctx.prior, ctx.spec, ctx.schedule), ctx._target)[0]
 
 
 def loss_and_gradient(theta: np.ndarray, ctx: LossContext) -> tuple[float, np.ndarray]:
@@ -204,7 +210,7 @@ def loss_and_gradient(theta: np.ndarray, ctx: LossContext) -> tuple[float, np.nd
     ``_score`` gives the loss (equal to ``batch_loss`` bit for bit) and its
     cotangents, and one reverse sweep over the cotangents gives the gradient.
     """
-    return ctx._table.value_and_grad(theta, lambda *t: _score(*t, ctx._target, cotangents=True))
+    return ctx._table.value_and_grad(theta, lambda *t: _score(*t, ctx._target))
 
 
 def weights_loss(weights: WeightSchedule, ctx: LossContext) -> float:
@@ -221,4 +227,4 @@ def triple_realization_loss(
 ) -> float:
     """Squared W2 between the output law of a sampler's (D1, D2, D3) and the true posterior."""
     _require_same_dim(prior, spec, obs)
-    return _score_triple(triple, prior, spec, obs.y_f[None])
+    return _score_triple(triple, prior, spec, obs.y_f[None])[0]

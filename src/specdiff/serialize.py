@@ -60,11 +60,13 @@ def _data_rows(path) -> list[list[str]]:
 
 
 def read_samples_csv(path) -> np.ndarray:
-    """Long-format sample matrix: columns sample, index, value.
+    """Long-format sample matrix: columns sample, index, value, under that header.
 
     Every (sample, index) cell of the n x d matrix must appear exactly once.
     """
-    rows = _data_rows(path)[1:]
+    header, *rows = _data_rows(path) or [[]]
+    if header != ["sample", "index", "value"]:
+        raise ValueError(f"header {','.join(header)!r} is not sample,index,value")
     if not rows:
         raise ValueError("no sample rows")
     for r in rows:

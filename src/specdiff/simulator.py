@@ -118,6 +118,9 @@ class Guidance:
                 raise ValueError("dps-heuristic guidance requires zeta_prime")
             if not 0 < self.zeta_prime < np.inf:
                 raise ValueError("zeta_prime must be positive and finite")
+            # The CLI's cap is the box's largest |bound|, which may be infinite.
+            if not self.cap >= 0:
+                raise ValueError("cap must be nonnegative")
 
     @classmethod
     def none(cls) -> "Guidance":

@@ -151,6 +151,19 @@ class TestConfig:
         (box,) = [f for f in fields(ExperimentConfig) if f.metadata.get("key") == "sampler.bounds"]
         assert box.metadata["parse"]("sampler.bounds", box.metadata["default"]) == DEFAULT_BOUNDS
 
+    def test_default_solver_limits_are_the_optimizer_defaults(self):
+        # config.py writes these defaults itself too; they must parse to the
+        # values OptimizeOptions holds, or the CLI and the API solve apart.
+        from specdiff.config import ExperimentConfig
+        from specdiff.optimizer import OptimizeOptions
+
+        keys = {f.metadata.get("key"): f for f in fields(ExperimentConfig)}
+        for key, name in [("sampler.max_iters", "max_iters"), ("sampler.f_tol", "f_tol")]:
+            meta = keys[key].metadata
+            value = meta["parse"](key, meta["default"])
+            assert value == getattr(OptimizeOptions(), name), key
+            assert type(value) is type(getattr(OptimizeOptions(), name)), key
+
     def test_invalid_source_rejected(self, tmp_path):
         text = BASE_CONFIG.format(out=tmp_path).replace("optimize-k1", "banana")
         path = tmp_path / "bad.cfg"
@@ -779,6 +792,20 @@ class TestCliCommands:
             pytest.param(
                 "estimate-prior", "estimate.samples", "sample,index,value\n", id="samples-no-rows"
             ),
+            # Six samples of four indices under a swapped header used to load
+            # as four samples of six and write a six-bin prior with exit 0;
+            # a headerless file lost its first row and read "cell ... is missing".
+            pytest.param(
+                "estimate-prior", "estimate.samples",
+                "index,sample,value\n"
+                + "".join(f"{i},{k},{k + i}.0\n" for k in range(6) for i in range(4)),
+                id="samples-swapped-header",
+            ),
+            pytest.param(
+                "estimate-prior", "estimate.samples", "0,0,1.0\n0,1,2.0\n1,0,3.0\n1,1,4.0\n",
+                id="samples-no-header",
+            ),
+            pytest.param("estimate-prior", "estimate.samples", "", id="samples-empty"),
             pytest.param("estimate-prior", "estimate.samples", None, id="samples-missing"),
             pytest.param(
                 "estimate-prior", "estimate.samples", "sample,index,value\n0,0,1.0\n1,0,abc\n",

@@ -327,6 +327,26 @@ class TestAveragedLoss:
             rtol=1e-12,
         )
 
+    def test_average_is_the_loss_at_the_mean_measurement_plus_its_covariance(self):
+        # Per bin y ~ N(h mu, d (lam |h|^2 + sigma^2)) in DFT units, so the
+        # closed-form average is the loss at the one measurement h mu plus the
+        # covariance that M = D2 - A picks up; only c2 gains a term, cov * M.
+        rng = np.random.default_rng(17)
+        for d in (3, 8, 13):
+            ctx = _random_ctx(rng, d=d)
+            prior, spec = ctx.prior, ctx.spec
+            D = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(3)]
+            cov = d * (prior.lambda0 * np.abs(spec.lambda_h) ** 2 + spec.sigma_y**2)
+            M = D[1] - wiener_gain(prior, spec)
+            at_mean = (spec.lambda_h * prior.mu_f)[None]
+            want = triples_loss(*D, prior, spec, at_mean) + np.sum(np.abs(M) ** 2 * cov)
+            assert triples_loss(*D, prior, spec, None) == pytest.approx(want, rel=1e-12, abs=0)
+            avg = triples_loss_cotangents(*D, prior, spec, None)
+            c1, c2, c3 = triples_loss_cotangents(*D, prior, spec, at_mean)
+            np.testing.assert_allclose(avg[0], c1, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(avg[1], c2 + cov * M, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(avg[2], c3, rtol=1e-12, atol=0)
+
     def test_small_empirical_average_near_analytic(self):
         rng = np.random.default_rng(12)
         base = _random_ctx(rng, d=8, S=5, K=100)

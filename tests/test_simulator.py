@@ -491,6 +491,16 @@ class TestGuidance:
             with pytest.raises(ValueError, match="must be positive and finite"):
                 Guidance.dps_heuristic(zeta_prime)
 
+    def test_heuristic_cap_must_be_nonnegative(self):
+        # A NaN or negative cap used to construct: a cap of -3 gave an
+        # anti-guidance weight wherever a residual was exactly zero.
+        for cap in (np.nan, -3.0):
+            with pytest.raises(ValueError, match="cap must be nonnegative"):
+                Guidance.dps_heuristic(0.5, cap=cap)
+        # The CLI's cap is max |sampler.bounds|, which may be infinite.
+        assert Guidance.dps_heuristic(0.5, cap=np.inf).cap == np.inf
+        assert Guidance.dps_heuristic(0.5, cap=0.0).cap == 0.0
+
     def test_malformed_config_rejected(self):
         prior, spec, sched, _ = _setup(np.random.default_rng(19), S=4)
         short = Guidance.fixed(WeightSchedule.dps(np.zeros(3)))
